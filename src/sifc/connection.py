@@ -174,6 +174,9 @@ class MonotoneMap:
         return (self.source == other.source and self.target == other.target
                 and self._table == other._table)
 
+    def __hash__(self) -> int:
+        return hash((self.source, self.target, frozenset(self._table.items())))
+
     def __repr__(self) -> str:
         return f"MonotoneMap({self.source.name} -> {self.target.name})"
 
@@ -356,12 +359,12 @@ def check_tightness(conn: LagoisConnection, max_exhaustive: int = 12,
             if ambient_meet not in budset:
                 failures.append(f"{side}:{subset}: meet escapes the budpoint set")
                 continue
-            below = [b for b in buds if all(lat.leq(b, s) for s in subset)]
-            greatest_below = [b for b in below if all(lat.leq(x, b) for x in below)]
+            below = budset.intersection(*(lat.downset(s) for s in subset))
+            greatest_below = [b for b in buds if b in below and below <= lat.downset(b)]
             if greatest_below != [ambient_meet]:
                 failures.append(f"{side}:{subset}: inside-meet differs from ambient meet")
-            above = [b for b in buds if all(lat.leq(s, b) for s in subset)]
-            least_above = [b for b in above if all(lat.leq(b, x) for x in above)]
+            above = budset.intersection(*(lat.upset(s) for s in subset))
+            least_above = [b for b in buds if b in above and above <= lat.upset(b)]
             if least_above != [view.round_trip_left(lat.join_all(subset))]:
                 failures.append(f"{side}:{subset}: join inside budpoints is not the "
                                 f"round trip of the ambient join")

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .connection import Violation
+from .lattice import _closure_rows, _members
 
 TOP = "TOP"
 BOT = "BOT"
@@ -87,28 +88,13 @@ class PrincipalsHierarchy:
                 raise UnknownPrincipal(q)
             edges.append((p, q))
 
-        succ: dict[str, list[str]] = {p: [] for p in names}
-        for p, q in edges:
-            succ[p].append(q)  # p acts for q
-        for p in names:
-            succ[TOP].append(p)
-            succ[p].append(BOT)
-
-        table: dict[str, frozenset[str]] = {}
-        for p in names:
-            reached = {p}
-            stack = [p]
-            while stack:
-                cur = stack.pop()
-                for nxt in succ[cur]:
-                    if nxt not in reached:
-                        reached.add(nxt)
-                        stack.append(nxt)
-            table[p] = frozenset(reached)
+        index = {p: i for i, p in enumerate(names)}
+        pairs = edges + [(TOP, p) for p in names] + [(p, BOT) for p in names]  # p acts for q
+        rows = _closure_rows(len(names), [(index[p], index[q]) for p, q in pairs])
 
         self.principals = tuple(names)
         self.edges = tuple(edges)
-        self._acts_for = table
+        self._acts_for = {p: _members(row, names) for p, row in zip(names, rows)}
 
     def __contains__(self, name: str) -> bool:
         return name in self._acts_for

@@ -4,12 +4,18 @@ A lattice is built from a class list and an arbitrary set of ordered pairs
 (lower, upper).  The pairs need not form a Hasse diagram; the reflexive-
 transitive closure is computed and redundant pairs are tolerated.  After
 construction every order query is a table lookup.
+
+Construction uses the bit-vector encoding of Ait-Kaci et al. (TOPLAS 1989):
+up-sets are int bitmasks closed by Warshall over bit rows (O(n^2) big-int
+operations), and join(a, b) is the class whose up-set is up(a) & up(b), meets
+alike with down-sets, so the tables fill with O(n^2) dict lookups.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from itertools import compress
 from typing import Iterable, Mapping, Sequence
 
 CLASS_NAME_RE = re.compile(r"[A-Za-z0-9_()+-]+\Z")
@@ -156,14 +162,15 @@ class Lattice:
     def __eq__(self, other) -> bool:
         # Structural: same class set and same order.  The display name and the
         # particular cover presentation do not matter.
+        if other is self:
+            return True
         if not isinstance(other, Lattice):
             return NotImplemented
         return (set(self.classes) == set(other.classes)
                 and self.order_pairs() == other.order_pairs())
 
-    def __ne__(self, other) -> bool:
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
+    def __hash__(self) -> int:
+        return hash(frozenset(self.classes))
 
     def __repr__(self) -> str:
         return f"Lattice({self.name!r}, {len(self.classes)} classes)"
@@ -220,57 +227,66 @@ def build_lattice(name: str, classes: Sequence[str],
             cover_seen.add((lo, hi))
             cover_list.append((lo, hi))
 
-    succ: dict[str, list[str]] = {c: [] for c in classes}
-    for lo, hi in cover_list:
-        succ[lo].append(hi)
+    n = len(classes)
+    index = {c: i for i, c in enumerate(classes)}
+    up_rows = _closure_rows(n, ((index[lo], index[hi]) for lo, hi in cover_list))
+    # Down-sets are the converse relation: transpose the bit matrix by its digits.
+    digits = [format(u, f"0{n}b") for u in reversed(up_rows)]
+    down_rows = [int("".join(col), 2) for col in zip(*digits)][::-1]
 
-    # Reflexive-transitive closure by DFS from each class.
-    up: dict[str, frozenset[str]] = {}
-    for c in classes:
-        reached = {c}
-        stack = [c]
-        while stack:
-            cur = stack.pop()
-            for nxt in succ[cur]:
-                if nxt not in reached:
-                    reached.add(nxt)
-                    stack.append(nxt)
-        up[c] = frozenset(reached)
+    # The lowest mutual bit above i names the first cyclic (i < j) pair in declaration order.
+    for i, (u, d) in enumerate(zip(up_rows, down_rows)):
+        mutual = (u & d) >> (i + 1)
+        if mutual:
+            j = i + (mutual & -mutual).bit_length()
+            raise CycleError((classes[i], classes[j]))
 
-    for i, a in enumerate(classes):
-        for b in classes[i + 1:]:
-            if b in up[a] and a in up[b]:
-                raise CycleError((a, b))
+    up = {c: _members(u, classes) for c, u in zip(classes, up_rows)}
+    down = {c: _members(d, classes) for c, d in zip(classes, down_rows)}
 
-    down: dict[str, set[str]] = {c: set() for c in classes}
-    for a in classes:
-        for b in up[a]:
-            down[b].add(a)
-    down_f = {c: frozenset(down[c]) for c in classes}
-
+    # Antisymmetry makes the rows distinct, so each mask names one class.  A
+    # least upper bound of a and b is exactly a class whose up-set is the set
+    # of common upper bounds, so a lookup miss means "not a lattice".
+    by_up = dict(zip(up_rows, classes))
+    by_down = dict(zip(down_rows, classes))
     join_table: dict[tuple[str, str], str] = {}
     meet_table: dict[tuple[str, str], str] = {}
     for i, a in enumerate(classes):
-        for b in classes[i:]:
-            ub = up[a] & up[b]
-            lub = _unique_extremum(ub, up, lower=True)
+        ua, da = up_rows[i], down_rows[i]
+        for j in range(i, n):
+            b = classes[j]
+            lub = by_up.get(ua & up_rows[j])
             if lub is None:
-                raise NotALattice("join", (a, b), _extrema(ub, up, lower=True))
+                raise NotALattice("join", (a, b), _extrema(up[a] & up[b], up, lower=True))
             join_table[(a, b)] = join_table[(b, a)] = lub
-            lb = down_f[a] & down_f[b]
-            glb = _unique_extremum(lb, up, lower=False)
+            glb = by_down.get(da & down_rows[j])
             if glb is None:
-                raise NotALattice("meet", (a, b), _extrema(lb, up, lower=False))
+                raise NotALattice("meet", (a, b), _extrema(down[a] & down[b], up, lower=False))
             meet_table[(a, b)] = meet_table[(b, a)] = glb
 
-    top = classes[0]
-    bottom = classes[0]
-    for c in classes[1:]:
-        top = join_table[(top, c)]
-        bottom = meet_table[(bottom, c)]
+    everything = (1 << n) - 1
+    return Lattice(name, classes, tuple(cover_list), up, down,
+                   join_table, meet_table, by_down[everything], by_up[everything])
 
-    return Lattice(name, classes, tuple(cover_list), up, down_f,
-                   join_table, meet_table, top, bottom)
+
+def _closure_rows(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
+    """Reflexive-transitive closure of a relation on range(n): bit j of row i
+    is set iff j is reachable from i.  Warshall over bit rows, so self-loops
+    and cycles (pre-orders) need no special case."""
+    rows = [1 << i for i in range(n)]
+    for i, j in edges:
+        rows[i] |= 1 << j
+    for k in range(n):
+        bit, row_k = 1 << k, rows[k]
+        for i in range(n):
+            if rows[i] & bit:
+                rows[i] |= row_k
+    return rows
+
+
+def _members(mask: int, names: Sequence[str]) -> frozenset[str]:
+    """The names whose index bit is set in mask."""
+    return frozenset(compress(names, map("1".__eq__, reversed(bin(mask)))))
 
 
 def _extrema(subset: frozenset[str], up: dict[str, frozenset[str]],
@@ -285,12 +301,6 @@ def _extrema(subset: frozenset[str], up: dict[str, frozenset[str]],
         if not dominated:
             out.append(u)
     return tuple(sorted(out))
-
-
-def _unique_extremum(subset: frozenset[str], up: dict[str, frozenset[str]],
-                     lower: bool) -> str | None:
-    ext = _extrema(subset, up, lower)
-    return ext[0] if len(ext) == 1 else None
 
 
 def load_lattice(path: str) -> Lattice:

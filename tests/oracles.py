@@ -66,6 +66,34 @@ def brute_is_lattice(classes, covers) -> bool:
     return True
 
 
+def brute_lattice_error(classes, covers):
+    """The error build_lattice must raise, or None for a lattice.
+
+    ("cycle", pair, ()) names the first mutually-below pair (i < j) in
+    declaration order.  Otherwise ("join" | "meet", pair, candidates) names
+    the first pair (i <= j), join checked before meet, that lacks a unique
+    bound; candidates are the minimal common upper (maximal common lower)
+    bounds, sorted by name.
+    """
+    classes = list(classes)
+    reach = reach_table(classes, covers)
+    for i, a in enumerate(classes):
+        for b in classes[i + 1:]:
+            if b in reach[a] and a in reach[b]:
+                return ("cycle", (a, b), ())
+    for i, a in enumerate(classes):
+        for b in classes[i:]:
+            if brute_join(classes, reach, a, b) is None:
+                ubs = brute_bounds(classes, reach, a, b, upper=True)
+                return ("join", (a, b), tuple(sorted(
+                    u for u in ubs if not any(v != u and u in reach[v] for v in ubs))))
+            if brute_meet(classes, reach, a, b) is None:
+                lbs = brute_bounds(classes, reach, a, b, upper=False)
+                return ("meet", (a, b), tuple(sorted(
+                    u for u in lbs if not any(v != u and v in reach[u] for v in lbs))))
+    return None
+
+
 class BrutePoset:
     """Self-contained order oracle for one lattice description."""
 

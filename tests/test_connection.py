@@ -40,6 +40,15 @@ def test_budpoints_are_round_trip_fixed_points(cu):
     assert right_fixed == cu.budpoints_right
 
 
+def test_connections_are_hashable():
+    # Equal connections rebuilt from the same documents hash alike, so they
+    # can key a dict or share a set.
+    a, b = fx.college_university(), fx.college_university()
+    assert a is not b and a == b
+    assert hash(a) == hash(b)
+    assert len({a, b, a.transpose()}) == 2
+
+
 def test_kernels_partition_classes(cu):
     flat = [c for block in cu.kernel_left for c in block]
     assert sorted(flat) == sorted(cu.left.classes)

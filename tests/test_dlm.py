@@ -1,6 +1,8 @@
 """Acts-for hierarchies, labels, relabeling, lifting, and declassification."""
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,11 @@ from sifc.dlm import (AuthorityMismatch, CorollaryViolation, Label,
                       hierarchy_violations, label_equiv, label_join,
                       label_leq, lift_label, parse_label, policy, policy_leq,
                       random_label)
+
+from fixtures import principal_map_pair
+from oracles import reach_table
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 # Two mirrored chains of four named principals, connected College/University
 # style: the left chain folds onto {uni_fac, uni_dean} plus the bounds.
@@ -54,6 +61,42 @@ def test_top_and_bot_are_implicit():
 def test_preorder_cycles_allowed():
     h = PrincipalsHierarchy(["a", "b"], [("a", "b"), ("b", "a")])
     assert h.equiv("a", "b")
+
+
+def _assert_acts_for_matches_oracle(h):
+    """acts_for against brute-force reachability over the edges plus the
+    implicit TOP-acts-for-all and all-act-for-BOT pairs."""
+    reach = reach_table(h.principals, list(h.edges) + [("TOP", p) for p in h.principals]
+                        + [(p, "BOT") for p in h.principals])
+    for p in h.principals:
+        for q in h.principals:
+            assert h.acts_for(p, q) == (q in reach[p]), (p, q)
+
+
+def test_acts_for_matches_oracle_on_fixture_hierarchies():
+    pm = principal_map_pair()
+    fixture_docs = [json.loads((FIXTURES / f"{side}-hierarchy.json").read_text())
+                    for side in ("left", "right")]
+    for h in (LEFT_H, RIGHT_H, pm.left, pm.right,
+              *(PrincipalsHierarchy.from_dict(doc) for doc in fixture_docs)):
+        _assert_acts_for_matches_oracle(h)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_acts_for_matches_oracle_on_random_cyclic_hierarchies(seed):
+    # Random edges in both directions make acts-for cycles; TOP and BOT may
+    # appear as edge endpoints too (BOT acting for p makes everyone act for p).
+    rng = random.Random(seed)
+    cyclic = 0
+    for _ in range(30):
+        names = [f"p{i}" for i in range(rng.randint(1, 40))]
+        pool = names + ["TOP", "BOT"]
+        edges = [(rng.choice(pool), rng.choice(pool))
+                 for _ in range(rng.randint(0, 2 * len(names)))]
+        h = PrincipalsHierarchy(names, edges)
+        _assert_acts_for_matches_oracle(h)
+        cyclic += any(h.equiv(p, q) for p in names for q in names if p != q)
+    assert cyclic > 0
 
 
 def test_unknown_principal():

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -12,8 +13,8 @@ from sifc.lattice import (BadClassName, CycleError, DuplicateClass, Lattice,
 
 from fixtures import (COLLEGE_CLASSES, COLLEGE_COVERS, UNIVERSITY_CLASSES,
                       college, university)
-from gen import random_lattice
-from oracles import brute_join, brute_meet, reach_table
+from gen import random_lattice, random_lattice_exact
+from oracles import brute_join, brute_lattice_error, brute_meet, reach_table
 
 
 def test_college_builds():
@@ -171,5 +172,140 @@ def test_structural_equality_ignores_name_and_presentation():
     a = build_lattice("one", ["x", "y"], [("x", "y")])
     b = build_lattice("two", ["y", "x"], [("x", "y"), ("x", "y")])
     assert a == b
+    assert hash(a) == hash(b)
+    assert len({a, b, college()}) == 2
     c = build_lattice("three", ["x", "y", "z"], [("x", "y"), ("y", "z")])
     assert a != c
+    assert a == a and not a != a
+
+
+# -- differential tests of the bit-vector kernel -------------------------------
+
+def _assert_matches_oracle(lat, classes, covers):
+    """Every table of lat against brute-force reachability over the raw input."""
+    classes = list(classes)
+    reach = reach_table(classes, covers)
+    for a in classes:
+        assert lat.upset(a) == reach[a]
+        assert lat.downset(a) == {c for c in classes if a in reach[c]}
+    for a, b in itertools.product(classes, repeat=2):
+        assert lat.join(a, b) == brute_join(classes, reach, a, b)
+        assert lat.meet(a, b) == brute_meet(classes, reach, a, b)
+    assert reach[lat.bottom] == set(classes)
+    assert all(lat.top in reach[c] for c in classes)
+
+
+def _random_covers(rng, names, density, back=0.0, loops=0.0, dups=0.0):
+    """Cover pairs over names: forward pairs along a hidden linear order with
+    probability `density`, plus backward pairs (which may close cycles),
+    self-loops and repeats of earlier pairs, all shuffled."""
+    order = rng.sample(names, len(names))
+    covers = []
+    for i, a in enumerate(order):
+        for b in order[i + 1:]:
+            if rng.random() < density:
+                covers.append((a, b))
+            if rng.random() < back:
+                covers.append((b, a))
+        if rng.random() < loops:
+            covers.append((a, a))
+    if covers:
+        covers += [rng.choice(covers) for _ in range(int(dups * len(covers)))]
+    rng.shuffle(covers)
+    return covers
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_kernel_matches_oracle_on_random_lattices(seed):
+    # Each lattice is rebuilt from a messier presentation of the same order:
+    # shuffled declaration, redundant transitive pairs, self-loops, repeats.
+    rng = random.Random(seed)
+    for n in (1, 2, 3, 5, 8, 13, 21, 34, 48, 64):
+        base = random_lattice_exact(rng, n)
+        classes = rng.sample(base.classes, n)
+        covers = list(base.covers)
+        covers += [(a, rng.choice(sorted(base.upset(a)))) for a in rng.sample(classes, n // 2)]
+        covers += [(a, a) for a in rng.sample(classes, n // 3)]
+        covers += rng.sample(covers, len(covers) // 4)
+        rng.shuffle(covers)
+        lat = build_lattice("messy", classes, covers)
+        assert lat == base
+        _assert_matches_oracle(lat, classes, covers)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_kernel_outcome_matches_oracle_on_random_posets(seed):
+    # The oracle replays the reference loop order, so the raised pair,
+    # kind, candidates and message must agree exactly.
+    rng = random.Random(100 + seed)
+    outcomes = Counter()
+    for _ in range(80):
+        n = rng.choice((2, 3, 4, 5, 6, 8, 12, 16, 24, 32, 48, 64))
+        names = [f"p{i}" for i in range(n)]
+        covers = _random_covers(rng, names, density=rng.choice((0.05, 0.2, 0.5, 0.9)),
+                                back=rng.choice((0.0, 0.0, 0.002, 0.02)),
+                                loops=rng.choice((0.0, 0.1)), dups=rng.choice((0.0, 0.3)))
+        expected = brute_lattice_error(names, covers)
+        if expected is None:
+            outcomes["lattice"] += 1
+            _assert_matches_oracle(build_lattice("p", names, covers), names, covers)
+            continue
+        kind, pair, candidates = expected
+        outcomes[kind] += 1
+        if kind == "cycle":
+            with pytest.raises(CycleError) as exc:
+                build_lattice("p", names, covers)
+            assert str(exc.value) == str(CycleError(pair))
+        else:
+            with pytest.raises(NotALattice) as exc:
+                build_lattice("p", names, covers)
+            assert (exc.value.kind, exc.value.candidates) == (kind, candidates)
+            assert str(exc.value) == str(NotALattice(kind, pair, candidates))
+        assert exc.value.pair == pair
+    assert set(outcomes) == {"lattice", "cycle", "join", "meet"}, outcomes
+
+
+def test_cycle_error_names_first_pair_in_declaration_order():
+    classes = ["x", "c", "b", "a"]
+    covers = [("a", "b"), ("b", "c"), ("c", "a"), ("x", "a")]
+    assert brute_lattice_error(classes, covers) == ("cycle", ("c", "b"), ())
+    with pytest.raises(CycleError) as exc:
+        build_lattice("cyc", classes, covers)
+    assert exc.value.pair == ("c", "b")
+
+
+def test_self_loop_cover_on_inner_class():
+    # A self-loop is redundant wherever it sits, not only on a minimal class.
+    lat = Lattice.from_dict({"name": "loop", "classes": ["a", "b", "c"],
+                             "covers": [["b", "b"], ["a", "b"], ["b", "c"]]})
+    assert (lat.bottom, lat.top) == ("a", "c")
+    assert lat == build_lattice("chain", ["a", "b", "c"], [("a", "b"), ("b", "c")])
+    _assert_matches_oracle(lat, lat.classes, lat.covers)
+
+
+def test_chain_of_256_classes():
+    rng = random.Random(3)
+    names = [f"c{i}" for i in range(256)]
+    lat = build_lattice("chain", rng.sample(names, 256),
+                        [(names[i], names[i + 1]) for i in range(255)])
+    assert (lat.bottom, lat.top) == ("c0", "c255")
+    for _ in range(500):
+        i, j = rng.randrange(256), rng.randrange(256)
+        assert lat.join(names[i], names[j]) == names[max(i, j)]
+        assert lat.meet(names[i], names[j]) == names[min(i, j)]
+        assert lat.leq(names[i], names[j]) == (i <= j)
+
+
+def test_boolean_lattice_of_256_elements():
+    # Subsets of 8 atoms, named by their bitmask; join is union, meet intersection.
+    rng = random.Random(4)
+    name = [f"s{m}" for m in range(256)]
+    covers = [(name[m], name[m | 1 << k]) for m in range(256) for k in range(8)
+              if not m >> k & 1]
+    lat = build_lattice("boolean", name, covers)
+    assert (lat.bottom, lat.top) == ("s0", "s255")
+    for _ in range(500):
+        a, b = rng.randrange(256), rng.randrange(256)
+        assert lat.join(name[a], name[b]) == name[a | b]
+        assert lat.meet(name[a], name[b]) == name[a & b]
+        assert lat.leq(name[a], name[b]) == (a & b == a)

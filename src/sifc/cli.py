@@ -20,8 +20,7 @@ from . import connection as conn_mod
 from .connection import (AdjointError, ComposeError, CoarsenError,
                          LagoisConnection, MapError, MonotoneMap, NotClosure,
                          NotIso, NotLagois, NotSemiInverse, check_connection,
-                         check_tightness, compose, connection_violations,
-                         decompose, find_adjoint)
+                         check_tightness, compose, decompose, find_adjoint)
 from .dlm import (CorollaryViolation, DlmError, NotLagoisHierarchy,
                   PrincipalMapPair, PrincipalsHierarchy,
                   check_lifted_connection, cross_declassify_check,
@@ -139,11 +138,11 @@ def _cmd_check_connection(args) -> Verdict:
     left, right, alpha, gamma = _load_connection_doc(args.file)
     if gamma is None:
         raise LatticeError('connection file omits "gamma"; run find-adjoint first')
-    violations = connection_violations(left, right, alpha, gamma)
-    if violations:
-        return Verdict(FAIL, {"status": FAIL, "violations": len(violations)},
-                       [v.to_json() for v in violations])
-    conn = check_connection(left, right, alpha, gamma)
+    try:
+        conn = check_connection(left, right, alpha, gamma)
+    except NotLagois as exc:
+        return Verdict(FAIL, {"status": FAIL, "violations": len(exc.violations)},
+                       [v.to_json() for v in exc.violations])
     extra = {}
     if args.tightness:
         seed = _resolve_seed(args.seed)

@@ -24,9 +24,10 @@ coarsening of the left map.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import eq
 from typing import Iterable, Mapping
 
-from .lattice import Lattice, UnknownClass, build_lattice
+from .lattice import Lattice, UnknownClass, _extrema, build_lattice
 
 VIOLATION_CONDITIONS = ("Monotone-alpha", "Monotone-gamma",
                         "LC1", "LC2", "LC3", "LC4")
@@ -130,14 +131,7 @@ class MonotoneMap:
 
     def __init__(self, source: Lattice, target: Lattice, table: Mapping[str, str],
                  where: str = "map"):
-        missing = tuple(c for c in source.classes if c not in table)
-        if missing:
-            raise PartialMap(missing, where)
-        for key, value in table.items():
-            if key not in source:
-                raise UnknownClass(key, f"{where} domain")
-            if value not in target:
-                raise UnknownClass(value, f"{where} range")
+        _require_total(source, target, table, where)
         for lo, hi in source.covers:
             if not target.leq(table[lo], table[hi]):
                 raise NotMonotone((lo, hi), where)
@@ -234,26 +228,30 @@ def connection_violations(left: Lattice, right: Lattice,
     """
     _require_total(left, right, alpha, "alpha")
     _require_total(right, left, gamma, "gamma")
+    return _law_violations((left.classes, left.covers, left.leq, eq),
+                           (right.classes, right.covers, right.leq, eq), alpha, gamma)
 
-    out: list[Violation] = []
-    for lo, hi in left.covers:
-        if not right.leq(alpha[lo], alpha[hi]):
-            out.append(Violation("Monotone-alpha", (lo, hi)))
-    for lo, hi in right.covers:
-        if not left.leq(gamma[lo], gamma[hi]):
-            out.append(Violation("Monotone-gamma", (lo, hi)))
-    for l in left.classes:
-        if not left.leq(l, gamma[alpha[l]]):
-            out.append(Violation("LC1", (l,)))
-    for m in right.classes:
-        if not right.leq(m, alpha[gamma[m]]):
-            out.append(Violation("LC2", (m,)))
-    for l in left.classes:
-        if alpha[gamma[alpha[l]]] != alpha[l]:
-            out.append(Violation("LC3", (l,)))
-    for m in right.classes:
-        if gamma[alpha[gamma[m]]] != gamma[m]:
-            out.append(Violation("LC4", (m,)))
+
+def _law_violations(left: tuple, right: tuple, alpha: Mapping[str, str],
+                    gamma: Mapping[str, str]) -> list[Violation]:
+    """Order preservation and LC1-LC4 for total maps between two ordered sides.
+
+    Each side is (classes, pairs, leq, same): preservation is checked on the
+    pairs (lo, hi) with lo <= hi, and the composition identities compare with
+    `same`, which is equality on a lattice and mutual order on a pre-order.
+    """
+    lclasses, lpairs, lleq, lsame = left
+    rclasses, rpairs, rleq, rsame = right
+    out = [Violation("Monotone-alpha", (lo, hi))
+           for lo, hi in lpairs if not rleq(alpha[lo], alpha[hi])]
+    out += [Violation("Monotone-gamma", (lo, hi))
+            for lo, hi in rpairs if not lleq(gamma[lo], gamma[hi])]
+    out += [Violation("LC1", (l,)) for l in lclasses if not lleq(l, gamma[alpha[l]])]
+    out += [Violation("LC2", (m,)) for m in rclasses if not rleq(m, alpha[gamma[m]])]
+    out += [Violation("LC3", (l,))
+            for l in lclasses if not rsame(alpha[gamma[alpha[l]]], alpha[l])]
+    out += [Violation("LC4", (m,))
+            for m in rclasses if not lsame(gamma[alpha[gamma[m]]], gamma[m])]
     return out
 
 
@@ -285,15 +283,21 @@ def check_connection(left: Lattice, right: Lattice,
     violations = connection_violations(left, right, alpha, gamma)
     if violations:
         raise NotLagois(violations)
-    amap = MonotoneMap(left, right, alpha, "alpha")
-    gmap = MonotoneMap(right, left, gamma, "gamma")
     return LagoisConnection(
-        left, right, amap, gmap,
+        left, right, _proven_map(left, right, alpha), _proven_map(right, left, gamma),
         budpoints_left=left.sorted_by_index(set(gamma[m] for m in right.classes)),
         budpoints_right=right.sorted_by_index(set(alpha[l] for l in left.classes)),
         kernel_left=_kernel_blocks(left, alpha),
         kernel_right=_kernel_blocks(right, gamma),
     )
+
+
+def _proven_map(source: Lattice, target: Lattice, table: Mapping[str, str]) -> MonotoneMap:
+    """A MonotoneMap over a table that connection_violations has already
+    proven total, in range and order-preserving, built without re-checking."""
+    out = MonotoneMap.__new__(MonotoneMap)
+    out.source, out.target, out._table = source, target, dict(table)
+    return out
 
 
 def identity_connection(lat: Lattice) -> LagoisConnection:
@@ -359,13 +363,14 @@ def check_tightness(conn: LagoisConnection, max_exhaustive: int = 12,
             if ambient_meet not in budset:
                 failures.append(f"{side}:{subset}: meet escapes the budpoint set")
                 continue
+            # A set S has a greatest member exactly when join_all(S) is in S,
+            # and a least one when meet_all(S) is; ambient_meet is in below.
             below = budset.intersection(*(lat.downset(s) for s in subset))
-            greatest_below = [b for b in buds if b in below and below <= lat.downset(b)]
-            if greatest_below != [ambient_meet]:
+            if lat.join_all(below) != ambient_meet:
                 failures.append(f"{side}:{subset}: inside-meet differs from ambient meet")
             above = budset.intersection(*(lat.upset(s) for s in subset))
-            least_above = [b for b in buds if b in above and above <= lat.upset(b)]
-            if least_above != [view.round_trip_left(lat.join_all(subset))]:
+            round_trip = view.round_trip_left(lat.join_all(subset))
+            if round_trip not in above or lat.meet_all(above) != round_trip:
                 failures.append(f"{side}:{subset}: join inside budpoints is not the "
                                 f"round trip of the ambient join")
     return TightnessReport(not failures, tuple(failures), checked)
@@ -390,10 +395,9 @@ def find_adjoint(alpha: MonotoneMap) -> MonotoneMap:
     largest: dict[str, str] = {}
     for m in image:
         members = alpha.preimage(m)
-        tops = [u for u in members if all(left.leq(v, u) for v in members)]
-        if not tops:
+        largest[m] = left.join_all(members)
+        if largest[m] not in members:
             raise AdjointError(1, (m,), f"preimage {list(members)} has no largest member")
-        largest[m] = tops[0]
 
     least_above: dict[str, str] = {}
     for m in right.classes:
@@ -403,7 +407,7 @@ def find_adjoint(alpha: MonotoneMap) -> MonotoneMap:
         inf = right.meet_all(above)
         if inf not in above:
             raise AdjointError(2, (m,), f"image classes above it have no smallest member "
-                                        f"(minimal ones: {_minimals(right, above)})")
+                                        f"(minimal ones: {_extrema(above, right.upset)})")
         least_above[m] = inf
 
     for m1 in image:
@@ -415,11 +419,6 @@ def find_adjoint(alpha: MonotoneMap) -> MonotoneMap:
     gamma = {m: largest[least_above[m]] for m in right.classes}
     conn = check_connection(left, right, alpha.mapping(), gamma)
     return conn.gamma
-
-
-def _minimals(lat: Lattice, items: list[str]) -> list[str]:
-    return [u for u in items
-            if not any(v != u and lat.leq(v, u) for v in items)]
 
 
 # -- ab-initio construction -------------------------------------------------
@@ -577,11 +576,10 @@ def coarsen(conn: LagoisConnection, alpha2: MonotoneMap) -> LagoisConnection:
 
     left = conn.left
     for block in _kernel_blocks(left, alpha2.mapping()):
-        tops = [u for u in block if all(left.leq(v, u) for v in block)]
-        if not tops:
+        rep = left.join_all(block)
+        if rep not in block:
             raise CoarsenError("no-largest-element", tuple(block),
                                f"merged class {list(block)} has no largest member")
-        rep = tops[0]
         if alpha2(rep) != conn.alpha(rep):
             raise CoarsenError("representative-mismatch", (rep,),
                                f"largest member {rep!r} must keep its old image "

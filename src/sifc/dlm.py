@@ -7,7 +7,10 @@ reader set; a label is a conjunction of policies.  Relabeling L1 -> L2 is
 permitted when every policy of L1 is subsumed by some policy of L2; labels
 are joined by set union.
 
-A verified connection between two hierarchies lifts pointwise to labels:
+A connection between two hierarchies is checked by the same law evaluator as
+one between two lattices (`sifc.connection`), reading p <= q as "q acts for
+p" and comparing the composition identities up to mutual acts-for.  A
+verified connection between two hierarchies lifts pointwise to labels:
 each policy's owner and readers are pushed through the principal maps.  The
 lifted maps again satisfy the connection laws, with the two composition
 identities holding up to label equivalence, and the declassification rule
@@ -21,7 +24,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .connection import Violation
+from .connection import Violation, _law_violations
 from .lattice import _closure_rows, _members
 
 TOP = "TOP"
@@ -119,8 +122,14 @@ class PrincipalsHierarchy:
     def from_dict(data: Mapping) -> "PrincipalsHierarchy":
         if not isinstance(data, Mapping) or "principals" not in data:
             raise DlmError('hierarchy document must carry "principals"')
-        return PrincipalsHierarchy(list(data["principals"]),
-                                   [tuple(e) for e in data.get("acts_for", [])])
+        principals, edges = data["principals"], data.get("acts_for", [])
+        # A string is iterable too; splitting it would invent principals or edges.
+        if not isinstance(principals, (list, tuple)):
+            raise DlmError("principals must be a list of principal names")
+        if not isinstance(edges, (list, tuple)) or not all(
+                isinstance(e, (list, tuple)) and len(e) == 2 for e in edges):
+            raise DlmError("acts_for must be pairs [principal, principal]")
+        return PrincipalsHierarchy(principals, [tuple(e) for e in edges])
 
     def __repr__(self) -> str:
         return f"PrincipalsHierarchy({len(self.principals)} principals)"
@@ -234,9 +243,10 @@ def format_label(label: Label) -> str:
 def hierarchy_violations(left: PrincipalsHierarchy, right: PrincipalsHierarchy,
                          alpha: Mapping[str, str],
                          gamma: Mapping[str, str]) -> list[Violation]:
-    """Connection laws over the acts-for pre-orders.  Monotonicity and the
-    increasing laws use the closure; the two composition identities compare
-    up to mutual acts-for (plain equality on partial orders)."""
+    """Connection laws over the acts-for pre-orders, by the lattice checker
+    with p <= q read as "q acts for p".  Monotonicity is checked on every
+    related pair and the two composition identities compare up to mutual
+    acts-for (plain equality on partial orders)."""
     for p in left.principals:
         if p not in alpha:
             raise DlmError(f"alpha leaves principal {p!r} unmapped")
@@ -247,29 +257,17 @@ def hierarchy_violations(left: PrincipalsHierarchy, right: PrincipalsHierarchy,
             raise DlmError(f"gamma leaves principal {q!r} unmapped")
         if gamma[q] not in left:
             raise UnknownPrincipal(gamma[q])
+    for table, h in ((alpha, left), (gamma, right)):
+        for key in table:
+            if key not in h:
+                raise UnknownPrincipal(key)
 
-    out = []
-    for p in left.principals:
-        for p2 in left.principals:
-            if left.acts_for(p2, p) and not right.acts_for(alpha[p2], alpha[p]):
-                out.append(Violation("Monotone-alpha", (p, p2)))
-    for q in right.principals:
-        for q2 in right.principals:
-            if right.acts_for(q2, q) and not left.acts_for(gamma[q2], gamma[q]):
-                out.append(Violation("Monotone-gamma", (q, q2)))
-    for p in left.principals:
-        if not left.acts_for(gamma[alpha[p]], p):
-            out.append(Violation("LC1", (p,)))
-    for q in right.principals:
-        if not right.acts_for(alpha[gamma[q]], q):
-            out.append(Violation("LC2", (q,)))
-    for p in left.principals:
-        if not right.equiv(alpha[gamma[alpha[p]]], alpha[p]):
-            out.append(Violation("LC3", (p,)))
-    for q in right.principals:
-        if not left.equiv(gamma[alpha[gamma[q]]], gamma[q]):
-            out.append(Violation("LC4", (q,)))
-    return out
+    def side(h: PrincipalsHierarchy) -> tuple:
+        names = h.principals
+        return (names, [(p, q) for p in names for q in names if h.acts_for(q, p)],
+                lambda p, q: h.acts_for(q, p), h.equiv)
+
+    return _law_violations(side(left), side(right), alpha, gamma)
 
 
 @dataclass(frozen=True)

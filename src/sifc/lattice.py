@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import re
 from itertools import compress
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 CLASS_NAME_RE = re.compile(r"[A-Za-z0-9_()+-]+\Z")
 
@@ -191,10 +191,14 @@ class Lattice:
         for key in ("name", "classes", "covers"):
             if key not in data:
                 raise LatticeError(f"lattice document missing {key!r}")
-        covers = [tuple(pair) for pair in data["covers"]]
-        if any(len(p) != 2 for p in covers):
+        classes, covers = data["classes"], data["covers"]
+        # A string is iterable too; splitting it would invent classes or covers.
+        if not isinstance(classes, (list, tuple)):
+            raise LatticeError("classes must be a list of class names")
+        if not isinstance(covers, (list, tuple)) or not all(
+                isinstance(p, (list, tuple)) and len(p) == 2 for p in covers):
             raise LatticeError("covers must be pairs [lower, upper]")
-        return build_lattice(str(data["name"]), list(data["classes"]), covers)
+        return build_lattice(str(data["name"]), classes, [tuple(p) for p in covers])
 
 
 def build_lattice(name: str, classes: Sequence[str],
@@ -257,11 +261,13 @@ def build_lattice(name: str, classes: Sequence[str],
             b = classes[j]
             lub = by_up.get(ua & up_rows[j])
             if lub is None:
-                raise NotALattice("join", (a, b), _extrema(up[a] & up[b], up, lower=True))
+                raise NotALattice("join", (a, b),
+                                  tuple(sorted(_extrema(up[a] & up[b], up.get))))
             join_table[(a, b)] = join_table[(b, a)] = lub
             glb = by_down.get(da & down_rows[j])
             if glb is None:
-                raise NotALattice("meet", (a, b), _extrema(down[a] & down[b], up, lower=False))
+                raise NotALattice("meet", (a, b),
+                                  tuple(sorted(_extrema(down[a] & down[b], down.get))))
             meet_table[(a, b)] = meet_table[(b, a)] = glb
 
     everything = (1 << n) - 1
@@ -289,18 +295,10 @@ def _members(mask: int, names: Sequence[str]) -> frozenset[str]:
     return frozenset(compress(names, map("1".__eq__, reversed(bin(mask)))))
 
 
-def _extrema(subset: frozenset[str], up: dict[str, frozenset[str]],
-             lower: bool) -> tuple[str, ...]:
-    """Minimal (lower=True) or maximal elements of subset under the closure."""
-    out = []
-    for u in subset:
-        if lower:
-            dominated = any(v != u and u in up[v] for v in subset)
-        else:
-            dominated = any(v != u and v in up[u] for v in subset)
-        if not dominated:
-            out.append(u)
-    return tuple(sorted(out))
+def _extrema(items: Collection[str], up: Callable[[str], frozenset[str]]) -> list[str]:
+    """The minimal elements of items, in input order, given each element's
+    up-set; passing down-sets instead yields the maximal elements."""
+    return [u for u in items if not any(v != u and u in up(v) for v in items)]
 
 
 def load_lattice(path: str) -> Lattice:

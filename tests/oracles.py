@@ -95,7 +95,7 @@ def brute_lattice_error(classes, covers):
 
 
 class BrutePoset:
-    """Self-contained order oracle for one lattice description."""
+    """Self-contained order oracle for one lattice or pre-order description."""
 
     def __init__(self, classes, covers):
         self.classes = list(classes)
@@ -104,11 +104,17 @@ class BrutePoset:
     def leq(self, a, b):
         return b in self.reach[a]
 
+    def equiv(self, a, b):
+        """Mutually below each other: equality on a partial order."""
+        return b in self.reach[a] and a in self.reach[b]
+
 
 def brute_lagois_violations(lposet: BrutePoset, rposet: BrutePoset,
                             alpha: dict, gamma: dict) -> list[tuple[str, tuple]]:
     """Direct quantifier evaluation of order-preservation and the four
-    connection laws.  Returns [(condition, witness), ...]."""
+    connection laws.  Returns [(condition, witness), ...].  The two
+    composition identities compare up to mutual order, which on a partial
+    order is plain equality and on a pre-order is equivalence."""
     out = []
     for a in lposet.classes:
         for b in lposet.classes:
@@ -125,10 +131,10 @@ def brute_lagois_violations(lposet: BrutePoset, rposet: BrutePoset,
         if not rposet.leq(m, alpha[gamma[m]]):
             out.append(("LC2", (m,)))
     for l in lposet.classes:
-        if alpha[gamma[alpha[l]]] != alpha[l]:
+        if not rposet.equiv(alpha[gamma[alpha[l]]], alpha[l]):
             out.append(("LC3", (l,)))
     for m in rposet.classes:
-        if gamma[alpha[gamma[m]]] != gamma[m]:
+        if not lposet.equiv(gamma[alpha[gamma[m]]], gamma[m]):
             out.append(("LC4", (m,)))
     return out
 

@@ -63,6 +63,28 @@ def test_check_connection_violation_lines():
     assert rendered == '{"condition":"LC2","witness":["ViceChancellor"]}'
 
 
+def test_check_connection_failure_report(capsys):
+    code = main(["check-connection", path("broken-college-univ.json")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == '{"condition":"LC2","witness":["ViceChancellor"]}\n'
+    assert captured.err == "FAIL\n"
+    v = cli_dispatch(["check-connection", path("broken-college-univ.json")])
+    assert v.details == {"status": "fail", "violations": 1}
+
+
+@pytest.mark.parametrize("command,doc", [
+    ("check-lattice", {"name": "s", "classes": "ab", "covers": [["a", "b"]]}),
+    ("dlm check-hierarchy", {"principals": ["a", "b"], "acts_for": ["ab"]}),
+])
+def test_strings_in_list_positions_are_input_errors(tmp_path, command, doc):
+    f = tmp_path / "doc.json"
+    f.write_text(json.dumps(doc))
+    v = cli_dispatch(command.split() + [str(f)])
+    assert v.exit_code == 2
+    assert v.details["error"] in ("LatticeError", "DlmError")
+
+
 def test_check_connection_tightness_flag():
     v = cli_dispatch(["check-connection", path("college-univ.json"), "--tightness"])
     assert v.exit_code == 0
@@ -283,3 +305,21 @@ def test_console_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["name"] == "College"
+
+
+def test_public_names_unchanged():
+    import sifc
+    assert sifc.__all__ == [
+        "Lattice", "build_lattice", "load_lattice",
+        "LagoisConnection", "MonotoneMap", "Violation", "budpoint_representative",
+        "build_from_closures", "check_connection", "check_tightness", "coarsen",
+        "compose", "connection_violations", "decompose", "find_adjoint",
+        "identity_connection", "semi_inverse_connection",
+        "Program", "StorePair", "VarDecl", "adversary_pairs", "exec_program",
+        "gen_well_typed", "ni_trial", "parse_program", "run_ni_suite",
+        "typecheck", "typecheck_phrase",
+        "Label", "Policy", "PrincipalMapPair", "PrincipalsHierarchy",
+        "check_lifted_connection", "cross_declassify_check", "declassify_check",
+        "label_equiv", "label_join", "label_leq", "lift_label", "parse_label",
+        "__version__",
+    ]

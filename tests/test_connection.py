@@ -99,24 +99,44 @@ def test_all_violations_collected():
     assert len(violations) > 1
 
 
+def _assert_violations_match_oracle(mine, brute):
+    """LC1-LC4 lists agree exactly; monotonicity is checked on covers only,
+    so its witnesses are a subset of the all-pairs ones, empty together."""
+    mine = [(v.condition, v.witness) for v in mine]
+    for cond in ("Monotone-alpha", "Monotone-gamma"):
+        ours = [v for v in mine if v[0] == cond]
+        theirs = [v for v in brute if v[0] == cond]
+        assert set(ours) <= set(theirs) and bool(ours) == bool(theirs)
+    laws = ("LC1", "LC2", "LC3", "LC4")
+    assert [v for v in mine if v[0] in laws] == [v for v in brute if v[0] in laws]
+
+
 def test_check_agrees_with_brute_force_on_random_instances():
     rng = random.Random(2024)
-    agree_pass = agree_fail = 0
+    agree_pass = agree_fail = not_monotone = 0
     for _ in range(150):
         left = random_lattice(rng, max_classes=5)
         right = random_lattice(rng, max_classes=5)
+        lposet = BrutePoset(left.classes, left.covers)
+        rposet = BrutePoset(right.classes, right.covers)
         alpha = random_monotone_map(rng, left, right)
         gamma = random_monotone_map(rng, right, left)
         mine = connection_violations(left, right, alpha, gamma)
-        brute = brute_lagois_violations(BrutePoset(left.classes, left.covers),
-                                        BrutePoset(right.classes, right.covers),
-                                        alpha, gamma)
-        assert (not mine) == (not brute)
+        _assert_violations_match_oracle(
+            mine, brute_lagois_violations(lposet, rposet, alpha, gamma))
         if mine:
             agree_fail += 1
         else:
             agree_pass += 1
-    assert agree_fail > 0  # the sample exercised both outcomes
+        # arbitrary maps exercise the monotonicity witnesses too
+        alpha = {c: rng.choice(right.classes) for c in left.classes}
+        gamma = {c: rng.choice(left.classes) for c in right.classes}
+        mine = connection_violations(left, right, alpha, gamma)
+        _assert_violations_match_oracle(
+            mine, brute_lagois_violations(lposet, rposet, alpha, gamma))
+        not_monotone += any(v.condition.startswith("Monotone") for v in mine)
+    assert agree_fail > 0 and agree_pass > 0  # the sample exercised both outcomes
+    assert not_monotone > 0
 
 
 def _replays(left, right, alpha, gamma, v):
@@ -241,6 +261,21 @@ def test_find_adjoint_diamond_to_chain_fails_condition_one():
     lposet = BrutePoset(diamond.classes, diamond.covers)
     rposet = BrutePoset(chain.classes, chain.covers)
     assert brute_adjoints_exhaustive(lposet, rposet, alpha.mapping()) == []
+
+
+def test_find_adjoint_condition_two_names_minimal_candidates_in_declaration_order():
+    # y is declared before x, so declaration order differs from name order
+    right = build_lattice("m", ["b", "z", "y", "x", "t"],
+                          [("b", "z"), ("z", "y"), ("z", "x"), ("y", "t"), ("x", "t")])
+    left = build_lattice("l", ["l0", "l1", "l2", "l3"],
+                         [("l0", "l1"), ("l0", "l2"), ("l1", "l3"), ("l2", "l3")])
+    alpha = MonotoneMap(left, right, {"l0": "b", "l1": "y", "l2": "x", "l3": "t"})
+    with pytest.raises(AdjointError) as exc:
+        find_adjoint(alpha)
+    assert exc.value.condition == 2
+    assert exc.value.witness == ("z",)
+    assert str(exc.value) == ("no adjoint: condition (2) fails at z: image classes "
+                              "above it have no smallest member (minimal ones: ['y', 'x'])")
 
 
 def test_adjoint_uniqueness_on_fixture(cu):

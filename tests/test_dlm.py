@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sifc.dlm import (AuthorityMismatch, CorollaryViolation, Label,
+from sifc.dlm import (AuthorityMismatch, CorollaryViolation, DlmError, Label,
                       LabelSyntaxError, NotLagoisHierarchy, Policy,
                       PrincipalMapPair, PrincipalsHierarchy, UnknownPrincipal,
                       authority_label, check_lifted_connection,
@@ -18,7 +18,7 @@ from sifc.dlm import (AuthorityMismatch, CorollaryViolation, Label,
                       random_label)
 
 from fixtures import principal_map_pair
-from oracles import reach_table
+from oracles import BrutePoset, brute_lagois_violations, reach_table
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -112,6 +112,16 @@ def test_hierarchy_round_trip():
     again = PrincipalsHierarchy.from_dict(h.to_dict())
     assert again.principals == h.principals
     assert again.edges == h.edges
+
+
+@pytest.mark.parametrize("doc", [
+    {"principals": "ab", "acts_for": [["a", "b"]]},
+    {"principals": ["a", "b"], "acts_for": ["ab"]},
+    {"principals": ["a", "b"], "acts_for": "ab"},
+])
+def test_hierarchy_from_dict_rejects_strings_for_lists(doc):
+    with pytest.raises(DlmError):
+        PrincipalsHierarchy.from_dict(doc)
 
 
 # -- policies and labels --------------------------------------------------------
@@ -237,6 +247,55 @@ def test_pm_violations_detected():
     assert ("LC2", ("vice",)) in [(v.condition, v.witness) for v in violations]
     with pytest.raises(NotLagoisHierarchy):
         PrincipalMapPair.check(LEFT_H, RIGHT_H, PM_ALPHA, bad_gamma)
+
+
+@pytest.mark.parametrize("side", ["alpha", "gamma"])
+def test_principal_maps_reject_unknown_keys(side):
+    alpha, gamma = dict(PM_ALPHA), dict(PM_GAMMA)
+    (alpha if side == "alpha" else gamma)["zzz"] = "BOT"
+    with pytest.raises(UnknownPrincipal) as exc:
+        hierarchy_violations(LEFT_H, RIGHT_H, alpha, gamma)
+    assert exc.value.name == "zzz"
+    with pytest.raises(UnknownPrincipal):
+        PrincipalMapPair.check(LEFT_H, RIGHT_H, alpha, gamma)
+
+
+def _converse_poset(h):
+    """The brute-force order "q acts for p" as p <= q, from the raw edges."""
+    names = h.principals
+    return BrutePoset(names, [(q, p) for p, q in h.edges]
+                      + [(p, "TOP") for p in names] + [("BOT", p) for p in names])
+
+
+def _random_cyclic_hierarchy(rng):
+    names = [f"p{i}" for i in range(rng.randint(1, 6))]
+    pool = names + ["TOP", "BOT"]
+    return PrincipalsHierarchy(names, [(rng.choice(pool), rng.choice(pool))
+                                       for _ in range(rng.randint(0, 2 * len(names)))])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_hierarchy_violations_match_oracle_exactly(seed):
+    # Arbitrary maps break every law somewhere; identity maps and maps into
+    # a mutual-acts-for class pass; LC3/LC4 compare up to mutual acts-for.
+    rng = random.Random(seed)
+    passed = failed = 0
+    for _ in range(60):
+        left, right = _random_cyclic_hierarchy(rng), _random_cyclic_hierarchy(rng)
+        if rng.random() < 0.2:
+            right = left
+            alpha = gamma = {p: rng.choice([q for q in left.principals if left.equiv(p, q)])
+                             for p in left.principals}
+        else:
+            alpha = {p: rng.choice(right.principals) for p in left.principals}
+            gamma = {q: rng.choice(left.principals) for q in right.principals}
+        mine = [(v.condition, v.witness)
+                for v in hierarchy_violations(left, right, alpha, gamma)]
+        assert mine == brute_lagois_violations(_converse_poset(left), _converse_poset(right),
+                                               alpha, gamma)
+        passed += not mine
+        failed += bool(mine)
+    assert passed > 0 and failed > 0
 
 
 def test_lift_label_pointwise(pm):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sifc.lattice import (BadClassName, CycleError, DuplicateClass, Lattice,
+from sifc.lattice import (BadClassName, CycleError, DuplicateClass, Lattice, LatticeError,
                           NotALattice, UnknownClass, build_lattice)
 
 from fixtures import (COLLEGE_CLASSES, COLLEGE_COVERS, UNIVERSITY_CLASSES,
@@ -166,6 +166,18 @@ def test_serialization_round_trip():
     assert again == lat
     assert again.classes == lat.classes
     assert again.to_dict() == lat.to_dict()
+
+
+@pytest.mark.parametrize("doc", [
+    {"name": "s", "classes": "ab", "covers": [["a", "b"]]},
+    {"name": "s", "classes": ["a", "b"], "covers": ["ab"]},
+    {"name": "s", "classes": ["a", "b"], "covers": "ab"},
+])
+def test_from_dict_rejects_strings_for_lists(doc):
+    # a string is iterable, but splitting it into characters would invent
+    # classes or covers the document never named
+    with pytest.raises(LatticeError):
+        Lattice.from_dict(doc)
 
 
 def test_structural_equality_ignores_name_and_presentation():

@@ -74,6 +74,8 @@ def _load_connection_doc(path: str):
     gamma = doc.get("gamma")
     if not isinstance(alpha, dict):
         raise LatticeError('connection file needs an "alpha" map')
+    if gamma is not None and not isinstance(gamma, dict):
+        raise LatticeError('"gamma" must be a map from right to left classes')
     return left, right, alpha, gamma
 
 
@@ -100,7 +102,10 @@ def _load_pm_doc(path: str):
             raise DlmError(f"principal-map file needs {key!r}")
     left = _hierarchy_ref(doc["left"], base, "left")
     right = _hierarchy_ref(doc["right"], base, "right")
-    return left, right, dict(doc["alpha"]), dict(doc["gamma"])
+    for key in ("alpha", "gamma"):
+        if not isinstance(doc[key], dict):
+            raise DlmError(f"{key!r} must be a map between principals")
+    return left, right, doc["alpha"], doc["gamma"]
 
 
 def _resolve_seed(value: int | None) -> int:
@@ -145,12 +150,10 @@ def _cmd_check_connection(args) -> Verdict:
                        [v.to_json() for v in exc.violations])
     extra = {}
     if args.tightness:
-        seed = _resolve_seed(args.seed)
-        report = check_tightness(conn, seed=seed)
+        report = check_tightness(conn)
         extra["tightness"] = {"passed": report.passed,
                               "subsets_checked": report.subsets_checked,
-                              "failures": list(report.failures),
-                              "seed": seed}
+                              "failures": list(report.failures)}
     return Verdict(PASS, _conn_report(conn, extra))
 
 
@@ -340,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--tightness", action="store_true",
                    help="also check budpoint meet/join tightness")
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(handler=_cmd_check_connection)
 
     p = sub.add_parser("find-adjoint", help="synthesise gamma from alpha")

@@ -24,6 +24,7 @@ coarsening of the left map.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from operator import eq
 from typing import Iterable, Mapping
 
@@ -324,55 +325,36 @@ class TightnessReport:
     subsets_checked: int
 
 
-def check_tightness(conn: LagoisConnection, max_exhaustive: int = 12,
-                    samples: int = 200, seed: int = 0) -> TightnessReport:
-    """Check that each round trip lands on the least budpoint above its
-    argument, and that budpoint sets are closed under meets with joins given
-    by the round trip of the ambient join.
+def check_tightness(conn: LagoisConnection) -> TightnessReport:
+    """Check that each budpoint set is closed under meets and that each round
+    trip lands on the least budpoint above its argument.
 
-    Subsets of each budpoint set are enumerated exhaustively up to
-    2**max_exhaustive, otherwise sampled pseudo-randomly from `seed`.
+    Both hold on a verified connection: the round trip is a closure operator
+    (monotone, increasing by LC1, idempotent by LC3) whose closed elements
+    are the budpoints, and such a set is closed under meets, with the
+    closure of c the meet of the closed elements above c.
+
+    The check is exact without enumerating budpoint subsets S.  It tests
+    (a) for each class c, the round trip of c is the meet of the budpoints
+    above c, and (b) the top and the meet of each pair of budpoints are
+    budpoints, so meet(S) is one for every S by induction.  Given both, the
+    meet of the budpoints above join(S) is a budpoint above it, hence the
+    least one, and it is the round trip of join(S) by (a).
+    `subsets_checked` counts the subsets whose meet was checked: on each
+    side the empty one and each pair.
     """
-    import itertools
-    import random
-
     failures: list[str] = []
     checked = 0
-
-    for side in ("left", "right"):
-        view = conn if side == "left" else conn.transpose()
-        lat = view.left
-        buds = view.budpoints_left
-        budset = set(buds)
+    for side, view in (("left", conn), ("right", conn.transpose())):
+        lat, budset = view.left, set(view.budpoints_left)
         for c in lat.classes:
-            rep = view.round_trip_left(c)
-            above = [b for b in buds if lat.leq(c, b)]
-            if rep != lat.meet_all(above):
+            if view.round_trip_left(c) != lat.meet_all(budset & lat.upset(c)):
                 failures.append(f"{side}:{c}: round trip is not the meet of "
                                 f"dominating budpoints")
-        if len(buds) <= max_exhaustive:
-            subsets: Iterable[tuple[str, ...]] = itertools.chain.from_iterable(
-                itertools.combinations(buds, k) for k in range(len(buds) + 1))
-        else:
-            rng = random.Random(seed)
-            subsets = (tuple(b for b in buds if rng.random() < 0.5)
-                       for _ in range(samples))
-        for subset in subsets:
-            checked += 1
-            ambient_meet = lat.meet_all(subset)
-            if ambient_meet not in budset:
-                failures.append(f"{side}:{subset}: meet escapes the budpoint set")
-                continue
-            # A set S has a greatest member exactly when join_all(S) is in S,
-            # and a least one when meet_all(S) is; ambient_meet is in below.
-            below = budset.intersection(*(lat.downset(s) for s in subset))
-            if lat.join_all(below) != ambient_meet:
-                failures.append(f"{side}:{subset}: inside-meet differs from ambient meet")
-            above = budset.intersection(*(lat.upset(s) for s in subset))
-            round_trip = view.round_trip_left(lat.join_all(subset))
-            if round_trip not in above or lat.meet_all(above) != round_trip:
-                failures.append(f"{side}:{subset}: join inside budpoints is not the "
-                                f"round trip of the ambient join")
+        subsets = [(), *combinations(view.budpoints_left, 2)]
+        checked += len(subsets)
+        failures += [f"{side}:{subset}: meet escapes the budpoint set"
+                     for subset in subsets if lat.meet_all(subset) not in budset]
     return TightnessReport(not failures, tuple(failures), checked)
 
 

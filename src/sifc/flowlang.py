@@ -576,7 +576,9 @@ def _parse_line(line: str, decls: list[VarDecl], body: list[Phrase]) -> None:
         domain = rest[0]
         if domain not in DOMAINS:
             raise ParseError(f"bad domain {domain!r}")
-        inner = line.split("{", 1)[1]
+        prefix, inner = line.split("{", 1)
+        if prefix.split() != ["t", domain]:
+            raise ParseError("transaction must start with 't <domain> {'")
         if not inner.rstrip().endswith("}"):
             raise ParseError("transaction body must close with '}' on the same line")
         inner = inner.rstrip()[:-1]
@@ -634,9 +636,19 @@ def _parse_expr(src: str) -> Expr:
 def store_pair_from_dict(data: Mapping) -> StorePair:
     if not isinstance(data, Mapping) or set(data) != {"left", "right"}:
         raise StoreDomainError('store document must be {"left": {...}, "right": {...}}')
-    left = {str(k): int(v) for k, v in data["left"].items()}
-    right = {str(k): int(v) for k, v in data["right"].items()}
-    return StorePair(left, right)
+    return StorePair(_store_side(data, "left"), _store_side(data, "right"))
+
+
+def _store_side(data: Mapping, side: str) -> dict[str, int]:
+    values = data[side]
+    if not isinstance(values, Mapping):
+        raise StoreDomainError(f"store side {side!r} must be an object of integers")
+    for name, value in values.items():
+        # bool is a subclass of int, but true is not a stored integer
+        if type(value) is not int:
+            raise StoreDomainError(f"store value {side}.{name} must be an integer, "
+                                   f"got {value!r}")
+    return {str(k): v for k, v in values.items()}
 
 
 def store_pair_to_dict(sp: StorePair) -> dict:

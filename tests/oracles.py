@@ -7,7 +7,7 @@ precomputed tables.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations, product
 
 
 def reach_table(classes, covers) -> dict[str, set[str]]:
@@ -108,6 +108,16 @@ class BrutePoset:
         """Mutually below each other: equality on a partial order."""
         return b in self.reach[a] and a in self.reach[b]
 
+    def meet(self, items):
+        """The greatest lower bound of items (the top for no items)."""
+        lbs = [c for c in self.classes if all(self.leq(c, s) for s in items)]
+        return next(u for u in lbs if all(self.leq(v, u) for v in lbs))
+
+    def join(self, items):
+        """The least upper bound of items (the bottom for no items)."""
+        ubs = [c for c in self.classes if all(self.leq(s, c) for s in items)]
+        return next(u for u in ubs if all(self.leq(u, v) for v in ubs))
+
 
 def brute_lagois_violations(lposet: BrutePoset, rposet: BrutePoset,
                             alpha: dict, gamma: dict) -> list[tuple[str, tuple]]:
@@ -137,6 +147,34 @@ def brute_lagois_violations(lposet: BrutePoset, rposet: BrutePoset,
         if not lposet.equiv(gamma[alpha[gamma[m]]], gamma[m]):
             out.append(("LC4", (m,)))
     return out
+
+
+def brute_tightness_passed(lposet: BrutePoset, rposet: BrutePoset,
+                           alpha: dict, gamma: dict,
+                           buds_left, buds_right) -> bool:
+    """Tightness by its definition, over every subset S of each side's
+    budpoints: meet(S) is a budpoint, and the least budpoint above join(S)
+    exists and is the round trip of join(S); and for every class c the round
+    trip of c is the meet of the budpoints above c."""
+    return (_brute_tight_side(lposet, alpha, gamma, buds_left)
+            and _brute_tight_side(rposet, gamma, alpha, buds_right))
+
+
+def _brute_tight_side(poset: BrutePoset, there: dict, back: dict, buds) -> bool:
+    buds = list(buds)
+    for c in poset.classes:
+        if back[there[c]] != poset.meet([b for b in buds if poset.leq(c, b)]):
+            return False
+    for k in range(len(buds) + 1):
+        for subset in combinations(buds, k):
+            if poset.meet(subset) not in buds:
+                return False
+            j = poset.join(subset)
+            above = [b for b in buds if poset.leq(j, b)]
+            least = [u for u in above if all(poset.leq(u, v) for v in above)]
+            if least != [back[there[j]]]:
+                return False
+    return True
 
 
 def brute_is_lagois(lposet: BrutePoset, rposet: BrutePoset,

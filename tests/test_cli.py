@@ -2,6 +2,7 @@
 direct library calls."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -88,7 +89,40 @@ def test_strings_in_list_positions_are_input_errors(tmp_path, command, doc):
 def test_check_connection_tightness_flag():
     v = cli_dispatch(["check-connection", path("college-univ.json"), "--tightness"])
     assert v.exit_code == 0
-    assert v.details["tightness"]["passed"] is True
+    # four budpoints a side: the empty subset and six pairs each
+    assert v.details["tightness"] == {"passed": True, "subsets_checked": 14,
+                                      "failures": []}
+
+
+def test_check_connection_takes_no_seed():
+    with pytest.raises(SystemExit) as exc:
+        cli_dispatch(["check-connection", path("college-univ.json"), "--tightness",
+                      "--seed", "1"])
+    assert exc.value.code == 2
+
+
+def test_connection_gamma_must_be_an_object(tmp_path):
+    doc = json.loads((FIXTURES / "college-univ.json").read_text())
+    doc["left"], doc["right"] = path("college.json"), path("university.json")
+    doc["gamma"] = list(doc["gamma"].values())
+    f = tmp_path / "conn.json"
+    f.write_text(json.dumps(doc))
+    v = cli_dispatch(["check-connection", str(f)])
+    assert v.exit_code == 2
+    assert v.details["error"] == "LatticeError"
+
+
+@pytest.mark.parametrize("key", ["alpha", "gamma"])
+def test_principal_maps_must_be_objects(tmp_path, key):
+    # a list of pairs is rejected, not read as a map
+    doc = json.loads((FIXTURES / "hierarchy-pm.json").read_text())
+    doc["left"], doc["right"] = path("left-hierarchy.json"), path("right-hierarchy.json")
+    doc[key] = [list(pair) for pair in doc[key].items()]
+    f = tmp_path / "pm.json"
+    f.write_text(json.dumps(doc))
+    v = cli_dispatch(["dlm", "lift", str(f), "{stu: fac}"])
+    assert v.exit_code == 2
+    assert v.details["error"] == "DlmError"
 
 
 def test_find_adjoint_matches_library():
@@ -300,9 +334,13 @@ def test_unknown_subcommand_exits_2():
 
 
 def test_console_entry_point():
+    # the child imports this checkout's package, installed or not
+    src = str(FIXTURES.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run(
         [sys.executable, "-m", "sifc.cli", "check-lattice", path("college.json")],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["name"] == "College"
 

@@ -6,8 +6,8 @@ import random
 import pytest
 
 from sifc.connection import (AdjointError, CoarsenError, ComposeError,
-                             LatticeMismatch, MonotoneMap, NotIso, NotLagois,
-                             NotSemiInverse, PartialMap, build_from_closures,
+                             LagoisConnection, LatticeMismatch, MonotoneMap,
+                             NotIso, NotLagois, NotSemiInverse, PartialMap, build_from_closures,
                              check_connection, check_tightness, coarsen,
                              compose, connection_violations, decompose,
                              budpoint_representative, find_adjoint,
@@ -18,7 +18,8 @@ import fixtures as fx
 from gen import (find_order_iso, random_closure, random_connection,
                  random_lattice, random_monotone_map)
 from oracles import (BrutePoset, brute_adjoints_exhaustive,
-                     brute_adjoints_monotone, brute_lagois_violations)
+                     brute_adjoints_monotone, brute_lagois_violations,
+                     brute_tightness_passed)
 
 
 @pytest.fixture(scope="module")
@@ -216,6 +217,7 @@ def test_representatives(cu):
 def test_tightness_fixture(cu):
     report = check_tightness(cu)
     assert report.passed, report.failures
+    assert report.subsets_checked == 14
     # spot value: the representative of Dean(S) is the meet of the budpoints
     # above it
     above = [b for b in cu.budpoints_left if cu.left.leq("Dean(S)", b)]
@@ -227,8 +229,87 @@ def test_tightness_random_connections():
     rng = random.Random(5)
     for _ in range(25):
         conn = _random_connection(rng)
-        report = check_tightness(conn, seed=1)
+        report = check_tightness(conn)
         assert report.passed, report.failures
+
+
+def _unverified(left, right, alpha, gamma, buds_left=None, buds_right=None):
+    """A LagoisConnection record over raw tables, built without verification;
+    the budpoints default to the images of the maps, as check_connection
+    sets them."""
+    if buds_left is None:
+        buds_left = left.sorted_by_index(set(gamma.values()))
+    if buds_right is None:
+        buds_right = right.sorted_by_index(set(alpha.values()))
+    return LagoisConnection(left, right, alpha.__getitem__, gamma.__getitem__,
+                            tuple(buds_left), tuple(buds_right), (), ())
+
+
+def test_tightness_agrees_with_brute_force_on_unverified_connections():
+    rng = random.Random(31)
+    outcomes = {True: 0, False: 0}
+    for i in range(300):
+        left = random_lattice(rng, max_classes=7)
+        right = random_lattice(rng, max_classes=7)
+        if i % 2:
+            alpha = random_monotone_map(rng, left, right)
+            gamma = random_monotone_map(rng, right, left)
+        else:
+            alpha = {c: rng.choice(right.classes) for c in left.classes}
+            gamma = {c: rng.choice(left.classes) for c in right.classes}
+        conn = _unverified(left, right, alpha, gamma)
+        report = check_tightness(conn)
+        expected = brute_tightness_passed(
+            BrutePoset(left.classes, left.covers), BrutePoset(right.classes, right.covers),
+            alpha, gamma, conn.budpoints_left, conn.budpoints_right)
+        assert report.passed == expected, (alpha, gamma, report.failures)
+        assert report.passed == (not report.failures)
+        k, j = len(conn.budpoints_left), len(conn.budpoints_right)
+        assert report.subsets_checked == 2 + k * (k - 1) // 2 + j * (j - 1) // 2
+        outcomes[report.passed] += 1
+    assert outcomes[True] > 0 and outcomes[False] > 0
+
+
+def test_tightness_fails_when_round_trip_is_not_the_least_budpoint_above():
+    # gamma is onto the chain, so its budpoints are meet-closed, but alpha
+    # sends lo to the top: the round trip of lo overshoots the budpoint lo.
+    chain = build_lattice("chain", ["lo", "hi"], [("lo", "hi")])
+    alpha, gamma = {"lo": "hi", "hi": "hi"}, {"lo": "lo", "hi": "hi"}
+    conn = _unverified(chain, chain, alpha, gamma)
+    report = check_tightness(conn)
+    assert report.failures == (
+        "left:lo: round trip is not the meet of dominating budpoints",)
+    assert not report.passed
+    poset = BrutePoset(chain.classes, chain.covers)
+    assert not brute_tightness_passed(poset, poset, alpha, gamma,
+                                      conn.budpoints_left, conn.budpoints_right)
+
+
+def test_tightness_fails_when_budpoint_meets_escape():
+    # identity maps on a diamond whose declared budpoints omit the bottom:
+    # every round trip is still the meet of the budpoints above it, but the
+    # meet of x and y leaves the budpoint set.  When the budpoints are the
+    # image of gamma, (a) at meet(x, y) already forces it to be a budpoint,
+    # so only declared budpoints can fail (b) alone.
+    diamond = build_lattice("diamond", ["bot", "x", "y", "top"],
+                            [("bot", "x"), ("bot", "y"), ("x", "top"), ("y", "top")])
+    ident = {c: c for c in diamond.classes}
+    buds = ("x", "y", "top")
+    report = check_tightness(_unverified(diamond, diamond, ident, ident, buds, buds))
+    assert report.failures == ("left:('x', 'y'): meet escapes the budpoint set",
+                               "right:('x', 'y'): meet escapes the budpoint set")
+    assert not report.passed
+    assert report.subsets_checked == 8
+    poset = BrutePoset(diamond.classes, diamond.covers)
+    assert not brute_tightness_passed(poset, poset, ident, ident, buds, buds)
+    # the empty meet is the top, so a budpoint set without it escapes too
+    chain = build_lattice("chain", ["lo", "hi"], [("lo", "hi")])
+    ident = {c: c for c in chain.classes}
+    report = check_tightness(_unverified(chain, chain, ident, ident, ("lo",), ("lo",)))
+    assert report.failures == ("left:(): meet escapes the budpoint set",
+                               "right:(): meet escapes the budpoint set")
+    poset = BrutePoset(chain.classes, chain.covers)
+    assert not brute_tightness_passed(poset, poset, ident, ident, ("lo",), ("lo",))
 
 
 def _random_connection(rng, max_classes=6):

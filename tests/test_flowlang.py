@@ -12,8 +12,8 @@ from sifc.flowlang import (Add, Const, DuplicateVariable, FlowError,
                            UndeclaredVariable, Var, VarDecl, Wr,
                            adversary_pairs, exec_program, gen_well_typed,
                            lint_transfer_classes, low_variables, ni_trial,
-                           parse_program, run_ni_suite, typecheck,
-                           typecheck_phrase)
+                           parse_program, run_ni_suite, store_pair_from_dict,
+                           typecheck, typecheck_phrase)
 from sifc.lattice import UnknownClass
 
 import fixtures as fx
@@ -147,6 +147,18 @@ def test_exec_rejects_bad_store():
     prog = Program(DECLS, ())
     with pytest.raises(StoreDomainError):
         exec_program(prog, StorePair({"lz1": 0}, {}))
+
+
+@pytest.mark.parametrize("doc", [
+    {"left": {"lz1": 7.9}, "right": {}},
+    {"left": {"lz1": True}, "right": {}},
+    {"left": {}, "right": {"mz1": "3"}},
+    {"left": [], "right": {}},
+    {"left": {}, "right": None},
+])
+def test_store_document_rejects_non_integers(doc):
+    with pytest.raises(StoreDomainError):
+        store_pair_from_dict(doc)
 
 
 # -- typing ----------------------------------------------------------------------
@@ -437,6 +449,8 @@ def test_parse_round_trip_semantics(cu):
     "t L { a := }",
     "t L { a := 1 +",
     "t L { a := b ** c }",
+    "t L garbage { a := 1 }",
+    "t L L { a := 1 }",
     "rd L a",
     "rd L a b c",
     "tlr y",

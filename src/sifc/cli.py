@@ -3,7 +3,8 @@
 Every subcommand is a thin adapter over the library: parse files, call one
 library function, serialize the result.  Reports go to stdout (JSON by
 default, `--format text` for humans), a one-line summary to stderr.  Exit
-codes: 0 pass, 1 fail (violations found or conditions unmet), 2 input error.
+codes: 0 pass, 1 fail (violations found or conditions unmet), 2 input error,
+3 internal error (a bug in sifc; stderr then carries the traceback).
 """
 
 from __future__ import annotations
@@ -27,14 +28,14 @@ from .dlm import (CorollaryViolation, DlmError, NotLagoisHierarchy,
                   declassify_check, format_label, label_leq, lift_label,
                   parse_label)
 from .flowlang import (FlowError, FlowTypeError, GenerationStall, IllTyped,
-                       ParseError, exec_program, lint_transfer_classes,
+                       ParseError, Program, exec_program, lint_transfer_classes,
                        parse_program, run_ni_suite, store_pair_from_dict,
                        store_pair_to_dict, typecheck)
 from .lattice import (CycleError, Lattice, LatticeError, NotALattice,
-                      load_lattice)
+                      _check_document)
 
-PASS, FAIL, INPUT_ERROR = "pass", "fail", "input-error"
-_EXIT = {PASS: 0, FAIL: 1, INPUT_ERROR: 2}
+PASS, FAIL, INPUT_ERROR, INTERNAL_ERROR = "pass", "fail", "input-error", "internal-error"
+_EXIT = {PASS: 0, FAIL: 1, INPUT_ERROR: 2, INTERNAL_ERROR: 3}
 
 
 @dataclass
@@ -48,71 +49,59 @@ class Verdict:
         return _EXIT[self.status]
 
 
-# -- file plumbing ------------------------------------------------------------
+# -- file plumbing: each document is checked here, and trusted after ---------
 
 def _load_json(path: str):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError):
+        raise
+    except (ValueError, RecursionError) as exc:  # NUL in a path, huge number, deep nesting
+        raise OSError(f"cannot read {path!r}: {exc}") from None
+
+
+def _load_program(path: str) -> Program:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return parse_program(fh.read())
 
 
-def _lattice_ref(value, base: Path, which: str) -> Lattice:
-    if isinstance(value, str):
-        return load_lattice(str((base / value)))
-    if isinstance(value, dict):
-        return Lattice.from_dict(value)
-    raise LatticeError(f"{which} must be a lattice object or a file reference")
+def _require_map(value, key: str, error: type[Exception]) -> dict:
+    # JSON object keys are always strings; the values must be strings too.
+    if not isinstance(value, dict) or not all(isinstance(v, str) for v in value.values()):
+        raise error(f"{key!r} must be an object from names to names")
+    return value
 
 
-def _load_connection_doc(path: str):
-    doc = _load_json(path)
+def _side_ref(value, base: Path, kind):
+    """A side given inline or as a file reference resolved next to its document."""
+    return kind.from_dict(_load_json(str(base / value)) if isinstance(value, str) else value)
+
+
+def _load_sides(path: str, kind, maps: tuple[str, ...], optional: tuple[str, ...] = ()):
+    """(left, right, *maps, *optional) of a two-sided document: sides of `kind`
+    (Lattice or PrincipalsHierarchy), checked maps, None for an absent optional one."""
+    error, doc = LatticeError if kind is Lattice else DlmError, _load_json(path)
+    _check_document(doc, ("left", "right", *maps), optional, error, path)
+    for key in (*maps, *optional):
+        if key in doc:
+            _require_map(doc[key], key, error)
     base = Path(path).resolve().parent
-    if not isinstance(doc, dict) or "left" not in doc or "right" not in doc:
-        raise LatticeError('connection file needs "left" and "right" lattices')
-    left = _lattice_ref(doc["left"], base, "left")
-    right = _lattice_ref(doc["right"], base, "right")
-    alpha = doc.get("alpha")
-    gamma = doc.get("gamma")
-    if not isinstance(alpha, dict):
-        raise LatticeError('connection file needs an "alpha" map')
-    if gamma is not None and not isinstance(gamma, dict):
-        raise LatticeError('"gamma" must be a map from right to left classes')
-    return left, right, alpha, gamma
+    return (_side_ref(doc["left"], base, kind), _side_ref(doc["right"], base, kind),
+            *(doc.get(key) for key in (*maps, *optional)))
+
+
+# bench/cli_child.py looks these names up to time the CLI's load phase.
+_load_connection_doc = _load_pm_doc = _load_sides
+_lattice_ref = _hierarchy_ref = _side_ref
 
 
 def _load_verified_connection(path: str) -> LagoisConnection:
-    left, right, alpha, gamma = _load_connection_doc(path)
-    if gamma is None:
-        raise LatticeError('connection file omits "gamma"; run find-adjoint first')
-    return check_connection(left, right, alpha, gamma)
+    return check_connection(*_load_sides(path, Lattice, ("alpha", "gamma")))
 
 
-def _hierarchy_ref(value, base: Path, which: str) -> PrincipalsHierarchy:
-    if isinstance(value, str):
-        return PrincipalsHierarchy.from_dict(_load_json(str(base / value)))
-    if isinstance(value, dict):
-        return PrincipalsHierarchy.from_dict(value)
-    raise DlmError(f"{which} must be a hierarchy object or a file reference")
-
-
-def _load_pm_doc(path: str):
-    doc = _load_json(path)
-    base = Path(path).resolve().parent
-    for key in ("left", "right", "alpha", "gamma"):
-        if key not in doc:
-            raise DlmError(f"principal-map file needs {key!r}")
-    left = _hierarchy_ref(doc["left"], base, "left")
-    right = _hierarchy_ref(doc["right"], base, "right")
-    for key in ("alpha", "gamma"):
-        if not isinstance(doc[key], dict):
-            raise DlmError(f"{key!r} must be a map between principals")
-    return left, right, doc["alpha"], doc["gamma"]
-
-
-def _resolve_seed(value: int | None) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("SIFC_SEED")
-    return int(env) if env else 0
+def _load_principal_maps(path: str) -> PrincipalMapPair:
+    return PrincipalMapPair.check(*_load_sides(path, PrincipalsHierarchy, ("alpha", "gamma")))
 
 
 def _conn_report(conn: LagoisConnection, extra: dict | None = None) -> dict:
@@ -133,18 +122,15 @@ def _conn_report(conn: LagoisConnection, extra: dict | None = None) -> dict:
 # -- subcommand handlers --------------------------------------------------------
 
 def _cmd_check_lattice(args) -> Verdict:
-    lat = load_lattice(args.file)
+    lat = Lattice.from_dict(_load_json(args.file))
     return Verdict(PASS, {"status": PASS, "name": lat.name,
                           "classes": list(lat.classes),
                           "top": lat.top, "bottom": lat.bottom})
 
 
 def _cmd_check_connection(args) -> Verdict:
-    left, right, alpha, gamma = _load_connection_doc(args.file)
-    if gamma is None:
-        raise LatticeError('connection file omits "gamma"; run find-adjoint first')
     try:
-        conn = check_connection(left, right, alpha, gamma)
+        conn = _load_verified_connection(args.file)
     except NotLagois as exc:
         return Verdict(FAIL, {"status": FAIL, "violations": len(exc.violations)},
                        [v.to_json() for v in exc.violations])
@@ -158,18 +144,13 @@ def _cmd_check_connection(args) -> Verdict:
 
 
 def _cmd_find_adjoint(args) -> Verdict:
-    left, right, alpha, _ = _load_connection_doc(args.file)
-    amap = MonotoneMap(left, right, alpha, "alpha")
-    gamma = find_adjoint(amap)
+    left, right, alpha, _ = _load_sides(args.file, Lattice, ("alpha",), ("gamma",))
+    gamma = find_adjoint(MonotoneMap(left, right, alpha, "alpha"))
     return Verdict(PASS, {"status": PASS, "gamma": gamma.mapping()})
 
 
 def _cmd_build_from_closures(args) -> Verdict:
-    doc = _load_json(args.file)
-    base = Path(args.file).resolve().parent
-    left = _lattice_ref(doc["left"], base, "left")
-    right = _lattice_ref(doc["right"], base, "right")
-    conn = conn_mod.build_from_closures(left, right, doc["c"], doc["i"], doc["h"])
+    conn = conn_mod.build_from_closures(*_load_sides(args.file, Lattice, ("c", "i", "h")))
     return Verdict(PASS, _conn_report(conn))
 
 
@@ -197,17 +178,18 @@ def _cmd_decompose(args) -> Verdict:
 
 def _cmd_coarsen(args) -> Verdict:
     conn = _load_verified_connection(args.file)
-    doc = _load_json(args.map)
-    table = doc.get("alpha2", doc) if isinstance(doc, dict) else doc
-    alpha2 = MonotoneMap(conn.left, conn.right, table, "alpha2")
+    table = _load_json(args.map)
+    if isinstance(table, dict) and "alpha2" in table:  # wrapped: {"alpha2": {...}}
+        _check_document(table, ("alpha2",), (), LatticeError, args.map)
+        table = table["alpha2"]
+    alpha2 = MonotoneMap(conn.left, conn.right, _require_map(table, "alpha2", LatticeError),
+                         "alpha2")
     out = conn_mod.coarsen(conn, alpha2)
     return Verdict(PASS, _conn_report(out))
 
 
 def _cmd_semi_inverse(args) -> Verdict:
-    left, right, alpha, gamma = _load_connection_doc(args.file)
-    if gamma is None:
-        raise LatticeError('semi-inverse needs both "alpha" and "gamma"')
+    left, right, alpha, gamma = _load_sides(args.file, Lattice, ("alpha", "gamma"))
     amap = MonotoneMap(left, right, alpha, "alpha")
     gmap = MonotoneMap(right, left, gamma, "gamma")
     out = conn_mod.semi_inverse_connection(amap, gmap)
@@ -216,8 +198,7 @@ def _cmd_semi_inverse(args) -> Verdict:
 
 def _cmd_typecheck(args) -> Verdict:
     conn = _load_verified_connection(args.connection)
-    with open(args.program, "r", encoding="utf-8") as fh:
-        prog = parse_program(fh.read())
+    prog = _load_program(args.program)
     t = typecheck(prog, conn)
     details = {"status": PASS, "type": {"left": t.left, "right": t.right}}
     if args.lint:
@@ -226,8 +207,7 @@ def _cmd_typecheck(args) -> Verdict:
 
 
 def _cmd_run(args) -> Verdict:
-    with open(args.program, "r", encoding="utf-8") as fh:
-        prog = parse_program(fh.read())
+    prog = _load_program(args.program)
     if args.connection:
         conn = _load_verified_connection(args.connection)
         typecheck(prog, conn)  # refuse to run ill-typed programs when asked
@@ -238,11 +218,9 @@ def _cmd_run(args) -> Verdict:
 
 def _cmd_ni_suite(args) -> Verdict:
     conn = _load_verified_connection(args.connection)
-    with open(args.program, "r", encoding="utf-8") as fh:
-        prog = parse_program(fh.read())
-    seed = _resolve_seed(args.seed)
+    prog = _load_program(args.program)
     report = run_ni_suite(prog.decls, conn, programs=args.trials,
-                          max_len=args.len, seed=seed, draws=args.draws)
+                          max_len=args.len, seed=args.seed, draws=args.draws)
     details = {
         "status": PASS if report.passed else FAIL,
         "programs": report.programs,
@@ -252,7 +230,7 @@ def _cmd_ni_suite(args) -> Verdict:
         "failures": [{"program": p, "pair": list(pair), "seed": s,
                       "distinguishing": list(d)}
                      for p, pair, s, d in report.failures],
-        "seed": seed,
+        "seed": args.seed,
     }
     return Verdict(details["status"], details)
 
@@ -274,23 +252,20 @@ def _cmd_dlm_label_leq(args) -> Verdict:
 
 
 def _cmd_dlm_lift(args) -> Verdict:
-    left, right, alpha, gamma = _load_pm_doc(args.file)
-    pm = PrincipalMapPair.check(left, right, alpha, gamma)
+    pm = _load_principal_maps(args.file)
     lifted = lift_label(pm, args.direction, parse_label(args.label))
     return Verdict(PASS, {"status": PASS, "direction": args.direction,
                           "label": format_label(lifted)})
 
 
 def _cmd_dlm_check_lifted(args) -> Verdict:
-    left, right, alpha, gamma = _load_pm_doc(args.file)
-    pm = PrincipalMapPair.check(left, right, alpha, gamma)
-    seed = _resolve_seed(args.seed)
-    report = check_lifted_connection(pm, samples=args.samples, seed=seed)
+    pm = _load_principal_maps(args.file)
+    report = check_lifted_connection(pm, samples=args.samples, seed=args.seed)
     status = PASS if report.passed else FAIL
     return Verdict(status, {
         "status": status,
         "samples": report.samples,
-        "seed": seed,
+        "seed": args.seed,
         "checks": dict(sorted(report.checks.items())),
         "failures": [[name, witness] for name, witness in report.failures],
     })
@@ -309,8 +284,7 @@ def _cmd_dlm_declassify(args) -> Verdict:
 
 
 def _cmd_dlm_cross_declassify(args) -> Verdict:
-    left, right, alpha, gamma = _load_pm_doc(args.file)
-    pm = PrincipalMapPair.check(left, right, alpha, gamma)
+    pm = _load_principal_maps(args.file)
     result = cross_declassify_check(
         pm, _split_principals(args.authority_left),
         _split_principals(args.authority_right),
@@ -324,6 +298,13 @@ def _cmd_dlm_cross_declassify(args) -> Verdict:
 
 # -- parser -------------------------------------------------------------------
 
+def _count(text: str) -> int:
+    """argparse type of the count flags: a non-negative integer."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {text}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sifc",
@@ -333,6 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"%(prog)s {__version__}")
     parser.add_argument("--format", choices=("json", "text"), default="json",
                         help="report style on stdout")
+    # A string default goes through `type`, so a bad SIFC_SEED is a usage error.
+    seed = os.environ.get("SIFC_SEED") or "0"
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check-lattice", help="validate a lattice file")
@@ -392,11 +375,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="generate well-typed programs and test non-interference")
     p.add_argument("program", help="source of the variable declarations")
     p.add_argument("--connection", required=True)
-    p.add_argument("--trials", type=int, default=100,
+    p.add_argument("--trials", type=_count, default=100,
                    help="number of generated programs")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--len", type=int, default=20, help="max body length")
-    p.add_argument("--draws", type=int, default=3,
+    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--len", type=_count, default=20, help="max body length")
+    p.add_argument("--draws", type=_count, default=3,
                    help="store draws per adversary pair")
     p.set_defaults(handler=_cmd_ni_suite)
 
@@ -422,8 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = dlm_sub.add_parser("check-lifted",
                            help="sample the lifted-connection laws")
     p.add_argument("file")
-    p.add_argument("--samples", type=int, default=500)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--samples", type=_count, default=500)
+    p.add_argument("--seed", type=int, default=seed)
     p.set_defaults(handler=_cmd_dlm_check_lifted)
 
     p = dlm_sub.add_parser("declassify", help="authority-mediated relabeling")
@@ -451,17 +434,21 @@ _FAIL_ERRORS = (CycleError, NotALattice, NotLagois, AdjointError, NotClosure,
                 FlowTypeError, IllTyped, GenerationStall, NotLagoisHierarchy,
                 CorollaryViolation)
 
-_INPUT_ERRORS = (OSError, json.JSONDecodeError, LatticeError, MapError,
-                 ParseError, FlowError, DlmError, KeyError, TypeError,
-                 ValueError)
+_INPUT_ERRORS = (OSError, UnicodeDecodeError, json.JSONDecodeError, LatticeError,
+                 MapError, ParseError, FlowError, DlmError)
+
+
+def _error_verdict(status: str, exc: Exception) -> Verdict:
+    return Verdict(status, {"status": status, "error": type(exc).__name__,
+                            "message": str(exc)})
 
 
 def _failure_verdict(exc: Exception) -> Verdict:
-    details = {"status": FAIL, "error": type(exc).__name__, "message": str(exc)}
-    lines: list[dict] = []
+    verdict = _error_verdict(FAIL, exc)
+    details = verdict.details
     if isinstance(exc, (NotLagois, NotLagoisHierarchy)):
         details["violations"] = len(exc.violations)
-        lines = [v.to_json() for v in exc.violations]
+        verdict.lines = [v.to_json() for v in exc.violations]
     elif isinstance(exc, AdjointError):
         details["condition"] = exc.condition
         details["witness"] = list(exc.witness)
@@ -482,22 +469,23 @@ def _failure_verdict(exc: Exception) -> Verdict:
     elif isinstance(exc, IllTyped):
         details["rule"] = exc.cause.rule
         details["classes"] = [exc.cause.lower, exc.cause.upper]
-    return Verdict(FAIL, details, lines)
+    return verdict
 
 
 def dispatch_args(args) -> Verdict:
+    """Run the handler; any exception other than a fail or input error is a
+    bug in sifc and propagates."""
     try:
         return args.handler(args)
     except _FAIL_ERRORS as exc:
         return _failure_verdict(exc)
     except _INPUT_ERRORS as exc:
-        return Verdict(INPUT_ERROR,
-                       {"status": INPUT_ERROR, "error": type(exc).__name__,
-                        "message": str(exc)})
+        return _error_verdict(INPUT_ERROR, exc)
 
 
 def cli_dispatch(argv) -> Verdict:
-    """Parse arguments and run one subcommand, mapping errors to verdicts."""
+    """Parse arguments and run one subcommand, mapping fail and input errors
+    to verdicts."""
     return dispatch_args(build_parser().parse_args(argv))
 
 
@@ -522,11 +510,17 @@ def render(verdict: Verdict, fmt: str) -> str:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser().parse_args(argv)
-    verdict = dispatch_args(args)
+    trace = ""
+    try:
+        verdict = dispatch_args(args)
+    except Exception as exc:  # a bug in sifc, never the input's fault
+        import traceback  # here, so that normal runs do not pay for the import
+        verdict, trace = _error_verdict(INTERNAL_ERROR, exc), traceback.format_exc()
     print(render(verdict, args.format))
-    summary = {PASS: "PASS", FAIL: "FAIL", INPUT_ERROR: "INPUT ERROR"}[verdict.status]
+    summary = verdict.status.replace("-", " ").upper()  # PASS ... INTERNAL ERROR
     message = verdict.details.get("message", "")
     print(f"{summary}" + (f": {message}" if message else ""), file=sys.stderr)
+    print(trace, end="", file=sys.stderr)
     return verdict.exit_code
 
 

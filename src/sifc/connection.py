@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from operator import eq
-from typing import Iterable, Mapping
+from typing import Container, Iterable, Mapping, Sequence
 
 from .lattice import Lattice, UnknownClass, _extrema, build_lattice
 
@@ -40,7 +40,7 @@ class MapError(Exception):
 
 class PartialMap(MapError):
     def __init__(self, missing: tuple[str, ...], where: str = "map"):
-        super().__init__(f"{where} leaves classes unmapped: {list(missing)}")
+        super().__init__(f"{where} leaves {list(missing)} unmapped")
         self.missing = missing
 
 
@@ -256,16 +256,20 @@ def _law_violations(left: tuple, right: tuple, alpha: Mapping[str, str],
     return out
 
 
-def _require_total(source: Lattice, target: Lattice,
-                   table: Mapping[str, str], where: str) -> None:
-    missing = tuple(c for c in source.classes if c not in table)
+def _require_total(source: Container[str], target: Container[str],
+                   table: Mapping[str, str], where: str,
+                   names: Sequence[str] | None = None, unknown=UnknownClass) -> None:
+    """Require `table` to map exactly `names` (default: the classes of `source`)
+    into `target`: PartialMap lists the unmapped names in order, `unknown` a stray one."""
+    missing = tuple(c for c in (source.classes if names is None else names)
+                    if c not in table)
     if missing:
         raise PartialMap(missing, where)
     for key, value in table.items():
         if key not in source:
-            raise UnknownClass(key, f"{where} domain")
+            raise unknown(key, f"{where} domain")
         if value not in target:
-            raise UnknownClass(value, f"{where} range")
+            raise unknown(value, f"{where} range")
 
 
 def _kernel_blocks(lat: Lattice, table: Mapping[str, str]) -> tuple[tuple[str, ...], ...]:

@@ -24,8 +24,8 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .connection import Violation, _law_violations
-from .lattice import _closure_rows, _members
+from .connection import Violation, _law_violations, _require_total
+from .lattice import _check_document, _closure_rows, _is_names, _members
 
 TOP = "TOP"
 BOT = "BOT"
@@ -38,8 +38,9 @@ class DlmError(Exception):
 
 
 class UnknownPrincipal(DlmError):
-    def __init__(self, name: str):
-        super().__init__(f"unknown principal {name!r}")
+    def __init__(self, name: str, where: str = ""):
+        detail = f" in {where}" if where else ""
+        super().__init__(f"unknown principal {name!r}{detail}")
         self.name = name
 
 
@@ -120,16 +121,13 @@ class PrincipalsHierarchy:
 
     @staticmethod
     def from_dict(data: Mapping) -> "PrincipalsHierarchy":
-        if not isinstance(data, Mapping) or "principals" not in data:
-            raise DlmError('hierarchy document must carry "principals"')
+        _check_document(data, ("principals",), ("acts_for",), DlmError, "hierarchy")
         principals, edges = data["principals"], data.get("acts_for", [])
-        # A string is iterable too; splitting it would invent principals or edges.
-        if not isinstance(principals, (list, tuple)):
+        if not _is_names(principals):
             raise DlmError("principals must be a list of principal names")
-        if not isinstance(edges, (list, tuple)) or not all(
-                isinstance(e, (list, tuple)) and len(e) == 2 for e in edges):
+        if not _is_names(edges, pairs=True):
             raise DlmError("acts_for must be pairs [principal, principal]")
-        return PrincipalsHierarchy(principals, [tuple(e) for e in edges])
+        return PrincipalsHierarchy(principals, edges)
 
     def __repr__(self) -> str:
         return f"PrincipalsHierarchy({len(self.principals)} principals)"
@@ -247,20 +245,8 @@ def hierarchy_violations(left: PrincipalsHierarchy, right: PrincipalsHierarchy,
     with p <= q read as "q acts for p".  Monotonicity is checked on every
     related pair and the two composition identities compare up to mutual
     acts-for (plain equality on partial orders)."""
-    for p in left.principals:
-        if p not in alpha:
-            raise DlmError(f"alpha leaves principal {p!r} unmapped")
-        if alpha[p] not in right:
-            raise UnknownPrincipal(alpha[p])
-    for q in right.principals:
-        if q not in gamma:
-            raise DlmError(f"gamma leaves principal {q!r} unmapped")
-        if gamma[q] not in left:
-            raise UnknownPrincipal(gamma[q])
-    for table, h in ((alpha, left), (gamma, right)):
-        for key in table:
-            if key not in h:
-                raise UnknownPrincipal(key)
+    _require_total(left, right, alpha, "alpha", left.principals, UnknownPrincipal)
+    _require_total(right, left, gamma, "gamma", right.principals, UnknownPrincipal)
 
     def side(h: PrincipalsHierarchy) -> tuple:
         names = h.principals

@@ -186,19 +186,35 @@ class Lattice:
 
     @staticmethod
     def from_dict(data: Mapping) -> "Lattice":
-        if not isinstance(data, Mapping):
-            raise LatticeError("lattice document must be a JSON object")
-        for key in ("name", "classes", "covers"):
-            if key not in data:
-                raise LatticeError(f"lattice document missing {key!r}")
-        classes, covers = data["classes"], data["covers"]
-        # A string is iterable too; splitting it would invent classes or covers.
-        if not isinstance(classes, (list, tuple)):
+        _check_document(data, ("name", "classes", "covers"), (), LatticeError, "lattice")
+        name, classes, covers = data["name"], data["classes"], data["covers"]
+        if not isinstance(name, str):
+            raise LatticeError("lattice name must be a string")
+        if not _is_names(classes):
             raise LatticeError("classes must be a list of class names")
-        if not isinstance(covers, (list, tuple)) or not all(
-                isinstance(p, (list, tuple)) and len(p) == 2 for p in covers):
-            raise LatticeError("covers must be pairs [lower, upper]")
-        return build_lattice(str(data["name"]), classes, [tuple(p) for p in covers])
+        if not _is_names(covers, pairs=True):
+            raise LatticeError("covers must be pairs [lower, upper] of class names")
+        return build_lattice(name, classes, covers)
+
+
+def _check_document(doc, required: Sequence[str], optional: Sequence[str],
+                   error: type[Exception], what: str) -> None:
+    """Require a JSON object with every `required` key and no key that is
+    neither required nor `optional`; raise `error` naming the first offender."""
+    if not isinstance(doc, Mapping):
+        raise error(f"{what} must be a JSON object")
+    for key in (*required, *doc):
+        if key not in doc:
+            raise error(f"{what} missing {key!r}")
+        if key not in required and key not in optional:
+            raise error(f"{what} has unknown key {key!r}")
+
+
+def _is_names(value, pairs: bool = False) -> bool:
+    """A JSON array of strings, or of two-string arrays if `pairs`.  A string
+    is iterable too, but splitting one would invent names."""
+    return isinstance(value, (list, tuple)) and all(
+        _is_names(v) and len(v) == 2 if pairs else isinstance(v, str) for v in value)
 
 
 def build_lattice(name: str, classes: Sequence[str],

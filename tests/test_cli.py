@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import sifc.cli as cli
 from sifc.cli import cli_dispatch, main, render
 from sifc.connection import find_adjoint, MonotoneMap
 from sifc.flowlang import parse_program, typecheck
@@ -361,3 +362,165 @@ def test_public_names_unchanged():
         "label_equiv", "label_join", "label_leq", "lift_label", "parse_label",
         "__version__",
     ]
+
+
+# -- the input boundary ------------------------------------------------------------
+
+DOC = "<doc>"  # stands for the written document in an argv
+
+
+def fixture_doc(name: str, keys: tuple = (), value=None, delete: bool = False):
+    """A fixture document, file references made absolute, with the entry at
+    `keys` replaced by `value` (or deleted)."""
+    doc = json.loads((FIXTURES / name).read_text())
+    for side in ("left", "right"):
+        if isinstance(doc, dict) and isinstance(doc.get(side), str):
+            doc[side] = path(doc[side])
+    if keys:
+        parent = doc
+        for key in keys[:-1]:
+            parent = parent[key]
+        if delete:
+            del parent[keys[-1]]
+        else:
+            parent[keys[-1]] = value
+    return doc
+
+
+def run_with(tmp_path, argv: list[str], content) -> "cli.Verdict":
+    """cli_dispatch with DOC in argv replaced by a file holding `content`
+    (bytes as they are, anything else as JSON)."""
+    f = tmp_path / "doc"
+    if isinstance(content, bytes):
+        f.write_bytes(content)
+    else:
+        f.write_text(json.dumps(content))
+    return cli_dispatch([str(f) if arg == DOC else arg for arg in argv])
+
+
+def test_input_errors_are_typed():
+    assert not {KeyError, TypeError, ValueError} & set(cli._INPUT_ERRORS)
+
+
+NI_SUITE = ["ni-suite", path("pipeline.sif"), "--connection", path("college-univ.json"),
+            "--trials", "2"]
+BINARY = bytes(range(128, 256))
+
+
+@pytest.mark.parametrize("argv,content,env,error", [
+    (["check-lattice", DOC], {"name": "s", "classes": ["a", "b"], "covers": [[["a"], "b"]]},
+     {}, "LatticeError"),
+    (["dlm", "check-hierarchy", DOC], {"principals": ["a", 5]}, {}, "DlmError"),
+    (["dlm", "check-hierarchy", DOC], {"principals": ["a", "b"], "acts_for": [[["a"], "b"]]},
+     {}, "DlmError"),
+    (["check-connection", DOC], fixture_doc("college-univ.json", ("alpha", "bot1"), ["bot2"]),
+     {}, "LatticeError"),
+    (["dlm", "lift", DOC, "{stu: fac}"],
+     fixture_doc("hierarchy-pm.json", ("alpha", "stu"), ["uni_fac"]), {}, "DlmError"),
+    (["build-from-closures", DOC], fixture_doc("dorm-college-closures.json", ("i",), delete=True),
+     {}, "LatticeError"),
+    (["build-from-closures", DOC], list(fixture_doc("dorm-college-closures.json")), {},
+     "LatticeError"),
+    (["check-connection", DOC], fixture_doc("college-univ.json", ("left",), "college\0.json"),
+     {}, "OSError"),
+    (["check-lattice", DOC], b'{"name": 1' + b"0" * 5000 + b', "classes": ["a"], "covers": []}',
+     {}, "OSError"),
+    (["dlm", "check-hierarchy", DOC], b"[" * 100_000 + b"]" * 100_000, {}, "OSError"),
+    (["check-lattice", DOC], BINARY, {}, "UnicodeDecodeError"),
+    (["typecheck", DOC, "--connection", path("college-univ.json")], BINARY, {},
+     "UnicodeDecodeError"),
+    ([*NI_SUITE, "--len", "-1"], None, {}, None),
+    (NI_SUITE, None, {"SIFC_SEED": "abc"}, None),
+], ids=["unhashable-cover", "non-string-principal", "unhashable-edge",
+        "unhashable-connection-alpha", "unhashable-principal-alpha", "closures-without-i",
+        "closures-list", "nul-in-file-reference", "number-too-long", "nesting-too-deep",
+        "binary-lattice", "binary-program",
+        "negative-len", "bad-seed-env"])
+def test_malformed_inputs_are_typed_input_errors(tmp_path, monkeypatch, argv, content, env,
+                                                 error):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    if error is None:  # a usage error, reported by argparse
+        with pytest.raises(SystemExit) as exc:
+            run_with(tmp_path, argv, content)
+        assert exc.value.code == 2
+    else:
+        v = run_with(tmp_path, argv, content)
+        assert v.exit_code == 2
+        assert v.details["error"] == error
+
+
+@pytest.mark.parametrize("argv", [
+    ["ni-suite", path("pipeline.sif"), "--connection", path("college-univ.json"),
+     flag, "-1"] for flag in ("--trials", "--len", "--draws")
+] + [["dlm", "check-lifted", path("hierarchy-pm.json"), "--samples", "-1"]])
+def test_count_flags_must_be_non_negative(argv):
+    with pytest.raises(SystemExit) as exc:
+        cli_dispatch(argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv,content", [
+    (["coarsen", path("college-univ.json"), DOC], list(fx.COLLEGE_CLASSES)),
+    (["build-from-closures", DOC],
+     fixture_doc("dorm-college-closures.json", ("c",), list(fx.DORM_CLASSES))),
+    (["build-from-closures", DOC],
+     fixture_doc("dorm-college-closures.json", ("h",), ["bot0", "Student", "HouseMaster",
+                                                         "top0"])),
+], ids=["coarsen-list", "closures-c-list", "closures-h-list"])
+def test_maps_given_as_lists_are_input_errors(tmp_path, argv, content):
+    # each list holds every name the map must cover, so only its type is wrong
+    v = run_with(tmp_path, argv, content)
+    assert v.exit_code == 2
+    assert v.details["error"] == "LatticeError"
+
+
+@pytest.mark.parametrize("argv,name,extra", [
+    (["check-lattice", DOC], "college.json", {}),
+    (["dlm", "check-hierarchy", DOC], "left-hierarchy.json", {}),
+    (["check-connection", DOC], "college-univ.json", {}),
+    (["find-adjoint", DOC], "college-univ.json", {}),  # "gamma" is optional there
+    (["dlm", "lift", DOC, "{stu: fac}"], "hierarchy-pm.json", {}),
+    (["build-from-closures", DOC], "dorm-college-closures.json", {}),
+    (["coarsen", path("college-univ.json"), DOC], "coarse-alpha.json", {}),
+    (["run", path("pipeline.sif"), "--store", DOC], "pipeline-store.json", {}),
+    (["check-lattice", DOC], "college.json", {"name": 7}),
+], ids=["lattice", "hierarchy", "connection", "connection-without-gamma", "principal-map",
+        "closures", "wrapped-alpha2", "store", "lattice-name-not-a-string"])
+def test_documents_reject_unknown_keys(tmp_path, argv, name, extra):
+    doc = fixture_doc(name)
+    assert run_with(tmp_path, argv, doc).exit_code == 0
+    doc.update(extra or {"comment": "not a key of this document"})
+    v = run_with(tmp_path, argv, doc)
+    assert v.exit_code == 2
+    assert v.details["status"] == "input-error"
+
+
+@pytest.mark.parametrize("side", ["alpha", "gamma"])
+def test_unmapped_principals_are_partial_maps(tmp_path, side):
+    doc = fixture_doc("hierarchy-pm.json")
+    names = list(doc[side])
+    missing = [names[1], names[3]]
+    for name in missing:
+        del doc[side][name]
+    v = run_with(tmp_path, ["dlm", "lift", DOC, "{}"], doc)
+    assert v.exit_code == 2
+    assert v.details["error"] == "PartialMap"
+    assert v.details["message"] == f"{side} leaves {missing} unmapped"
+
+
+def test_internal_errors_propagate_and_exit_3(monkeypatch, capsys):
+    def broken(args):
+        raise KeyError("bug")
+
+    argv = ["check-lattice", path("college.json")]
+    monkeypatch.setattr(cli, "_cmd_check_lattice", broken)
+    with pytest.raises(KeyError):
+        cli_dispatch(argv)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert json.loads(captured.out) == {"status": "internal-error", "error": "KeyError",
+                                        "message": "'bug'"}
+    assert captured.err.startswith("INTERNAL ERROR: 'bug'\nTraceback")
+    assert "KeyError: 'bug'" in captured.err

@@ -17,6 +17,8 @@ from sifc.dlm import (AuthorityMismatch, CorollaryViolation, DlmError, Label,
                       label_leq, lift_label, parse_label, policy, policy_leq,
                       random_label)
 
+from sifc.connection import PartialMap
+
 from fixtures import principal_map_pair
 from oracles import BrutePoset, brute_lagois_violations, reach_table
 
@@ -257,6 +259,21 @@ def test_principal_maps_reject_unknown_keys(side):
         hierarchy_violations(LEFT_H, RIGHT_H, alpha, gamma)
     assert exc.value.name == "zzz"
     with pytest.raises(UnknownPrincipal):
+        PrincipalMapPair.check(LEFT_H, RIGHT_H, alpha, gamma)
+
+
+@pytest.mark.parametrize("side", ["alpha", "gamma"])
+def test_unmapped_principals_raise_partial_map(side):
+    alpha, gamma = dict(PM_ALPHA), dict(PM_GAMMA)
+    table = alpha if side == "alpha" else gamma
+    declared = (LEFT_H if side == "alpha" else RIGHT_H).principals
+    missing = [p for p in declared if p in table][::2]
+    for p in missing:
+        del table[p]
+    with pytest.raises(PartialMap) as exc:
+        hierarchy_violations(LEFT_H, RIGHT_H, alpha, gamma)
+    assert exc.value.missing == tuple(missing)
+    with pytest.raises(PartialMap):
         PrincipalMapPair.check(LEFT_H, RIGHT_H, alpha, gamma)
 
 

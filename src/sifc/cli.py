@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -54,11 +55,29 @@ class Verdict:
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            text = fh.read()
+        doc = json.loads(text)
     except (json.JSONDecodeError, UnicodeDecodeError):
         raise
     except (ValueError, RecursionError) as exc:  # NUL in a path, huge number, deep nesting
         raise OSError(f"cannot read {path!r}: {exc}") from None
+    _reject_lone_surrogates(text)
+    return doc
+
+
+# One escape in a JSON string: a surrogate pair, a lone surrogate (group 1),
+# any other \uXXXX, or a backslash and one character.
+_ESCAPE_RE = re.compile(r"\\(?:u[dD][89abAB][0-9a-fA-F]{2}\\u[dD][c-fC-F][0-9a-fA-F]{2}"
+                        r"|u([dD][89a-fA-F][0-9a-fA-F]{2})|u[0-9a-fA-F]{4}|.)")
+
+
+def _reject_lone_surrogates(text: str) -> None:
+    """A lone surrogate escape decodes to a string that no UTF-8 output can
+    print: reject the document where the escape stands."""
+    lone = next((m for m in _ESCAPE_RE.finditer(text) if m[1]), None)
+    if lone is not None:
+        raise json.JSONDecodeError(f"lone surrogate \\u{lone[1]} is not a character",
+                                   text, lone.start())
 
 
 def _load_program(path: str) -> Program:

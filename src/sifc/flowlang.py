@@ -16,6 +16,13 @@ Typing checks every phrase against the two lattices and the connection maps;
 the non-interference harness then runs well-typed programs from pairs of
 stores that agree below an adversary's level and checks the final stores
 still agree there.
+
+Execution runs a compiled body: a flat list of steps, one per variable
+update, each a copy or a sum of a constant and variables mod 2^16.  The
+suite pays per program for one typecheck and one compilation, and per
+adversary pair for one low/high split of the declarations; each trial then
+pays only for two store draws, two runs of the steps and one comparison of
+the low variables.
 """
 
 from __future__ import annotations
@@ -229,12 +236,60 @@ class Program:
 
 # -- execution ----------------------------------------------------------------
 
-def eval_expr(e: Expr, store: Mapping[str, int]) -> int:
-    if isinstance(e, Const):
-        return e.value % VALUE_MODULUS
-    if isinstance(e, Var):
-        return store[e.name]
-    return (eval_expr(e.lhs, store) + eval_expr(e.rhs, store)) % VALUE_MODULUS
+# A compiled body is a flat list of steps (dst, target, src, source): store
+# `dst` (0 left, 1 right) gets `target` := `source` read in store `src`.  The
+# source is a variable name for a copy, or (const, names) for a transaction
+# right-hand side, whose value is const plus those variables mod 2^16.
+Step = tuple[int, str, int, "str | tuple[int, tuple[str, ...]]"]
+
+_SIDE = {"L": 0, "M": 1}
+_SIDE_NAMES = ("left", "right")
+
+
+def _linear(e: Expr) -> tuple[int, tuple[str, ...]]:
+    """Flatten a sum into its constant and its variables; addition mod 2^16
+    is associative, so evaluating the flat sum gives the nested one."""
+    const, names, todo = 0, [], [e]
+    while todo:
+        e = todo.pop()
+        if isinstance(e, Const):
+            const += e.value
+        elif isinstance(e, Var):
+            names.append(e.name)
+        else:
+            todo += (e.rhs, e.lhs)
+    return const % VALUE_MODULUS, tuple(names)
+
+
+def _compile(prog: Program) -> list[Step]:
+    steps: list[Step] = []
+    for p in prog.body:
+        if isinstance(p, Txn):
+            side = _SIDE[p.domain]
+            for target, e in p.assigns:
+                const, names = _linear(e)
+                copy = const == 0 and len(names) == 1  # stored values are reduced
+                steps.append((side, target, side, names[0] if copy else (const, names)))
+        elif isinstance(p, Rd):
+            steps.append((_SIDE[p.domain], p.z, _SIDE[p.domain], p.y))
+        elif isinstance(p, Wr):
+            steps.append((_SIDE[p.domain], p.x, _SIDE[p.domain], p.z))
+        elif isinstance(p, Trl):
+            steps.append((0, p.y, 1, p.x))
+        else:  # Tlr, the only phrase left that Program admits
+            steps.append((1, p.y, 0, p.x))
+    return steps
+
+
+def _run(steps: list[Step], stores: tuple[dict[str, int], dict[str, int]]) -> None:
+    """Apply the steps in order to the (left, right) stores, in place."""
+    for dst, target, src, source in steps:
+        read = stores[src]
+        if source.__class__ is str:
+            stores[dst][target] = read[source]
+        else:
+            const, names = source
+            stores[dst][target] = (const + sum(map(read.__getitem__, names))) % VALUE_MODULUS
 
 
 def exec_program(prog: Program, init: StorePair) -> StorePair:
@@ -249,24 +304,10 @@ def exec_program(prog: Program, init: StorePair) -> StorePair:
     if set(init.left) != expected_left or set(init.right) != expected_right:
         raise StoreDomainError("initial stores must cover exactly the declared variables")
 
-    left = {k: v % VALUE_MODULUS for k, v in init.left.items()}
-    right = {k: v % VALUE_MODULUS for k, v in init.right.items()}
-    for p in prog.body:
-        if isinstance(p, Txn):
-            store = left if p.domain == "L" else right
-            for target, e in p.assigns:
-                store[target] = eval_expr(e, store)
-        elif isinstance(p, Rd):
-            store = left if p.domain == "L" else right
-            store[p.z] = store[p.y]
-        elif isinstance(p, Wr):
-            store = left if p.domain == "L" else right
-            store[p.x] = store[p.z]
-        elif isinstance(p, Trl):
-            left[p.y] = right[p.x]
-        elif isinstance(p, Tlr):
-            right[p.y] = left[p.x]
-    return StorePair(left, right)
+    stores = ({k: v % VALUE_MODULUS for k, v in init.left.items()},
+              {k: v % VALUE_MODULUS for k, v in init.right.items()})
+    _run(_compile(prog), stores)
+    return StorePair(*stores)
 
 
 # -- typing ---------------------------------------------------------------------
@@ -280,8 +321,15 @@ def _classes(prog_env: Mapping[str, VarDecl], conn: LagoisConnection) -> None:
 
 def typecheck_phrase(env: Mapping[str, VarDecl], conn: LagoisConnection,
                      p: Phrase, index: int | None = None) -> PhraseType:
-    """Type one phrase.  Components a rule leaves unconstrained sit at that
-    lattice's top, the identity of the sequence meet."""
+    """Type one phrase, or raise FlowTypeError if its premise fails.
+
+    The type is the class the phrase reports in each domain.  A transaction
+    reports the join of the classes it reads (the bottom if it reads none),
+    `rd` and `wr` the class of the variable they write, and `trl` and `tlr`
+    the class of the import and of the export, each in its own domain.
+    Components a rule leaves unconstrained sit at that lattice's top, the
+    identity of the sequence meet.  No premise reads a phrase type, so no
+    verdict depends on this reading."""
     left, right = conn.left, conn.right
 
     def cls(name: str) -> str:
@@ -367,36 +415,68 @@ class NiTrialResult:
     final: tuple[StorePair, StorePair] | None = None
 
 
+# The low/high split of a program at an adversary pair: (side, name, low) for
+# each declaration, in declaration order, where low means at or below the pair.
+Split = tuple[tuple[int, str, bool], ...]
+
+
+def _split(prog: Program, conn: LagoisConnection, pair: tuple[str, str]) -> Split:
+    levels = ((conn.left, pair[0]), (conn.right, pair[1]))
+    out = []
+    for d in prog.decls:
+        side = _SIDE[d.domain]
+        lat, level = levels[side]
+        out.append((side, d.name, lat.leq(d.cls, level)))
+    return tuple(out)
+
+
+def _draw(split: Split, seed: int) -> tuple[tuple[dict, dict], tuple[dict, dict]]:
+    """Two (left, right) store pairs that agree on every low variable and
+    differ on every high one; a function of the split and the seed."""
+    randrange = random.Random(seed).randrange
+    a, b = ({}, {}), ({}, {})
+    for side, name, low in split:
+        v = randrange(VALUE_MODULUS)
+        a[side][name] = v
+        b[side][name] = v if low else (v + 1 + randrange(VALUE_MODULUS - 1)) % VALUE_MODULUS
+    return a, b
+
+
 def draw_store_pairs(prog: Program, conn: LagoisConnection,
                      pair: tuple[str, str], seed: int) -> tuple[StorePair, StorePair]:
     """Two initial store pairs that agree on every variable at or below the
     adversary pair and differ everywhere else."""
-    l, m = pair
-    rng = random.Random(seed)
-    a = StorePair({}, {})
-    b = StorePair({}, {})
-    for d in prog.decls:
-        side_a = a.left if d.domain == "L" else a.right
-        side_b = b.left if d.domain == "L" else b.right
-        lat, level = (conn.left, l) if d.domain == "L" else (conn.right, m)
-        v = rng.randrange(VALUE_MODULUS)
-        if lat.leq(d.cls, level):
-            side_a[d.name] = side_b[d.name] = v
-        else:
-            side_a[d.name] = v
-            side_b[d.name] = (v + 1 + rng.randrange(VALUE_MODULUS - 1)) % VALUE_MODULUS
-    return a, b
+    a, b = _draw(_split(prog, conn, pair), seed)
+    return StorePair(*a), StorePair(*b)
 
 
 def low_variables(prog: Program, conn: LagoisConnection,
                   pair: tuple[str, str]) -> list[tuple[str, str]]:
-    l, m = pair
-    out = []
-    for d in prog.decls:
-        lat, level = (conn.left, l) if d.domain == "L" else (conn.right, m)
-        if lat.leq(d.cls, level):
-            out.append(("left" if d.domain == "L" else "right", d.name))
-    return out
+    return [(_SIDE_NAMES[side], name)
+            for side, name, low in _split(prog, conn, pair) if low]
+
+
+def _require_well_typed(prog: Program, conn: LagoisConnection) -> None:
+    try:
+        typecheck(prog, conn)
+    except FlowTypeError as exc:
+        raise IllTyped(exc) from exc
+
+
+def _trial(steps: list[Step], split: Split, pair: tuple[str, str], seed: int,
+           keep_stores: bool = False) -> NiTrialResult:
+    """`ni_trial` on a compiled, already checked program and its split."""
+    a, b = _draw(split, seed)
+    _run(steps, a)
+    _run(steps, b)
+    distinguishing = next(((_SIDE_NAMES[side], name) for side, name, low in split
+                           if low and a[side][name] != b[side][name]), None)
+    if distinguishing is None and not keep_stores:
+        return NiTrialResult(True, pair, seed, None)
+    initial = _draw(split, seed)  # failures carry both runs: draw them again
+    return NiTrialResult(distinguishing is None, pair, seed, distinguishing,
+                         (StorePair(*initial[0]), StorePair(*initial[1])),
+                         (StorePair(*a), StorePair(*b)))
 
 
 def ni_trial(prog: Program, conn: LagoisConnection, pair: tuple[str, str],
@@ -406,24 +486,8 @@ def ni_trial(prog: Program, conn: LagoisConnection, pair: tuple[str, str],
     Draws two low-agreeing stores, executes both, and passes iff the final
     stores still agree on every low variable.  Refuses ill-typed programs.
     """
-    try:
-        typecheck(prog, conn)
-    except FlowTypeError as exc:
-        raise IllTyped(exc) from exc
-    a, b = draw_store_pairs(prog, conn, pair, seed)
-    fa = exec_program(prog, a)
-    fb = exec_program(prog, b)
-    distinguishing = None
-    for side, name in low_variables(prog, conn, pair):
-        va = getattr(fa, side)[name]
-        vb = getattr(fb, side)[name]
-        if va != vb:
-            distinguishing = (side, name)
-            break
-    keep = keep_stores or distinguishing is not None  # failures carry both runs
-    return NiTrialResult(distinguishing is None, pair, seed, distinguishing,
-                         (a, b) if keep else None,
-                         (fa, fb) if keep else None)
+    _require_well_typed(prog, conn)
+    return _trial(_compile(prog), _split(prog, conn, pair), pair, seed, keep_stores)
 
 
 # -- well-typed program generation -------------------------------------------------
@@ -528,11 +592,14 @@ def run_ni_suite(decls: Sequence[VarDecl], conn: LagoisConnection,
     for p_idx in range(programs):
         length = base.randrange(max_len + 1)
         prog = gen_well_typed(decls, conn, length, base.getrandbits(48))
+        _require_well_typed(prog, conn)
+        steps = _compile(prog)
         for pair_idx, pair in enumerate(pairs):
+            split = _split(prog, conn, pair)
             for draw in range(draws):
                 trial_seed = ((seed + 1) * 1_000_003 + p_idx * 7919
                               + pair_idx * 101 + draw)
-                result = ni_trial(prog, conn, pair, trial_seed)
+                result = _trial(steps, split, pair, trial_seed)
                 trials += 1
                 if not result.passed:
                     failures.append((p_idx, pair, trial_seed, result.distinguishing))

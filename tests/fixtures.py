@@ -195,6 +195,20 @@ def ni_decls():
     )
 
 
+def forged_two_point():
+    """An unverified connection between two two-point chains whose gamma
+    sends hi2 down to lo.  Typing then admits `trl y x` from a hi2 export
+    into a lo import, a genuine leak at the one adversary pair (lo, lo2)."""
+    from sifc.connection import LagoisConnection, MonotoneMap
+    two_l = build_lattice("l2", ["lo", "hi"], [("lo", "hi")])
+    two_m = build_lattice("m2", ["lo2", "hi2"], [("lo2", "hi2")])
+    alpha = MonotoneMap(two_l, two_m, {"lo": "lo2", "hi": "hi2"})
+    forged_gamma = MonotoneMap(two_m, two_l, {"lo2": "lo", "hi2": "lo"})
+    return LagoisConnection(two_l, two_m, alpha, forged_gamma,
+                            ("lo",), ("lo2", "hi2"),
+                            (("lo",), ("hi",)), (("lo2", "hi2"),))
+
+
 # Principals-hierarchy twin of the College/University agreement: four named
 # principals per side, budpoints {fac, prin} <-> {uni_fac, uni_dean} plus the
 # implicit bounds.

@@ -1,4 +1,5 @@
-"""Seeded random generators for lattices, monotone maps and closure operators."""
+"""Seeded random generators for lattices, monotone maps, closure operators
+and (unchecked) transfer-language programs."""
 
 from __future__ import annotations
 
@@ -151,3 +152,42 @@ def random_closure(rng: random.Random, lat: Lattice) -> dict[str, str]:
     for c in lat.classes:
         table[c] = lat.meet_all(s for s in chosen if lat.leq(c, s))
     return table
+
+
+def random_expr(rng: random.Random, names: list[str], depth: int = 3):
+    """A sum tree over `names` and constants, some past 2^16, with repeats."""
+    from sifc.flowlang import Add, Const, Var
+    roll = rng.random()
+    if depth > 0 and roll < 0.4:
+        return Add(random_expr(rng, names, depth - 1), random_expr(rng, names, depth - 1))
+    if roll < 0.75:
+        return Var(rng.choice(names))
+    return Const(rng.choice((0, 1, rng.randrange(2 ** 17))))
+
+
+def random_phrase(rng: random.Random, decls):
+    """One well-formed phrase over `decls` (which declare every domain and
+    kind), with no typing premise checked."""
+    from sifc.flowlang import Rd, Tlr, Trl, Txn, Wr
+
+    def pick(domain, kind):
+        return rng.choice([d.name for d in decls if d.domain == domain and d.kind == kind])
+
+    kind, domain = rng.choice(("txn", "rd", "wr", "trl", "tlr")), rng.choice("LM")
+    if kind == "txn":
+        internal = [d.name for d in decls if d.domain == domain and d.kind == "internal"]
+        return Txn(domain, tuple((rng.choice(internal), random_expr(rng, internal))
+                                 for _ in range(rng.randint(1, 3))))
+    if kind == "rd":
+        return Rd(domain, pick(domain, "internal"), pick(domain, "import"))
+    if kind == "wr":
+        return Wr(domain, pick(domain, "export"), pick(domain, "internal"))
+    if kind == "trl":
+        return Trl(pick("L", "import"), pick("M", "export"))
+    return Tlr(pick("M", "import"), pick("L", "export"))
+
+
+def random_program(rng: random.Random, decls, length: int):
+    """A well-formed program of `length` random phrases, not typechecked."""
+    from sifc.flowlang import Program
+    return Program(tuple(decls), tuple(random_phrase(rng, decls) for _ in range(length)))

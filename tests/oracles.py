@@ -7,7 +7,11 @@ precomputed tables.
 
 from __future__ import annotations
 
+import random
 from itertools import combinations, product
+
+from sifc import flowlang
+from sifc.flowlang import Add, Const, Rd, StorePair, Trl, Txn, Var, Wr
 
 
 def reach_table(classes, covers) -> dict[str, set[str]]:
@@ -260,3 +264,106 @@ def brute_adjoints_monotone(lposet: BrutePoset, rposet: BrutePoset,
 
     assign(0)
     return found
+
+
+# -- transfer language ----------------------------------------------------------
+
+VALUE_MODULUS = 2 ** 16
+
+
+def interpret(prog, init):
+    """Run a program phrase by phrase on reduced copies of the initial
+    stores, evaluating each right-hand side as a tree."""
+    def value(e, store):
+        if isinstance(e, Const):
+            return e.value % VALUE_MODULUS
+        if isinstance(e, Add):
+            return (value(e.lhs, store) + value(e.rhs, store)) % VALUE_MODULUS
+        return store[e.name]
+
+    stores = {"L": {k: v % VALUE_MODULUS for k, v in init.left.items()},
+              "M": {k: v % VALUE_MODULUS for k, v in init.right.items()}}
+    for p in prog.body:
+        if isinstance(p, Txn):
+            for target, e in p.assigns:
+                stores[p.domain][target] = value(e, stores[p.domain])
+        elif isinstance(p, Rd):
+            stores[p.domain][p.z] = stores[p.domain][p.y]
+        elif isinstance(p, Wr):
+            stores[p.domain][p.x] = stores[p.domain][p.z]
+        elif isinstance(p, Trl):
+            stores["L"][p.y] = stores["M"][p.x]
+        else:
+            stores["M"][p.y] = stores["L"][p.x]
+    return StorePair(stores["L"], stores["M"])
+
+
+def affine_finals(prog) -> dict[str, tuple[int, dict[str, int]]]:
+    """Every variable's final value as an affine function of the initial
+    store: (constant, {initial variable: nonzero coefficient}), mod 2^16.
+    Programs are straight-line copies and sums, so this is exact."""
+    def form(e):
+        if isinstance(e, Const):
+            return e.value % VALUE_MODULUS, {}
+        if isinstance(e, Var):
+            return forms[e.name]
+        (c1, k1), (c2, k2) = form(e.lhs), form(e.rhs)
+        coef = dict(k1)
+        for v, k in k2.items():
+            coef[v] = (coef.get(v, 0) + k) % VALUE_MODULUS
+        return (c1 + c2) % VALUE_MODULUS, {v: k for v, k in coef.items() if k}
+
+    forms = {d.name: (0, {d.name: 1}) for d in prog.decls}  # names are unique
+    for p in prog.body:
+        if isinstance(p, Txn):
+            for target, e in p.assigns:
+                forms[target] = form(e)
+        elif isinstance(p, Rd):
+            forms[p.z] = forms[p.y]
+        elif isinstance(p, Wr):
+            forms[p.x] = forms[p.z]
+        else:  # Trl, Tlr
+            forms[p.y] = forms[p.x]
+    return forms
+
+
+def ni_leak(prog, lposet: BrutePoset, rposet: BrutePoset, pair):
+    """Decide non-interference at the adversary pair exactly.  Returns the
+    first low variable (in declaration order) whose final value has a
+    nonzero coefficient on a high initial variable, with that variable, or
+    None.  Changing that input by 1 changes that output: a replayable
+    witness.  With no such coefficient, low outputs are functions of low
+    inputs only, so every low-agreeing pair of stores ends low-agreeing."""
+    low = {d.name for d in prog.decls
+           if (lposet.leq(d.cls, pair[0]) if d.domain == "L" else rposet.leq(d.cls, pair[1]))}
+    forms = affine_finals(prog)
+    for d in prog.decls:
+        if d.name in low:
+            for v in forms[d.name][1]:
+                if v not in low:
+                    return d.name, v
+    return None
+
+
+def reference_ni_suite(decls, conn, programs: int, max_len: int, seed: int,
+                       draws: int = 3):
+    """The suite loop as first written: the public `ni_trial` for every
+    trial, so each trial typechecks, splits and runs the program afresh.
+    Library functions are looked up at call time, so monkeypatches apply."""
+    pairs = flowlang.adversary_pairs(conn)
+    base = random.Random(seed)
+    failures = []
+    trials = 0
+    for p_idx in range(programs):
+        length = base.randrange(max_len + 1)
+        prog = flowlang.gen_well_typed(decls, conn, length, base.getrandbits(48))
+        for pair_idx, pair in enumerate(pairs):
+            for draw in range(draws):
+                trial_seed = ((seed + 1) * 1_000_003 + p_idx * 7919
+                              + pair_idx * 101 + draw)
+                result = flowlang.ni_trial(prog, conn, pair, trial_seed)
+                trials += 1
+                if not result.passed:
+                    failures.append((p_idx, pair, trial_seed, result.distinguishing))
+    return flowlang.NiSuiteReport(programs, tuple(pairs), draws, trials,
+                                  tuple(failures), seed)

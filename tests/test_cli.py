@@ -398,6 +398,35 @@ def run_with(tmp_path, argv: list[str], content) -> "cli.Verdict":
     return cli_dispatch([str(f) if arg == DOC else arg for arg in argv])
 
 
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("text", [
+    r'{"name": "\ud800", "classes": ["a"], "covers": []}',
+    r'{"name": "a", "classes": ["a", "\udc00b"], "covers": []}',
+    r'{"name": "a", "classes": ["a"], "covers": [], "\udfff": 1}',
+    r'{"name": "\\\ud83dx", "classes": ["a"], "covers": []}',
+    r'{"name": "\ud83d\ud83d\ude00", "classes": ["a"], "covers": []}',
+])
+def test_lone_surrogates_are_input_errors(tmp_path, capsys, fmt, text):
+    # a lone surrogate decodes to a string no UTF-8 stdout can print
+    doc = tmp_path / "lattice.json"
+    doc.write_text(text, encoding="ascii")
+    assert main(["--format", fmt, "check-lattice", str(doc)]) == 2
+    out, err = capsys.readouterr()
+    assert "JSONDecodeError" in out
+    assert err.startswith("INPUT ERROR: lone surrogate \\u")
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_surrogate_pairs_and_escaped_backslashes_load(tmp_path, capsys, fmt):
+    doc = tmp_path / "lattice.json"
+    doc.write_text(r'{"name": "\ud83d\ude00 \\ud800", "classes": ["a"], "covers": []}',
+                   encoding="ascii")
+    assert main(["--format", fmt, "check-lattice", str(doc)]) == 0
+    out = capsys.readouterr().out
+    name = json.loads(out)["name"] if fmt == "json" else out.splitlines()[1]
+    assert name.endswith("\U0001F600 \\ud800")
+
 def test_input_errors_are_typed():
     assert not {KeyError, TypeError, ValueError} & set(cli._INPUT_ERRORS)
 

@@ -14,9 +14,13 @@ from sifc.flowlang import (Add, Const, DuplicateVariable, FlowError,
                            lint_transfer_classes, low_variables, ni_trial,
                            parse_program, run_ni_suite, store_pair_from_dict,
                            typecheck, typecheck_phrase)
+from sifc import flowlang
 from sifc.lattice import UnknownClass
 
 import fixtures as fx
+from gen import random_phrase, random_program
+from oracles import (BrutePoset, affine_finals, interpret, ni_leak,
+                     reference_ni_suite)
 
 
 @pytest.fixture(scope="module")
@@ -330,15 +334,7 @@ def test_ni_trial_failure_carries_both_runs():
     # forge an unverified connection whose gamma understates the transfer
     # class; the typing premise then admits a genuine leak, and the failing
     # trial must report the distinguishing variable with both runs attached
-    from sifc.connection import LagoisConnection, MonotoneMap
-    from sifc.lattice import build_lattice
-    two_l = build_lattice("l2", ["lo", "hi"], [("lo", "hi")])
-    two_m = build_lattice("m2", ["lo2", "hi2"], [("lo2", "hi2")])
-    alpha = MonotoneMap(two_l, two_m, {"lo": "lo2", "hi": "hi2"})
-    forged_gamma = MonotoneMap(two_m, two_l, {"lo2": "lo", "hi2": "lo"})
-    forged = LagoisConnection(two_l, two_m, alpha, forged_gamma,
-                              ("lo",), ("lo2", "hi2"),
-                              (("lo",), ("hi",)), (("lo2", "hi2"),))
+    forged = fx.forged_two_point()
     decls = (VarDecl("z", "L", "internal", "lo"),
              VarDecl("y", "L", "import", "lo"),
              VarDecl("x", "M", "export", "hi2"),
@@ -465,3 +461,181 @@ def test_parse_reports_line_number():
     with pytest.raises(ParseError) as exc:
         parse_program("var L a : Student internal\nwr L a\n")
     assert "line 2" in str(exc.value)
+
+
+# -- suite loop, executor and the exact non-interference oracle --------------------
+
+def posets(conn):
+    return (BrutePoset(conn.left.classes, conn.left.covers),
+            BrutePoset(conn.right.classes, conn.right.covers))
+
+
+# One variable of every (domain, kind) at least, as the generator needs.
+FORGED_DECLS = (
+    VarDecl("z", "L", "internal", "lo"),
+    VarDecl("zh", "L", "internal", "hi"),
+    VarDecl("lx", "L", "export", "lo"),
+    VarDecl("y", "L", "import", "lo"),
+    VarDecl("w", "M", "internal", "lo2"),
+    VarDecl("wh", "M", "internal", "hi2"),
+    VarDecl("x", "M", "export", "hi2"),
+    VarDecl("my", "M", "import", "hi2"),
+)
+
+
+def test_run_ni_suite_matches_reference_loop(cu):
+    for seed in range(40):
+        draws = 1 + seed % 3
+        assert run_ni_suite(DECLS, cu, programs=4, max_len=20, seed=seed, draws=draws) == \
+            reference_ni_suite(DECLS, cu, programs=4, max_len=20, seed=seed, draws=draws)
+
+
+def test_run_ni_suite_matches_reference_loop_where_trials_fail():
+    forged = fx.forged_two_point()
+    failing = 0
+    for seed in range(25):
+        report = run_ni_suite(FORGED_DECLS, forged, programs=6, max_len=8, seed=seed)
+        assert report == reference_ni_suite(FORGED_DECLS, forged, programs=6,
+                                            max_len=8, seed=seed)
+        failing += len(report.failures)
+    assert failing > 0  # the comparison covers failure tuples and witnesses
+
+
+
+def test_run_ni_suite_matches_reference_loop_on_unchecked_programs(cu, monkeypatch):
+    # Both loops run random programs with typing switched off, so trials
+    # fail at every adversary pair that has low variables.
+    monkeypatch.setattr(flowlang, "typecheck", lambda prog, conn: None)
+    monkeypatch.setattr(flowlang, "gen_well_typed", lambda decls, conn, length, seed:
+                        random_program(random.Random(seed), decls, length))
+    failing_pairs = set()
+    for seed in range(10):
+        report = run_ni_suite(DECLS, cu, programs=5, max_len=6, seed=seed)
+        assert report == reference_ni_suite(DECLS, cu, programs=5, max_len=6, seed=seed)
+        failing_pairs |= {pair for _, pair, _, _ in report.failures}
+    assert len(failing_pairs) == 2  # nothing is low at the bottom pair, nothing high at the top
+
+def test_exec_program_matches_tree_interpreter(cu):
+    rng = random.Random(61)
+    for _ in range(400):
+        prog = random_program(rng, DECLS, rng.randrange(10))
+        init = StorePair({d.name: rng.randrange(-2 ** 17, 2 ** 17)
+                          for d in DECLS if d.domain == "L"},
+                         {d.name: rng.randrange(-2 ** 17, 2 ** 17)
+                          for d in DECLS if d.domain == "M"})
+        assert exec_program(prog, init) == interpret(prog, init)
+
+
+def test_well_typed_programs_are_non_interfering_exactly(cu):
+    # Soundness of the typing rules, decided exactly rather than sampled: the
+    # program stream of criterion 7's suite (seed 2024) and twice as many
+    # more, every program at every adversary pair.
+    lposet, rposet = posets(cu)
+    pairs = adversary_pairs(cu)
+    base = random.Random(2024)
+    for _ in range(3000):
+        length = base.randrange(21)
+        prog = gen_well_typed(DECLS, cu, length, base.getrandbits(48))
+        for pair in pairs:
+            assert ni_leak(prog, lposet, rposet, pair) is None, (prog, pair)
+
+
+def test_exact_oracle_finds_the_forged_leaks():
+    forged = fx.forged_two_point()
+    lposet, rposet = posets(forged)
+    leaks = sum(ni_leak(gen_well_typed(FORGED_DECLS, forged, 6, seed),
+                        lposet, rposet, ("lo", "lo2")) is not None for seed in range(50))
+    assert leaks > 0
+
+
+def test_trial_verdicts_match_exact_oracle_on_unchecked_programs(cu):
+    lposet, rposet = posets(cu)
+    rng = random.Random(7)
+    leaking = caught = 0
+    for n in range(600):
+        prog = random_program(rng, DECLS, rng.randrange(1, 8))
+        steps = flowlang._compile(prog)
+        for pair in adversary_pairs(cu):
+            leak = ni_leak(prog, lposet, rposet, pair)
+            split = flowlang._split(prog, cu, pair)
+            results = [flowlang._trial(steps, split, pair, n * 10 + d) for d in range(3)]
+            if leak is None:
+                assert all(r.passed for r in results), (prog, pair)
+                continue
+            leaking += 1
+            caught += not all(r.passed for r in results)
+            lows = low_variables(prog, cu, pair)
+            for r in results:  # a distinguishing variable depends on a high input
+                if not r.passed:
+                    assert r.distinguishing in lows
+                    name = r.distinguishing[1]
+                    assert set(affine_finals(prog)[name][1]) - {v for _, v in lows}
+            # the oracle's witness replays: that high input moved by 1 moves that output
+            out, high = leak
+            a = zero_store(prog)
+            b = zero_store(prog)
+            (b.left if prog.env[high].domain == "L" else b.right)[high] = 1
+            fa, fb = interpret(prog, a), interpret(prog, b)
+            where = "left" if prog.env[out].domain == "L" else "right"
+            assert getattr(fa, where)[out] != getattr(fb, where)[out]
+    assert leaking > 0 and caught == leaking  # three draws caught every leak here
+
+
+def test_typing_rejects_phrases_that_are_non_interfering(cu):
+    # Typing is sound but not complete: report how many single phrases it
+    # rejects that no adversary pair can tell apart.
+    lposet, rposet = posets(cu)
+    rng = random.Random(11)
+    pairs = adversary_pairs(cu)
+    rejected = rejected_ni = 0
+    for _ in range(2000):
+        p = random_phrase(rng, DECLS)
+        prog = Program(DECLS, (p,))
+        ni = all(ni_leak(prog, lposet, rposet, pair) is None for pair in pairs)
+        try:
+            typecheck_phrase(prog.env, cu, p)
+        except FlowTypeError:
+            rejected += 1
+            rejected_ni += ni
+        else:
+            assert ni, p
+    print(f"typing rejected {rejected} of 2000 phrases; {rejected_ni} of those are NI")
+    assert 0 < rejected_ni < rejected
+
+
+def test_run_ni_suite_typechecks_each_program_once(cu, monkeypatch):
+    calls = []
+    original = flowlang.typecheck
+    monkeypatch.setattr(flowlang, "typecheck",
+                        lambda prog, conn: calls.append(prog) or original(prog, conn))
+    report = run_ni_suite(DECLS, cu, programs=7, max_len=10, seed=5)
+    assert len(calls) == 7
+    assert report.trials == 7 * len(report.pairs) * 3
+
+
+def test_run_ni_suite_refuses_ill_typed(cu, monkeypatch):
+    decls = DECLS + (VarDecl("ly0", "L", "import", "Student"),)
+    bad = Program(decls, (Trl("ly0", "mx1"),))
+    monkeypatch.setattr(flowlang, "gen_well_typed", lambda *args, **kwargs: bad)
+    with pytest.raises(IllTyped):
+        run_ni_suite(decls, cu, programs=1, max_len=1, seed=0)
+
+
+def test_phrase_types_report_reads_for_txn_and_writes_for_moves(cu):
+    # A transaction reports the join of what it reads, not the meet of what
+    # it writes (the Volpano-Smith reading); rd and wr report the class they
+    # write; trl and tlr the import's and the export's class, each on its side.
+    env = Program(DECLS, ()).env
+    reads_two = Txn("L", (("lz3", Add(Var("lz1"), Var("lz2"))),))
+    assert typecheck_phrase(env, cu, reads_two) == PhraseType("Faculty", "top2")
+    assert typecheck_phrase(env, cu, Txn("L", (("lz3", Const(1)),))) == \
+        PhraseType("bot1", "top2")
+    assert typecheck_phrase(env, cu, Txn("M", (("mz2", Var("mz1")),))) == \
+        PhraseType("top1", "UnivFac")
+    assert typecheck_phrase(env, cu, Rd("M", "mz2", "my1")) == \
+        PhraseType("top1", "Dean(Colleges)")
+    assert typecheck_phrase(env, cu, Wr("L", "lx2", "lz2")) == \
+        PhraseType("CollegePrincipal", "top2")
+    assert typecheck_phrase(env, cu, Trl("ly2", "mx1")) == PhraseType("top1", "UnivFac")
+    assert typecheck_phrase(env, cu, Tlr("my1", "lx1")) == \
+        PhraseType("Faculty", "Dean(Colleges)")

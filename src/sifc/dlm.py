@@ -4,8 +4,19 @@ a connection between two hierarchies.
 Principals are ordered by a reflexive-transitive acts-for relation (a
 pre-order: mutual acts-for is allowed).  A policy is an owner together with a
 reader set; a label is a conjunction of policies.  Relabeling L1 -> L2 is
-permitted when every policy of L1 is subsumed by some policy of L2; labels
-are joined by set union.
+permitted when every policy of L1 is subsumed by some policy of L2 (Myers and
+Liskov, TOSEM 2000); labels are joined by set union.
+
+The order is decided on bit masks.  Each principal has a bit, the row of the
+principals it acts for (its closure row) and the column of the principals
+that act for it.  Policy j subsumes policy i iff row[j.owner] has i.owner's
+bit and E_j & ~U_i == 0, where E_j is the OR of the bits of j's effective
+readers (its readers and its owner) and U_i the OR of the columns of i's:
+every effective reader of j then acts for some effective reader of i.  The
+masks are built per call from the labels, in O(readers) dict reads per
+policy.  An unknown principal surfaces as a missing key, read in the order
+the principals were always checked: the first label before the second, each
+policy's owner before its readers.
 
 A connection between two hierarchies is checked by the same law evaluator as
 one between two lattices (`sifc.connection`), reading p <= q as "q acts for
@@ -22,10 +33,11 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 from .connection import Violation, _law_violations, _require_total
-from .lattice import _check_document, _closure_rows, _is_names, _members
+from .lattice import _check_document, _closure_rows, _is_names, _transpose
 
 TOP = "TOP"
 BOT = "BOT"
@@ -68,9 +80,12 @@ class CorollaryViolation(DlmError):
 
 class PrincipalsHierarchy:
     """A finite set of principals under the acts-for pre-order, with TOP
-    acting for everyone and everyone acting for BOT."""
+    acting for everyone and everyone acting for BOT.
 
-    __slots__ = ("principals", "edges", "_acts_for")
+    Principal i has bit 1 << i; `_row[p]` has the bit of every principal p
+    acts for and `_col[p]` the bit of every principal acting for p."""
+
+    __slots__ = ("principals", "edges", "_bit", "_row", "_col")
 
     def __init__(self, principals: Sequence[str], acts_for_edges: Iterable[tuple[str, str]]):
         names = list(principals)
@@ -98,19 +113,19 @@ class PrincipalsHierarchy:
 
         self.principals = tuple(names)
         self.edges = tuple(edges)
-        self._acts_for = {p: _members(row, names) for p, row in zip(names, rows)}
+        self._bit = {p: 1 << i for i, p in enumerate(names)}
+        self._row = dict(zip(names, rows))
+        self._col = dict(zip(names, _transpose(rows)))
 
     def __contains__(self, name: str) -> bool:
-        return name in self._acts_for
+        return name in self._bit
 
     def acts_for(self, p: str, q: str) -> bool:
         """True iff p may perform any action q may (p is at least as trusted)."""
-        row = self._acts_for.get(p)
-        if row is None:
-            raise UnknownPrincipal(p)
-        if q not in self._acts_for:
-            raise UnknownPrincipal(q)
-        return q in row
+        try:
+            return self._row[p] & self._bit[q] != 0
+        except KeyError as exc:
+            raise UnknownPrincipal(exc.args[0]) from None
 
     def equiv(self, p: str, q: str) -> bool:
         return self.acts_for(p, q) and self.acts_for(q, p)
@@ -138,9 +153,6 @@ class Policy:
     owner: str
     readers: frozenset[str]
 
-    def effective_readers(self) -> frozenset[str]:
-        return self.readers | {self.owner}
-
     def __str__(self) -> str:
         readers = ", ".join(sorted(self.readers))
         return f"{self.owner}: {readers}" if readers else f"{self.owner}:"
@@ -166,28 +178,49 @@ def policy(owner: str, *readers: str) -> Policy:
     return Policy(owner, frozenset(readers))
 
 
-def _check_principals(h: PrincipalsHierarchy, label: Label) -> None:
-    for pol in label.policies:
-        if pol.owner not in h:
-            raise UnknownPrincipal(pol.owner)
+def _masks(policies: Iterable[Policy], owners: Mapping[str, int],
+           readers: Mapping[str, int]) -> list[tuple[int, int]]:
+    """Per policy, the owner's mask and the OR of its effective readers'
+    masks: (bit, U) from h._bit and h._col for the lower side of the order,
+    (row, E) from h._row and h._bit for the upper side.  Each owner is read
+    before its readers, so the first KeyError names the first unknown
+    principal in that order."""
+    out = []
+    for pol in policies:
+        mask = readers[pol.owner]
         for r in pol.readers:
-            if r not in h:
-                raise UnknownPrincipal(r)
+            mask |= readers[r]
+        out.append((owners[pol.owner], mask))
+    return out
+
+
+def _subsumed(h: PrincipalsHierarchy, lower: Iterable[Policy],
+              upper: Iterable[Policy], authority: Sequence[str] = ()) -> bool:
+    """Every lower policy is subsumed by some upper policy or by an
+    owner-only policy of a principal in `authority`.  The lower policies are
+    read first."""
+    below = _masks(lower, h._bit, h._col)
+    above = _masks(upper, h._row, h._bit) + [(h._row[p], h._bit[p]) for p in authority]
+    for owner, cover in below:
+        for row, readers in above:
+            if row & owner and not readers & ~cover:
+                break
+        else:
+            return False
+    return True
 
 
 def policy_leq(h: PrincipalsHierarchy, i: Policy, j: Policy) -> bool:
     """j subsumes i: j's owner acts for i's owner and every effective reader
     of j acts for some effective reader of i."""
-    if not h.acts_for(j.owner, i.owner):
-        return False
-    ri = i.effective_readers()
-    return all(any(h.acts_for(rj, r) for r in ri) for rj in j.effective_readers())
+    return label_leq(h, Label.of(i), Label.of(j))
 
 
 def label_leq(h: PrincipalsHierarchy, l1: Label, l2: Label) -> bool:
-    _check_principals(h, l1)
-    _check_principals(h, l2)
-    return all(any(policy_leq(h, i, j) for j in l2.policies) for i in l1.policies)
+    try:
+        return _subsumed(h, l1.policies, l2.policies)
+    except KeyError as exc:
+        raise UnknownPrincipal(exc.args[0]) from None
 
 
 def label_equiv(h: PrincipalsHierarchy, l1: Label, l2: Label) -> bool:
@@ -249,9 +282,10 @@ def hierarchy_violations(left: PrincipalsHierarchy, right: PrincipalsHierarchy,
     _require_total(right, left, gamma, "gamma", right.principals, UnknownPrincipal)
 
     def side(h: PrincipalsHierarchy) -> tuple:
-        names = h.principals
-        return (names, [(p, q) for p in names for q in names if h.acts_for(q, p)],
-                lambda p, q: h.acts_for(q, p), h.equiv)
+        names, bit, row, col = h.principals, h._bit, h._row, h._col
+        return (names, [(p, q) for p in names for q in names if col[p] & bit[q]],
+                lambda p, q: col[p] & bit[q] != 0,
+                lambda p, q: row[p] & col[p] & bit[q] != 0)
 
     return _law_violations(side(left), side(right), alpha, gamma)
 
@@ -281,15 +315,17 @@ def lift_label(pm: PrincipalMapPair, direction: str, label: Label) -> Label:
     """Map a label pointwise through the principal maps: 'lr' pushes a left
     label right through alpha, 'rl' pulls a right label left through gamma."""
     if direction == "lr":
-        h, table = pm.left, pm.alpha
+        table = pm.alpha
     elif direction == "rl":
-        h, table = pm.right, pm.gamma
+        table = pm.gamma
     else:
         raise ValueError(f"direction must be 'lr' or 'rl', got {direction!r}")
-    _check_principals(h, label)
-    return Label(frozenset(
-        Policy(table[p.owner], frozenset(table[r] for r in p.readers))
-        for p in label.policies))
+    try:
+        return Label(frozenset([
+            Policy(table[p.owner], frozenset(map(table.__getitem__, p.readers)))
+            for p in label.policies]))
+    except KeyError as exc:  # a verified map covers exactly its domain's principals
+        raise UnknownPrincipal(exc.args[0]) from None
 
 
 # -- lifted-connection sampling ------------------------------------------------------
@@ -404,10 +440,14 @@ def declassify_check(h: PrincipalsHierarchy, authority: Iterable[str],
     """May data labeled l1 be released at l2 by owners in `authority`?
     True iff l1 flows to l2 joined with the authority's owner-only label."""
     authority = list(authority)
-    for p in authority:
-        if p not in h:
-            raise UnknownPrincipal(p)
-    return label_leq(h, l1, label_join(l2, authority_label(authority)))
+    try:
+        return _subsumed(h, l1.policies, l2.policies, authority)
+    except KeyError as exc:
+        # Name the principal a full scan has always named: the authority,
+        # then l1, then l2 joined with the authority's owner-only label.
+        joined = label_join(l2, authority_label(authority)).policies
+        scan = chain(authority, *((p.owner, *p.readers) for p in chain(l1.policies, joined)))
+        raise UnknownPrincipal(next((n for n in scan if n not in h), exc.args[0])) from None
 
 
 @dataclass(frozen=True)

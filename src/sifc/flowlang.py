@@ -172,12 +172,24 @@ class StorePair:
         return StorePair(dict(self.left), dict(self.right))
 
 
+def _linear(e: Expr) -> tuple[int, tuple[str, ...]]:
+    """Flatten a sum into its constant and its variables; addition mod 2^16
+    is associative, so evaluating the flat sum gives the nested one.  The
+    walk keeps its own stack, so no sum is too deep for it."""
+    const, names, todo = 0, [], [e]
+    while todo:
+        e = todo.pop()
+        if isinstance(e, Const):
+            const += e.value
+        elif isinstance(e, Var):
+            names.append(e.name)
+        else:
+            todo += (e.rhs, e.lhs)
+    return const % VALUE_MODULUS, tuple(names)
+
+
 def expr_vars(e: Expr) -> set[str]:
-    if isinstance(e, Const):
-        return set()
-    if isinstance(e, Var):
-        return {e.name}
-    return expr_vars(e.lhs) | expr_vars(e.rhs)
+    return set(_linear(e)[1])
 
 
 @dataclass(frozen=True)
@@ -244,21 +256,6 @@ Step = tuple[int, str, int, "str | tuple[int, tuple[str, ...]]"]
 
 _SIDE = {"L": 0, "M": 1}
 _SIDE_NAMES = ("left", "right")
-
-
-def _linear(e: Expr) -> tuple[int, tuple[str, ...]]:
-    """Flatten a sum into its constant and its variables; addition mod 2^16
-    is associative, so evaluating the flat sum gives the nested one."""
-    const, names, todo = 0, [], [e]
-    while todo:
-        e = todo.pop()
-        if isinstance(e, Const):
-            const += e.value
-        elif isinstance(e, Var):
-            names.append(e.name)
-        else:
-            todo += (e.rhs, e.lhs)
-    return const % VALUE_MODULUS, tuple(names)
 
 
 def _compile(prog: Program) -> list[Step]:
@@ -694,10 +691,14 @@ def _parse_expr(src: str) -> Expr:
             expect_term = True
     if expect_term:
         raise ParseError(f"bad expression {src.strip()!r}")
-    out = terms[0]
-    for t in terms[1:]:
-        out = Add(out, t)
-    return out
+    # Pair up neighbours until one term is left: the tree is log2(terms) deep,
+    # so recursive walkers (dataclass equality, hash and repr among them)
+    # handle a sum of any length.  Addition is associative, so the shape does
+    # not change the value.
+    while len(terms) > 1:
+        paired = [Add(terms[i], terms[i + 1]) for i in range(0, len(terms) - 1, 2)]
+        terms = paired + terms[2 * len(paired):]
+    return terms[0]
 
 
 def store_pair_from_dict(data: Mapping) -> StorePair:

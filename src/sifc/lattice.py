@@ -250,9 +250,7 @@ def build_lattice(name: str, classes: Sequence[str],
     n = len(classes)
     index = {c: i for i, c in enumerate(classes)}
     up_rows = _closure_rows(n, ((index[lo], index[hi]) for lo, hi in cover_list))
-    # Down-sets are the converse relation: transpose the bit matrix by its digits.
-    digits = [format(u, f"0{n}b") for u in reversed(up_rows)]
-    down_rows = [int("".join(col), 2) for col in zip(*digits)][::-1]
+    down_rows = _transpose(up_rows)  # down-sets are the converse relation
 
     # The lowest mutual bit above i names the first cyclic (i < j) pair in declaration order.
     for i, (u, d) in enumerate(zip(up_rows, down_rows)):
@@ -304,6 +302,15 @@ def _closure_rows(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
             if rows[i] & bit:
                 rows[i] |= row_k
     return rows
+
+
+def _transpose(rows: Sequence[int]) -> list[int]:
+    """The converse of a relation on range(len(rows)) given by bit rows: bit
+    i of row j is set iff bit j of row i is.  Transposes the bit matrix by
+    its binary digits, one string per row."""
+    n = len(rows)
+    digits = [format(r, f"0{n}b") for r in reversed(rows)]
+    return [int("".join(col), 2) for col in zip(*digits)][::-1]
 
 
 def _members(mask: int, names: Sequence[str]) -> frozenset[str]:

@@ -228,3 +228,24 @@ def principal_map_pair():
     left = PrincipalsHierarchy(PM_LEFT_PRINCIPALS, PM_LEFT_EDGES)
     right = PrincipalsHierarchy(PM_RIGHT_PRINCIPALS, PM_RIGHT_EDGES)
     return PrincipalMapPair.check(left, right, PM_ALPHA, PM_GAMMA)
+
+
+def wide_principal_map_pair(copies: int = 12):
+    """`copies` disjoint renamed copies of `principal_map_pair` that share
+    TOP and BOT; twelve copies make 50 principals a side."""
+    from sifc.dlm import PrincipalMapPair, PrincipalsHierarchy
+
+    def rename(p, i):
+        return p if p in ("TOP", "BOT") else f"{p}_{i}"
+
+    def side(principals, edges):
+        return PrincipalsHierarchy(
+            [rename(p, i) for i in range(copies) for p in principals],
+            [(rename(p, i), rename(q, i)) for i in range(copies) for p, q in edges])
+
+    def table(m):
+        return {rename(p, i): rename(q, i) for i in range(copies) for p, q in m.items()}
+
+    return PrincipalMapPair.check(side(PM_LEFT_PRINCIPALS, PM_LEFT_EDGES),
+                                  side(PM_RIGHT_PRINCIPALS, PM_RIGHT_EDGES),
+                                  table(PM_ALPHA), table(PM_GAMMA))

@@ -367,3 +367,40 @@ def reference_ni_suite(decls, conn, programs: int, max_len: int, seed: int,
                     failures.append((p_idx, pair, trial_seed, result.distinguishing))
     return flowlang.NiSuiteReport(programs, tuple(pairs), draws, trials,
                                   tuple(failures), seed)
+
+
+# -- decentralized labels -------------------------------------------------------
+
+class BruteLabels:
+    """The relabeling order of Myers and Liskov (TOSEM 2000) by its
+    definition, over brute-force acts-for reachability; uses no library code.
+
+    A label is an iterable of policies (owner, readers).  Policy j subsumes
+    i iff j's owner acts for i's owner and every effective reader (reader or
+    owner) of j acts for some effective reader of i."""
+
+    def __init__(self, principals, edges):
+        names = list(principals) + [b for b in ("TOP", "BOT") if b not in principals]
+        self.acts = reach_table(names, [*edges, *(("TOP", p) for p in names),
+                                        *((p, "BOT") for p in names)])
+
+    def acts_for(self, p, q):
+        return q in self.acts[p]
+
+    def policy_leq(self, i, j):
+        (owner_i, readers_i), (owner_j, readers_j) = i, j
+        effective_i = {owner_i, *readers_i}
+        return self.acts_for(owner_j, owner_i) and all(
+            any(self.acts_for(rj, ri) for ri in effective_i) for rj in {owner_j, *readers_j})
+
+    def label_leq(self, l1, l2):
+        return all(any(self.policy_leq(i, j) for j in l2) for i in l1)
+
+    def declassify(self, authority, l1, l2):
+        """l1 flows to l2 plus an owner-only policy per authority principal."""
+        return self.label_leq(l1, [*l2, *((a, ()) for a in authority)])
+
+
+def brute_lift(table, label):
+    """Push every owner and reader of a label through a principal map."""
+    return [(table[owner], frozenset(table[r] for r in readers)) for owner, readers in label]

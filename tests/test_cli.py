@@ -230,6 +230,20 @@ def test_run_cli():
     assert v.details["final"]["right"]["mz2"] == 7
 
 
+def test_long_sums_typecheck_and_run(tmp_path, capsys):
+    # 1,200 terms: deeper than the interpreter's recursion limit as a chain.
+    terms = " + ".join(["a", "1"] * 600)
+    prog = tmp_path / "long.sif"
+    prog.write_text(f"var L a : Student internal\nt L {{ a := {terms} }}\n")
+    store = tmp_path / "store.json"
+    store.write_text(json.dumps({"left": {"a": 3}, "right": {}}))
+    conn = ["--connection", path("college-univ.json")]
+    assert main(["typecheck", str(prog), *conn]) == 0
+    assert json.loads(capsys.readouterr().out)["type"]["left"] == "Student"
+    assert main(["run", str(prog), "--store", str(store), *conn]) == 0
+    assert json.loads(capsys.readouterr().out)["final"]["left"] == {"a": 600 * 3 + 600}
+
+
 def test_ni_suite_cli_small():
     v = cli_dispatch(["ni-suite", path("pipeline.sif"),
                       "--connection", path("college-univ.json"),

@@ -19,8 +19,9 @@ from sifc.dlm import (AuthorityMismatch, CorollaryViolation, DlmError, Label,
 
 from sifc.connection import PartialMap
 
-from fixtures import principal_map_pair
-from oracles import BrutePoset, brute_lagois_violations, reach_table
+from fixtures import principal_map_pair, wide_principal_map_pair
+from oracles import (BruteLabels, BrutePoset, brute_lagois_violations, brute_lift,
+                     reach_table)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -284,8 +285,8 @@ def _converse_poset(h):
                       + [(p, "TOP") for p in names] + [("BOT", p) for p in names])
 
 
-def _random_cyclic_hierarchy(rng):
-    names = [f"p{i}" for i in range(rng.randint(1, 6))]
+def _random_cyclic_hierarchy(rng, max_names=6):
+    names = [f"p{i}" for i in range(rng.randint(1, max_names))]
     pool = names + ["TOP", "BOT"]
     return PrincipalsHierarchy(names, [(rng.choice(pool), rng.choice(pool))
                                        for _ in range(rng.randint(0, 2 * len(names)))])
@@ -459,3 +460,181 @@ def test_cross_declassify_detects_disagreement_off_transfer_scope(pm):
     with pytest.raises(CorollaryViolation):
         cross_declassify_check(pm, [], [], Label.of(policy("TOP")),
                                Label.of(policy("vice")))
+
+
+# -- the label order against its definition ---------------------------------------------
+
+def _principal_map_pairs(case):
+    """The fixture pair, the 50-principal wide pair, or 40 random cyclic
+    hierarchies, each connected to itself by a map into its acts-for classes."""
+    if case == "fixture":
+        return [principal_map_pair()]
+    if case == "wide":
+        return [wide_principal_map_pair()]
+    rng = random.Random(11)
+    out = []
+    for _ in range(40):
+        h = _random_cyclic_hierarchy(rng, max_names=12)
+        table = {p: rng.choice([q for q in h.principals if h.equiv(p, q)])
+                 for p in h.principals}
+        out.append(PrincipalMapPair.check(h, h, table, table))
+    return out
+
+
+def _brute(h):
+    return BruteLabels(h.principals, h.edges)
+
+
+def _draw(rng, names, max_readers=8):
+    """A random label as (owner, readers) pairs: up to four policies."""
+    return [(rng.choice(names), frozenset(rng.sample(names, rng.randint(0, min(max_readers,
+                                                                               len(names))))))
+            for _ in range(rng.randint(0, 4))]
+
+
+def _draw_above(rng, brute, names, base):
+    """A label the definition accepts from `base`, drawn over `names`, or
+    one reader off it."""
+    out = []
+    for owner, readers in base:
+        # Acts-for is reflexive: a principal outside `names` may stand for itself.
+        new = {rng.choice([p for p in names if brute.acts_for(p, r)] or [r])
+               for r in readers if rng.random() < 0.7}
+        out.append((rng.choice([p for p in names if brute.acts_for(p, owner)] or [owner]),
+                    frozenset(new)))
+    if out and rng.random() < 0.3:
+        owner, readers = out.pop(rng.randrange(len(out)))
+        out.append((owner, readers | {rng.choice(names)}))
+    return out
+
+
+def _label(pairs):
+    return Label(frozenset(Policy(o, frozenset(rs)) for o, rs in pairs))
+
+
+def _pairs_of(label):
+    return [(p.owner, p.readers) for p in label.policies]
+
+
+@pytest.mark.parametrize("case", ["fixture", "wide", "cyclic"])
+def test_label_order_matches_definition(case):
+    rng = random.Random(case)
+    verdicts = set()
+    for pm in _principal_map_pairs(case):
+        for h in (pm.left, pm.right):
+            brute, names = _brute(h), list(h.principals)
+            for _ in range(400 if case != "cyclic" else 20):
+                l1 = _draw(rng, names)
+                l2 = _draw_above(rng, brute, names, l1) if rng.random() < 0.5 \
+                    else _draw(rng, names)
+                a, b = _label(l1), _label(l2)
+                expected = brute.label_leq(l1, l2)
+                assert label_leq(h, a, b) == expected, (a, b)
+                verdicts.add(expected)
+                authority = rng.sample(names, rng.randint(0, 2))
+                assert declassify_check(h, authority, a, b) == \
+                    brute.declassify(authority, l1, l2), (authority, a, b)
+                for i in a.policies:
+                    for j in b.policies:
+                        assert policy_leq(h, i, j) == \
+                            brute.policy_leq((i.owner, i.readers), (j.owner, j.readers))
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("case", ["fixture", "wide", "cyclic"])
+def test_lift_and_cross_declassify_match_definition(case):
+    rng = random.Random(case)
+    for pm in _principal_map_pairs(case):
+        for direction in ("lr", "rl"):
+            near_h, far_h = (pm.left, pm.right) if direction == "lr" else (pm.right, pm.left)
+            push, pull = (pm.alpha, pm.gamma) if direction == "lr" else (pm.gamma, pm.alpha)
+            back = "rl" if direction == "lr" else "lr"
+            near_brute, far_brute = _brute(near_h), _brute(far_h)
+            buds = pm.budpoint_pairs()
+            near_buds = [p if direction == "lr" else q for p, q in buds]
+            far_buds = [q if direction == "lr" else p for p, q in buds]
+            for _ in range(200 if case != "cyclic" else 10):
+                on_buds = bool(buds) and rng.random() < 0.7
+                l1 = _draw(rng, near_buds if on_buds else list(near_h.principals))
+                l2 = _draw(rng, far_buds if on_buds else list(far_h.principals))
+                if rng.random() < 0.5:
+                    l2 = _draw_above(rng, far_brute, far_buds if on_buds
+                                     else list(far_h.principals), brute_lift(push, l1))
+                a, b = _label(l1), _label(l2)
+                assert lift_label(pm, direction, a) == _label(brute_lift(push, l1))
+                assert lift_label(pm, back, b) == _label(brute_lift(pull, l2))
+                chosen = rng.sample(buds, rng.randint(0, min(2, len(buds))))
+                auth_l, auth_r = [p for p, _ in chosen], [q for _, q in chosen]
+                auth_near, auth_far = (auth_l, auth_r) if direction == "lr" else (auth_r, auth_l)
+                near = near_brute.declassify(auth_near, l1, brute_lift(pull, l2))
+                far = far_brute.declassify(auth_far, brute_lift(push, l1), l2)
+                if near != far:
+                    with pytest.raises(CorollaryViolation):
+                        cross_declassify_check(pm, auth_l, auth_r, a, b, direction)
+                else:
+                    res = cross_declassify_check(pm, auth_l, auth_r, a, b, direction)
+                    assert (res.allowed, res.near_side, res.far_side) == (near, near, far)
+
+
+def _first_unknown(h, *policy_sets):
+    """The name the library has always reported: the first principal outside
+    h, scanning the sets in order, each policy's owner before its readers."""
+    for policies in policy_sets:
+        for pol in policies:
+            for name in (pol.owner, *pol.readers):
+                if name not in h:
+                    return name
+    return None
+
+
+def _plant_unknowns(rng, label):
+    """Replace owners or add readers outside every hierarchy."""
+    out = []
+    for owner, readers in label:
+        if rng.random() < 0.3:
+            owner = f"zz{rng.randrange(3)}"
+        if rng.random() < 0.3:
+            readers = readers | {f"zz{rng.randrange(3)}"}
+        out.append((owner, readers))
+    return out
+
+
+@pytest.mark.parametrize("case", ["fixture", "wide"])
+def test_unknown_principals_are_named_as_by_a_full_scan(case):
+    rng = random.Random(case)
+    pm = _principal_map_pairs(case)[0]
+    h, names = pm.left, list(pm.left.principals)
+    seen = 0
+    for _ in range(300):
+        a = _label(_plant_unknowns(rng, _draw(rng, names)))
+        b = _label(_plant_unknowns(rng, _draw(rng, names)))
+        authority = rng.sample(names + ["zz0", "zz9"], rng.randint(0, 2))
+        expected = _first_unknown(h, a.policies, b.policies)
+        if expected is not None:
+            seen += 1
+            with pytest.raises(UnknownPrincipal) as exc:
+                label_leq(h, a, b)
+            assert exc.value.name == expected
+        joined = b.policies | frozenset(Policy(p, frozenset()) for p in authority)
+        unknown_authority = [p for p in authority if p not in h]
+        expected = (unknown_authority[0] if unknown_authority
+                    else _first_unknown(h, a.policies, joined))
+        if expected is not None:
+            with pytest.raises(UnknownPrincipal) as exc:
+                declassify_check(h, authority, a, b)
+            assert exc.value.name == expected
+        expected = _first_unknown(h, a.policies)
+        if expected is not None:
+            with pytest.raises(UnknownPrincipal) as exc:
+                lift_label(pm, "lr", a)
+            assert exc.value.name == expected
+        # The far label is lifted before the near one is checked.
+        b_right = Label(frozenset(Policy(pm.alpha.get(p.owner, p.owner),
+                                         frozenset(pm.alpha.get(r, r) for r in p.readers))
+                                  for p in b.policies))
+        expected = _first_unknown(pm.right, b_right.policies) or _first_unknown(h, a.policies)
+        if expected is not None:
+            with pytest.raises(UnknownPrincipal) as exc:
+                cross_declassify_check(pm, [], [], a, b_right, "lr")
+            assert exc.value.name == expected
+    assert seen > 100

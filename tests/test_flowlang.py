@@ -121,6 +121,22 @@ def test_exec_wraps_values():
     assert out.left["lz1"] == 0
 
 
+def test_deep_sums_need_no_recursion(cu):
+    # Both far deeper than the interpreter's recursion limit as a chain.
+    chain = Var("lz1")
+    for _ in range(4_999):
+        chain = Add(chain, Const(1))
+    prog = Program(DECLS, (Txn("L", (("lz1", chain),)),))
+    typecheck(prog, cu)
+    init = zero_store(prog)
+    init.left["lz1"] = 5
+    assert exec_program(prog, init).left["lz1"] == 5 + 4_999
+    src = "var L a : Student internal\nt L { a := " + " + ".join(["a", "2"] * 2_500) + " }\n"
+    parsed, again = parse_program(src), parse_program(src)
+    assert parsed == again
+    assert hash(parsed.body[0]) == hash(again.body[0]) and repr(parsed)
+
+
 def test_exec_domain_preservation_and_frame():
     rng = random.Random(0)
     conn = fx.college_university()

@@ -422,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_dlm_lift)
 
     p = dlm_sub.add_parser("check-lifted",
-                           help="sample the lifted-connection laws")
+                           help="decide the lifted-connection laws")
     p.add_argument("file")
     p.add_argument("--samples", type=_count, default=500)
     p.add_argument("--seed", type=int, default=seed)

@@ -344,6 +344,13 @@ def check_tightness(conn: LagoisConnection) -> TightnessReport:
     budpoints, so meet(S) is one for every S by induction.  Given both, the
     meet of the budpoints above join(S) is a budpoint above it, hence the
     least one, and it is the round trip of join(S) by (a).
+
+    On every connection this module builds, the budpoints are the maps'
+    images, so (a) at the top and at each meet(x, y) of two budpoints implies
+    (b): each round trip is a budpoint, and (a) makes it equal to its
+    argument there.  (b) can
+    fail alone only on a hand-built LagoisConnection whose declared
+    budpoints are not those images, as in the tests' escaping-meet case.
     `subsets_checked` counts the subsets whose meet was checked: on each
     side the empty one and each pair.
     """

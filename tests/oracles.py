@@ -8,9 +8,12 @@ precomputed tables.
 from __future__ import annotations
 
 import random
-from itertools import combinations, product
+from functools import reduce
+from itertools import chain, combinations, product
+from operator import or_
 
 from sifc import flowlang
+from sifc.dlm import random_label
 from sifc.flowlang import Add, Const, Rd, StorePair, Trl, Txn, Var, Wr
 
 
@@ -404,3 +407,127 @@ class BruteLabels:
 def brute_lift(table, label):
     """Push every owner and reader of a label through a principal map."""
     return [(table[owner], frozenset(table[r] for r in readers)) for owner, readers in label]
+
+
+def related_label(rng, brute: BruteLabels, principals, base):
+    """A label above `base` in the relabeling order, by adding a policy,
+    dropping a reader, or moving an owner up to a principal acting for it."""
+    policies = set(base)
+    move = rng.randrange(3)
+    if move == 0 or not policies:
+        size = rng.randint(0, min(3, len(principals)))
+        policies.add((rng.choice(principals), frozenset(rng.sample(principals, size))))
+        return list(policies)
+    owner, readers = victim = rng.choice(sorted(policies, key=lambda p: (p[0], sorted(p[1]))))
+    if move == 1 and readers:
+        policies.discard(victim)
+        policies.add((owner, frozenset(sorted(readers)[1:])))
+    elif move == 2:
+        policies.discard(victim)
+        policies.add((rng.choice([p for p in principals if brute.acts_for(p, owner)]), readers))
+    return list(policies)
+
+
+def _lifted_sides(pm):
+    """(suffix, source oracle, target oracle, source principals, push, pull)
+    for the left-to-right laws ('a') and the right-to-left ones ('b')."""
+    left, right = (BruteLabels(h.principals, h.edges) for h in (pm.left, pm.right))
+    return (("a", left, right, list(pm.left.principals), pm.alpha, pm.gamma),
+            ("b", right, left, list(pm.right.principals), pm.gamma, pm.alpha))
+
+
+def sampled_lifted_failures(pm, samples: int, seed: int):
+    """The six lifted laws on sampled labels, by the definition: on each
+    side every owner-only singleton, the empty label and random labels up to
+    `samples`, each also against a related label above it for monotonicity.
+    Returns (property, label or (lower, upper)) per failure."""
+    rng = random.Random(seed)
+    failures = []
+    for suffix, src, dst, pool, push, pull in _lifted_sides(pm):
+        labels = [[(p, frozenset())] for p in pool] + [[]]
+        while len(labels) < samples:
+            labels.append([(p.owner, p.readers) for p in random_label(rng, pool).policies])
+        for lab in labels:
+            there = brute_lift(push, lab)
+            back = brute_lift(pull, there)
+            again = brute_lift(push, back)
+            if not src.label_leq(lab, back):
+                failures.append(("2" + suffix, lab))
+            if not (dst.label_leq(there, again) and dst.label_leq(again, there)):
+                failures.append(("3" + suffix, lab))
+            bigger = related_label(rng, src, pool, lab)
+            if src.label_leq(lab, bigger) and not dst.label_leq(there, brute_lift(push, bigger)):
+                failures.append(("1" + suffix, (lab, bigger)))
+    return failures
+
+
+def one_policy_order(brute: BruteLabels):
+    """`brute.label_leq` on labels of exactly one policy, as (key, leq).  A
+    key is (owner, E, U) with E the bit mask of the effective readers and U
+    that of the principals acting for one of them: (o, R) <= (o2, R2) iff o2
+    acts for o and E2 lies within U, which is the definition's inner `any`
+    gathered once per lower label."""
+    bit = {p: 1 << i for i, p in enumerate(brute.acts)}
+    up = {q: sum(bit[p] for p in bit if brute.acts_for(p, q)) for q in bit}
+
+    def key(label):
+        [(owner, readers)] = label
+        effective = {owner, *readers}
+        covered = 0
+        for r in effective:
+            covered |= up[r]
+        return owner, sum(bit[r] for r in effective), covered
+
+    def leq(lo, hi):
+        return brute.acts_for(hi[0], lo[0]) and not hi[1] & ~lo[2]
+
+    return key, leq
+
+
+def rows_above(brute: BruteLabels, keys):
+    """Per key, the bit set of the indices j with `leq(key, keys[j])` in the
+    order of `one_policy_order`: the keys whose owner acts for its owner,
+    less those with an effective reader it does not cover."""
+    owned, reading = {}, {}  # owner -> its keys; principal bit -> keys reading it
+    for j, (owner, effective, _) in enumerate(keys):
+        owned[owner] = owned.get(owner, 0) | 1 << j
+        while effective:
+            low = effective & -effective
+            reading[low] = reading.get(low, 0) | 1 << j
+            effective ^= low
+    above = {owner: reduce(or_, (mask for o, mask in owned.items() if brute.acts_for(o, owner)), 0)
+             for owner in owned}
+    uncovered = {covered: reduce(or_, (mask for b, mask in reading.items() if not b & covered), 0)
+                 for _, _, covered in keys}
+    return [above[owner] & ~uncovered[covered] for owner, _, covered in keys]
+
+
+def one_policy_lifted_failures(pm, max_readers: int | None = None) -> set[str]:
+    """The lifted laws that fail on some label of at most one policy (and at
+    most `max_readers` readers) over the principals of `pm`, by the
+    definition in the order of `one_policy_order`: 2a-3b on every such
+    label, 1a/1b on every pair of them, as one bit set per label of the
+    labels above it before and after lifting.  The empty label is left out
+    of the pairs: it is below every label and lifts to itself.  Exponential
+    in the principals unless `max_readers` is set."""
+    failed = set()
+    for suffix, src, dst, pool, push, pull in _lifted_sides(pm):
+        (src_key, src_leq), (dst_key, dst_leq) = one_policy_order(src), one_policy_order(dst)
+        most = len(pool) if max_readers is None else max_readers
+        heres, theres = [], []
+        for owner in pool:
+            for readers in chain.from_iterable(combinations(pool, k) for k in range(most + 1)):
+                label = [(owner, frozenset(readers))]
+                back = brute_lift(pull, brute_lift(push, label))
+                here, there = src_key(label), dst_key(brute_lift(push, label))
+                again = dst_key(brute_lift(push, back))
+                if not src_leq(here, src_key(back)):
+                    failed.add("2" + suffix)
+                if not (dst_leq(there, again) and dst_leq(again, there)):
+                    failed.add("3" + suffix)
+                heres.append(here)
+                theres.append(there)
+        if any(up & ~up_there for up, up_there in zip(rows_above(src, heres),
+                                                      rows_above(dst, theres))):
+            failed.add("1" + suffix)
+    return failed

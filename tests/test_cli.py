@@ -296,6 +296,19 @@ def test_dlm_check_lifted():
     assert v.details["failures"] == []
 
 
+def test_dlm_check_lifted_is_exact(capsys):
+    # --samples and --seed are echoed; the verdict and the counts of exact
+    # law evaluations do not depend on them.
+    reports = []
+    for samples, seed in (("500", "0"), ("3", "77")):
+        assert main(["dlm", "check-lifted", path("hierarchy-pm.json"),
+                     "--samples", samples, "--seed", seed]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == ('{"status":"pass","samples":500,"seed":0,"checks":{"1a":21,"1b":21,'
+                          '"2a":6,"2b":6,"3a":6,"3b":6},"failures":[]}\n')
+    assert reports[1] == reports[0].replace('"samples":500,"seed":0', '"samples":3,"seed":77')
+
+
 def test_dlm_declassify():
     yes = cli_dispatch(["dlm", "declassify", path("left-hierarchy.json"),
                         "{stu:}", "{}", "--authority", "stu"])

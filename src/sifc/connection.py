@@ -28,7 +28,7 @@ from itertools import combinations
 from operator import eq
 from typing import Container, Iterable, Mapping, Sequence
 
-from .lattice import Lattice, UnknownClass, _extrema, build_lattice
+from .lattice import Lattice, UnknownClass, _extrema, _restriction
 
 VIOLATION_CONDITIONS = ("Monotone-alpha", "Monotone-gamma",
                         "LC1", "LC2", "LC3", "LC4")
@@ -358,8 +358,11 @@ def check_tightness(conn: LagoisConnection) -> TightnessReport:
     checked = 0
     for side, view in (("left", conn), ("right", conn.transpose())):
         lat, budset = view.left, set(view.budpoints_left)
-        for c in lat.classes:
-            if view.round_trip_left(c) != lat.meet_all(budset & lat.upset(c)):
+        above = dict.fromkeys(lat.classes, lat.top)  # ends as the meet of the budpoints above c
+        for b in view.budpoints_left:
+            above.update((c, lat.meet(above[c], b)) for c in lat.downset(b))
+        for c, bound in above.items():
+            if view.round_trip_left(c) != bound:
                 failures.append(f"{side}:{c}: round trip is not the meet of "
                                 f"dominating budpoints")
         subsets = [(), *combinations(view.budpoints_left, 2)]
@@ -400,7 +403,7 @@ def find_adjoint(alpha: MonotoneMap) -> MonotoneMap:
         inf = right.meet_all(above)
         if inf not in above:
             raise AdjointError(2, (m,), f"image classes above it have no smallest member "
-                                        f"(minimal ones: {_extrema(above, right.upset)})")
+                                        f"(minimal ones: {_extrema(above, right.leq)})")
         least_above[m] = inf
 
     for m1 in image:
@@ -514,9 +517,7 @@ class Decomposition:
 
 def sublattice(lat: Lattice, subset: Iterable[str], name: str) -> Lattice:
     """The restriction of lat to subset, with the inherited order."""
-    subset = lat.sorted_by_index(set(subset))
-    covers = [(a, b) for a in subset for b in subset if a != b and lat.leq(a, b)]
-    return build_lattice(name, subset, covers)
+    return _restriction(lat, lat.sorted_by_index(set(subset)), name)
 
 
 def decompose(conn: LagoisConnection) -> Decomposition:

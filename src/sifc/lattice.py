@@ -1,22 +1,24 @@
-"""Finite bounded security lattices with precomputed order, join and meet tables.
+"""Finite bounded security lattices, kept as bit rows.
 
 A lattice is built from a class list and an arbitrary set of ordered pairs
 (lower, upper).  The pairs need not form a Hasse diagram; the reflexive-
-transitive closure is computed and redundant pairs are tolerated.  After
-construction every order query is a table lookup.
+transitive closure is computed and redundant pairs are tolerated.
 
-Construction uses the bit-vector encoding of Ait-Kaci et al. (TOPLAS 1989):
-up-sets are int bitmasks closed by Warshall over bit rows (O(n^2) big-int
-operations), and join(a, b) is the class whose up-set is up(a) & up(b), meets
-alike with down-sets, so the tables fill with O(n^2) dict lookups.
+Bit-vector encoding (Ait-Kaci et al., TOPLAS 1989): each class keeps its bit
+and its up-set and down-set as int masks, closed by Warshall over bit rows.
+leq is one mask test; join(a, b) is the class whose up-set is up(a) & up(b),
+meets alike.  A finite poset with a top and every pairwise meet is a lattice
+(Davey & Priestley, Introduction to Lattices and Order, 2002, ch. 2), so the
+top and one meet lookup per pair prove it.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from functools import reduce
 from itertools import compress
-from typing import Callable, Collection, Iterable, Mapping, Sequence
+from typing import Callable, Container, Iterable, Iterator, Mapping, NoReturn, Sequence
 
 CLASS_NAME_RE = re.compile(r"[A-Za-z0-9_()+-]+\Z")
 
@@ -66,87 +68,85 @@ class NotALattice(LatticeError):
 class Lattice:
     """A finite bounded lattice over named security classes.
 
-    Immutable after construction; `leq`, `join` and `meet` are pure table
-    reads.  Use :func:`build_lattice` to construct one.
+    Immutable after construction.  Each class keeps its bit and its closed up
+    row and down row as int masks; `leq` is one mask test, and `join`/`meet`
+    look up the class whose up (down) row is the AND of two rows.  Use
+    :func:`build_lattice`: this constructor takes closed, antisymmetric rows
+    and proves them a lattice by the top and every pairwise meet (Davey &
+    Priestley 2002, ch. 2), or raises NotALattice.
     """
 
     __slots__ = ("name", "classes", "covers", "top", "bottom",
-                 "_index", "_up", "_down", "_join", "_meet")
+                 "_bit", "_up", "_down", "_by_up", "_by_down")
 
     def __init__(self, name: str, classes: tuple[str, ...], covers: tuple[tuple[str, str], ...],
-                 up: dict[str, frozenset[str]], down: dict[str, frozenset[str]],
-                 join_table: dict[tuple[str, str], str], meet_table: dict[tuple[str, str], str],
-                 top: str, bottom: str):
-        self.name = name
-        self.classes = classes
-        self.covers = covers
-        self._index = {c: i for i, c in enumerate(classes)}
-        self._up = up
-        self._down = down
-        self._join = join_table
-        self._meet = meet_table
-        self.top = top
-        self.bottom = bottom
+                 up_rows: Sequence[int], down_rows: Sequence[int]):
+        # Antisymmetry makes the rows distinct, so each mask names one class.  The
+        # meet of a and b is the class whose down row is down(a) & down(b), if any.
+        by_up = dict(zip(up_rows, classes))
+        by_down = dict(zip(down_rows, classes))
+        everything = (1 << len(classes)) - 1
+        if everything not in by_down or not all(
+                all(map(by_down.__contains__, map(d.__and__, down_rows[i + 1:])))
+                for i, d in enumerate(down_rows)):
+            _raise_missing_bound(classes, up_rows, down_rows, by_up, by_down)
+        self.name, self.classes, self.covers = name, classes, covers
+        self._bit = {c: 1 << i for i, c in enumerate(classes)}
+        self._up = dict(zip(classes, up_rows))
+        self._down = dict(zip(classes, down_rows))
+        self._by_up, self._by_down = by_up, by_down
+        self.top, self.bottom = by_down[everything], by_up[everything]
 
     # -- queries ----------------------------------------------------------
 
     def __contains__(self, name: str) -> bool:
-        return name in self._index
+        return name in self._bit
 
     def __len__(self) -> int:
         return len(self.classes)
 
     def index(self, name: str) -> int:
         try:
-            return self._index[name]
+            return self._bit[name].bit_length() - 1
         except KeyError:
             raise UnknownClass(name, self.name) from None
 
     def leq(self, a: str, b: str) -> bool:
         """True iff a is permitted to flow to b (a is below-or-equal b)."""
-        up = self._up
-        ua = up.get(a)
-        if ua is None:
-            raise UnknownClass(a, self.name)
-        if b not in up:
-            raise UnknownClass(b, self.name)
-        return b in ua
+        try:
+            return self._up[a] & self._bit[b] != 0
+        except KeyError as exc:
+            raise UnknownClass(exc.args[0], self.name) from None
 
     def join(self, a: str, b: str) -> str:
         try:
-            return self._join[(a, b)]
-        except KeyError:
-            raise UnknownClass(a if a not in self._index else b, self.name) from None
+            return self._by_up[self._up[a] & self._up[b]]
+        except KeyError as exc:
+            raise UnknownClass(exc.args[0], self.name) from None
 
     def meet(self, a: str, b: str) -> str:
         try:
-            return self._meet[(a, b)]
-        except KeyError:
-            raise UnknownClass(a if a not in self._index else b, self.name) from None
+            return self._by_down[self._down[a] & self._down[b]]
+        except KeyError as exc:
+            raise UnknownClass(exc.args[0], self.name) from None
 
     def join_all(self, items: Iterable[str]) -> str:
-        out = self.bottom
-        for c in items:
-            out = self.join(out, c)
-        return out
+        return reduce(self.join, items, self.bottom)
 
     def meet_all(self, items: Iterable[str]) -> str:
-        out = self.top
-        for c in items:
-            out = self.meet(out, c)
-        return out
+        return reduce(self.meet, items, self.top)
 
     def upset(self, a: str) -> frozenset[str]:
         """All classes above-or-equal a."""
-        try:
-            return self._up[a]
-        except KeyError:
-            raise UnknownClass(a, self.name) from None
+        return self._set(self._up, a)
 
     def downset(self, a: str) -> frozenset[str]:
         """All classes below-or-equal a."""
+        return self._set(self._down, a)
+
+    def _set(self, rows: Mapping[str, int], a: str) -> frozenset[str]:
         try:
-            return self._down[a]
+            return frozenset(_members(rows[a], self.classes))
         except KeyError:
             raise UnknownClass(a, self.name) from None
 
@@ -157,7 +157,7 @@ class Lattice:
     # -- structure --------------------------------------------------------
 
     def order_pairs(self) -> frozenset[tuple[str, str]]:
-        return frozenset((a, b) for a in self.classes for b in self._up[a])
+        return frozenset((a, b) for a, u in self._up.items() for b in _members(u, self.classes))
 
     def __eq__(self, other) -> bool:
         # Structural: same class set and same order.  The display name and the
@@ -166,11 +166,10 @@ class Lattice:
             return True
         if not isinstance(other, Lattice):
             return NotImplemented
-        return (set(self.classes) == set(other.classes)
-                and self.order_pairs() == other.order_pairs())
+        return self._bit.keys() == other._bit.keys() and self.order_pairs() == other.order_pairs()
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.classes))
+        return hash(frozenset(self._bit))
 
     def __repr__(self) -> str:
         return f"Lattice({self.name!r}, {len(self.classes)} classes)"
@@ -236,16 +235,13 @@ def build_lattice(name: str, classes: Sequence[str],
             raise DuplicateClass(c)
         seen.add(c)
 
-    cover_list: list[tuple[str, str]] = []
-    cover_seen = set()
+    pairs = []
     for lo, hi in covers:
-        if lo not in seen:
-            raise UnknownClass(lo, f"covers of lattice {name!r}")
-        if hi not in seen:
-            raise UnknownClass(hi, f"covers of lattice {name!r}")
-        if (lo, hi) not in cover_seen:
-            cover_seen.add((lo, hi))
-            cover_list.append((lo, hi))
+        for c in (lo, hi):
+            if c not in seen:
+                raise UnknownClass(c, f"covers of lattice {name!r}")
+        pairs.append((lo, hi))
+    cover_list = tuple(dict.fromkeys(pairs))  # first occurrences, in order
 
     n = len(classes)
     index = {c: i for i, c in enumerate(classes)}
@@ -259,34 +255,37 @@ def build_lattice(name: str, classes: Sequence[str],
             j = i + (mutual & -mutual).bit_length()
             raise CycleError((classes[i], classes[j]))
 
-    up = {c: _members(u, classes) for c, u in zip(classes, up_rows)}
-    down = {c: _members(d, classes) for c, d in zip(classes, down_rows)}
+    return Lattice(name, classes, cover_list, up_rows, down_rows)
 
-    # Antisymmetry makes the rows distinct, so each mask names one class.  A
-    # least upper bound of a and b is exactly a class whose up-set is the set
-    # of common upper bounds, so a lookup miss means "not a lattice".
-    by_up = dict(zip(up_rows, classes))
-    by_down = dict(zip(down_rows, classes))
-    join_table: dict[tuple[str, str], str] = {}
-    meet_table: dict[tuple[str, str], str] = {}
+
+def _restriction(lat: Lattice, subset: Sequence[str], name: str) -> Lattice:
+    """lat restricted to subset (in lat's order), covered by every strict order
+    pair.  Each row keeps the subset's digits of the parent's row: the order
+    stays closed and antisymmetric, so only lattice-ness is left to prove."""
+    n = len(lat.classes)
+    at = [n - 1 - lat.index(c) for c in reversed(subset)]  # digits, most significant first
+    up_rows, down_rows = ([int("0" + "".join(map(format(rows[c], f"0{n}b").__getitem__, at)), 2)
+                           for c in subset] for rows in (lat._up, lat._down))
+    covers = tuple((a, b) for a, u in zip(subset, up_rows) for b in _members(u, subset) if b != a)
+    return Lattice(name, tuple(subset), covers, up_rows, down_rows)
+
+
+def _raise_missing_bound(classes: Sequence[str], up_rows: Sequence[int], down_rows: Sequence[int],
+                         by_up: Container[int], by_down: Container[int]) -> NoReturn:
+    """Raise NotALattice for the first pair (i <= j) in declaration order,
+    join checked before meet, that lacks a least upper or greatest lower
+    bound, naming its minimal common upper (maximal common lower) bounds."""
+    bounds = (("join", up_rows, by_up), ("meet", down_rows, by_down))
     for i, a in enumerate(classes):
-        ua, da = up_rows[i], down_rows[i]
-        for j in range(i, n):
-            b = classes[j]
-            lub = by_up.get(ua & up_rows[j])
-            if lub is None:
-                raise NotALattice("join", (a, b),
-                                  tuple(sorted(_extrema(up[a] & up[b], up.get))))
-            join_table[(a, b)] = join_table[(b, a)] = lub
-            glb = by_down.get(da & down_rows[j])
-            if glb is None:
-                raise NotALattice("meet", (a, b),
-                                  tuple(sorted(_extrema(down[a] & down[b], down.get))))
-            meet_table[(a, b)] = meet_table[(b, a)] = glb
-
-    everything = (1 << n) - 1
-    return Lattice(name, classes, tuple(cover_list), up, down,
-                   join_table, meet_table, by_down[everything], by_up[everything])
+        for j in range(i, len(classes)):
+            for kind, rows, by_row in bounds:
+                common = rows[i] & rows[j]
+                if common not in by_row:
+                    below = lambda v, u: rows[v] >> u & 1  # v <= u, dually for meets
+                    extrema = _extrema([k for k in range(len(classes)) if common >> k & 1], below)
+                    raise NotALattice(kind, (a, classes[j]),
+                                      tuple(sorted(classes[k] for k in extrema)))
+    raise LatticeError("a lattice needs at least one class")  # no pair lacks a bound, no top
 
 
 def _closure_rows(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
@@ -313,15 +312,15 @@ def _transpose(rows: Sequence[int]) -> list[int]:
     return [int("".join(col), 2) for col in zip(*digits)][::-1]
 
 
-def _members(mask: int, names: Sequence[str]) -> frozenset[str]:
-    """The names whose index bit is set in mask."""
-    return frozenset(compress(names, map("1".__eq__, reversed(bin(mask)))))
+def _members(mask: int, names: Sequence[str]) -> Iterator[str]:
+    """The names whose index bit is set in mask, in index order."""
+    return compress(names, map("1".__eq__, reversed(bin(mask))))
 
 
-def _extrema(items: Collection[str], up: Callable[[str], frozenset[str]]) -> list[str]:
-    """The minimal elements of items, in input order, given each element's
-    up-set; passing down-sets instead yields the maximal elements."""
-    return [u for u in items if not any(v != u and u in up(v) for v in items)]
+def _extrema(items: Sequence, below: Callable[[object, object], object]) -> list:
+    """The minimal elements of items, in input order, where below(v, u) says
+    v <= u; passing the converse order yields the maximal elements."""
+    return [u for u in items if not any(v != u and below(v, u) for v in items)]
 
 
 def load_lattice(path: str) -> Lattice:

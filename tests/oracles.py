@@ -1,8 +1,9 @@
 """Independent brute-force oracles used to cross-check the library.
 
 Everything here recomputes order structure from raw class lists and cover
-pairs with plain DFS/enumeration, deliberately avoiding the library's
-precomputed tables.
+pairs with plain DFS/enumeration, deliberately avoiding the library's bit
+rows.  The one exception, `reference_sublattice`, rebuilds a restriction
+through `build_lattice` as the reference for `connection.sublattice`.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from operator import or_
 from sifc import flowlang
 from sifc.dlm import random_label
 from sifc.flowlang import Add, Const, Rd, StorePair, Trl, Txn, Var, Wr
+from sifc.lattice import build_lattice
 
 
 def reach_table(classes, covers) -> dict[str, set[str]]:
@@ -99,6 +101,15 @@ def brute_lattice_error(classes, covers):
                 return ("meet", (a, b), tuple(sorted(
                     u for u in lbs if not any(v != u and v in reach[u] for v in lbs))))
     return None
+
+
+def reference_sublattice(lat, subset, name):
+    """The restriction of lat to subset, rebuilt from scratch: build_lattice
+    over every strict leq pair of the subset, in lat's declaration order.
+    connection.sublattice keeps the subset's digits of lat's rows instead."""
+    subset = lat.sorted_by_index(set(subset))
+    covers = [(a, b) for a in subset for b in subset if a != b and lat.leq(a, b)]
+    return build_lattice(name, subset, covers)
 
 
 class BrutePoset:

@@ -1,7 +1,9 @@
 """Verification, synthesis, composition, decomposition and maintenance of
 connections between two lattices."""
 
+import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -11,15 +13,15 @@ from sifc.connection import (AdjointError, CoarsenError, ComposeError,
                              check_connection, check_tightness, coarsen,
                              compose, connection_violations, decompose,
                              budpoint_representative, find_adjoint,
-                             identity_connection, semi_inverse_connection)
-from sifc.lattice import build_lattice
+                             identity_connection, semi_inverse_connection, sublattice)
+from sifc.lattice import NotALattice, UnknownClass, build_lattice
 
 import fixtures as fx
 from gen import (find_order_iso, random_closure, random_connection,
-                 random_lattice, random_monotone_map)
+                 random_lattice, random_lattice_exact, random_monotone_map)
 from oracles import (BrutePoset, brute_adjoints_exhaustive,
                      brute_adjoints_monotone, brute_lagois_violations,
-                     brute_tightness_passed)
+                     brute_tightness_passed, reference_sublattice)
 
 
 @pytest.fixture(scope="module")
@@ -582,6 +584,46 @@ def test_decompose_round_trip_random():
             assert dec.recomposed_alpha(l) == conn.alpha(l)
         for m in conn.right.classes:
             assert dec.recomposed_gamma(m) == conn.gamma(m)
+
+
+def _assert_sublattice_matches_reference(lat, subset) -> str:
+    """sublattice builds what reference_sublattice builds (classes, covers,
+    order, top, bottom and every query) or raises its exact NotALattice;
+    returns "lattice", "join" or "meet"."""
+    try:
+        expected = reference_sublattice(lat, subset, "sub")
+    except NotALattice as exc:
+        with pytest.raises(NotALattice) as got:
+            sublattice(lat, subset, "sub")
+        assert (got.value.kind, got.value.pair, got.value.candidates, str(got.value)) == \
+            (exc.kind, exc.pair, exc.candidates, str(exc))
+        return exc.kind
+    got = sublattice(lat, subset, "sub")
+    assert (got.name, got.classes, got.covers, got.top, got.bottom) == \
+        (expected.name, expected.classes, expected.covers, expected.top, expected.bottom)
+    assert got.order_pairs() == expected.order_pairs()
+    for a, b in itertools.product(got.classes, repeat=2):
+        assert (got.leq(a, b), got.join(a, b), got.meet(a, b)) == \
+            (expected.leq(a, b), expected.join(a, b), expected.meet(a, b))
+    return "lattice"
+
+
+def test_sublattice_matches_reference_construction():
+    # A meet-closed subset that holds the top is a lattice; an arbitrary
+    # subset often is not, and must fail naming the reference's first pair.
+    rng = random.Random(29)
+    outcomes = Counter()
+    for _ in range(120):
+        lat = random_lattice_exact(rng, rng.randint(1, 40))
+        picked = set(rng.sample(lat.classes, rng.randint(1, len(lat))))
+        closed = picked | {lat.top}
+        while more := {lat.meet(a, b) for a in closed for b in closed} - closed:
+            closed |= more
+        assert _assert_sublattice_matches_reference(lat, closed) == "lattice"
+        outcomes[_assert_sublattice_matches_reference(lat, picked)] += 1
+    assert set(outcomes) == {"lattice", "join", "meet"}, outcomes
+    with pytest.raises(UnknownClass):
+        sublattice(fx.college(), ["top1", "nope"], "sub")
 
 
 # -- maintenance -----------------------------------------------------------------

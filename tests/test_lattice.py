@@ -198,6 +198,7 @@ def _assert_matches_oracle(lat, classes, covers):
     classes = list(classes)
     reach = reach_table(classes, covers)
     for a in classes:
+        assert type(lat.upset(a)) is type(lat.downset(a)) is frozenset
         assert lat.upset(a) == reach[a]
         assert lat.downset(a) == {c for c in classes if a in reach[c]}
     for a, b in itertools.product(classes, repeat=2):
@@ -257,24 +258,70 @@ def test_kernel_outcome_matches_oracle_on_random_posets(seed):
         covers = _random_covers(rng, names, density=rng.choice((0.05, 0.2, 0.5, 0.9)),
                                 back=rng.choice((0.0, 0.0, 0.002, 0.02)),
                                 loops=rng.choice((0.0, 0.1)), dups=rng.choice((0.0, 0.3)))
-        expected = brute_lattice_error(names, covers)
-        if expected is None:
-            outcomes["lattice"] += 1
-            _assert_matches_oracle(build_lattice("p", names, covers), names, covers)
-            continue
-        kind, pair, candidates = expected
-        outcomes[kind] += 1
-        if kind == "cycle":
-            with pytest.raises(CycleError) as exc:
-                build_lattice("p", names, covers)
-            assert str(exc.value) == str(CycleError(pair))
-        else:
-            with pytest.raises(NotALattice) as exc:
-                build_lattice("p", names, covers)
-            assert (exc.value.kind, exc.value.candidates) == (kind, candidates)
-            assert str(exc.value) == str(NotALattice(kind, pair, candidates))
-        assert exc.value.pair == pair
+        outcomes[_assert_outcome_matches_oracle(names, covers)] += 1
     assert set(outcomes) == {"lattice", "cycle", "join", "meet"}, outcomes
+
+
+def _assert_outcome_matches_oracle(classes, covers) -> str:
+    """build_lattice raises exactly the error brute_lattice_error names (type,
+    kind, pair, candidates and message) or builds the oracle's lattice; returns
+    the outcome's kind ("lattice", "cycle", "join" or "meet")."""
+    expected = brute_lattice_error(classes, covers)
+    if expected is None:
+        _assert_matches_oracle(build_lattice("p", classes, covers), classes, covers)
+        return "lattice"
+    kind, pair, candidates = expected
+    if kind == "cycle":
+        with pytest.raises(CycleError) as exc:
+            build_lattice("p", classes, covers)
+        assert str(exc.value) == str(CycleError(pair))
+    else:
+        with pytest.raises(NotALattice) as exc:
+            build_lattice("p", classes, covers)
+        assert type(exc.value) is NotALattice
+        assert (exc.value.kind, exc.value.candidates) == (kind, candidates)
+        assert str(exc.value) == str(NotALattice(kind, pair, candidates))
+    assert exc.value.pair == pair
+    return kind
+
+
+# The meets-only proof: a finite poset with a top in which every pair has a
+# meet is a lattice.  Each case below breaks one half of that, and the
+# fallback scan must still name the oracle's first pair.
+
+def test_every_meet_but_no_top_is_not_a_lattice():
+    # Two maximal classes over a common bottom: every pair has a meet, and
+    # the maximal pair has no common upper bound at all.
+    classes, covers = ["x", "b", "y"], [("b", "x"), ("b", "y")]
+    assert brute_lattice_error(classes, covers) == ("join", ("x", "y"), ())
+    assert _assert_outcome_matches_oracle(classes, covers) == "join"
+
+
+def test_top_and_every_join_but_a_missing_meet_is_not_a_lattice():
+    # Two minimal classes under a top: every join exists, and the pair that
+    # lacks a meet is the last one the proof reaches.
+    classes, covers = ["t", "c", "d"], [("c", "t"), ("d", "t")]
+    assert brute_lattice_error(classes, covers) == ("meet", ("c", "d"), ())
+    assert _assert_outcome_matches_oracle(classes, covers) == "meet"
+
+
+def test_missing_meet_found_by_the_proof_reported_as_the_first_missing_join():
+    # Top and bottom exist, c and d (the last pair) have two maximal common
+    # lower bounds; the scan reaches the pair (a, b) first, which lacks a join.
+    classes = ["0", "t", "a", "b", "c", "d"]
+    covers = [("0", "a"), ("0", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"),
+              ("c", "t"), ("d", "t")]
+    assert brute_lattice_error(classes, covers) == ("join", ("a", "b"), ("c", "d"))
+    assert _assert_outcome_matches_oracle(classes, covers) == "join"
+
+
+def test_one_class_lattice_matches_oracle():
+    assert _assert_outcome_matches_oracle(["x"], []) == "lattice"
+    assert _assert_outcome_matches_oracle(["x"], [("x", "x")]) == "lattice"
+    lat = build_lattice("unit", ["x"], [("x", "x")])
+    assert (lat.top, lat.bottom, lat.covers) == ("x", "x", (("x", "x"),))
+    assert lat.upset("x") == lat.downset("x") == frozenset({"x"})
+    assert lat.order_pairs() == {("x", "x")}
 
 
 def test_cycle_error_names_first_pair_in_declaration_order():

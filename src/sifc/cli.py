@@ -291,7 +291,13 @@ def _cmd_dlm_check_lifted(args) -> Verdict:
 
 
 def _split_principals(raw: str) -> list[str]:
-    return [p for p in (piece.strip() for piece in raw.split(",")) if p]
+    """A comma-separated principal list; a blank one names no principal."""
+    if not raw.strip():
+        return []
+    names = [piece.strip() for piece in raw.split(",")]
+    if "" in names:
+        raise DlmError(f"empty principal name in {raw!r}")
+    return names
 
 
 def _cmd_dlm_declassify(args) -> Verdict:

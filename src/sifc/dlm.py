@@ -16,7 +16,11 @@ every effective reader of j then acts for some effective reader of i.  The
 masks are built per call from the labels, in O(readers) dict reads per
 policy.  An unknown principal surfaces as a missing key, read in the order
 the principals were always checked: the first label before the second, each
-policy's owner before its readers.
+policy's owner before its readers.  A cross-domain decision reads its masks
+through the principal maps: a connection keeps each hierarchy's bit, row and
+column dicts keyed by the other side's principals through alpha or gamma,
+built once in O(principals), so lifting a policy costs the same dict reads
+as reading it at home and no lifted label is built.
 
 A connection between two hierarchies is checked by the same law evaluator as
 one between two lattices (`sifc.connection`), reading p <= q as "q acts for
@@ -35,6 +39,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
@@ -196,13 +201,11 @@ def _masks(policies: Iterable[Policy], owners: Mapping[str, int],
     return out
 
 
-def _subsumed(h: PrincipalsHierarchy, lower: Iterable[Policy],
-              upper: Iterable[Policy], authority: Sequence[str] = ()) -> bool:
-    """Every lower policy is subsumed by some upper policy or by an
-    owner-only policy of a principal in `authority`.  The lower policies are
-    read first."""
-    below = _masks(lower, h._bit, h._col)
-    above = _masks(upper, h._row, h._bit) + [(h._row[p], h._bit[p]) for p in authority]
+def _subsumed(below: list[tuple[int, int]], above: list[tuple[int, int]]) -> bool:
+    """The one decision loop: every lower policy (bit, U) is subsumed by some
+    upper policy (row, E), i.e. row & bit != 0 and E & ~U == 0.  Both lists
+    come from `_masks`; an authority adds its owner-only policies to `above`
+    as (row, bit)."""
     for owner, cover in below:
         for row, readers in above:
             if row & owner and not readers & ~cover:
@@ -220,7 +223,8 @@ def policy_leq(h: PrincipalsHierarchy, i: Policy, j: Policy) -> bool:
 
 def label_leq(h: PrincipalsHierarchy, l1: Label, l2: Label) -> bool:
     try:
-        return _subsumed(h, l1.policies, l2.policies)
+        return _subsumed(_masks(l1.policies, h._bit, h._col),
+                         _masks(l2.policies, h._row, h._bit))
     except KeyError as exc:
         raise UnknownPrincipal(exc.args[0]) from None
 
@@ -236,7 +240,8 @@ def label_join(l1: Label, l2: Label) -> Label:
 # -- label literals -------------------------------------------------------------
 
 def parse_label(src: str) -> Label:
-    """Parse '{o1: r1, r2; o2: r4}'; '{}' is the empty label, '{o:}' owner-only."""
+    """Parse '{o1: r1, r2; o2: r4}'; '{}' is the empty label, '{o:}' owner-only.
+    A non-blank reader list names a principal between every two commas."""
     text = src.strip()
     if not (text.startswith("{") and text.endswith("}")):
         raise LabelSyntaxError(f"label must be brace-delimited: {src!r}")
@@ -251,14 +256,12 @@ def parse_label(src: str) -> Label:
         owner = owner.strip()
         if not PRINCIPAL_RE.match(owner):
             raise LabelSyntaxError(f"bad owner {owner!r}")
-        readers = []
-        for r in readers_src.split(","):
-            r = r.strip()
+        readers = [r.strip() for r in readers_src.split(",")] if readers_src.strip() else []
+        for r in readers:
             if not r:
-                continue
+                raise LabelSyntaxError(f"empty reader name in {part.strip()!r}")
             if not PRINCIPAL_RE.match(r):
                 raise LabelSyntaxError(f"bad reader {r!r}")
-            readers.append(r)
         policies.append(Policy(owner, frozenset(readers)))
     return Label(frozenset(policies))
 
@@ -294,7 +297,9 @@ def hierarchy_violations(left: PrincipalsHierarchy, right: PrincipalsHierarchy,
 
 @dataclass(frozen=True)
 class PrincipalMapPair:
-    """A verified connection between two principals hierarchies."""
+    """A verified connection between two principals hierarchies.  The maps
+    are composed with the hierarchies' masks at the first cross-domain
+    decision and kept, so a pair's maps must not change after that."""
     left: PrincipalsHierarchy
     right: PrincipalsHierarchy
     alpha: Mapping[str, str]
@@ -311,6 +316,20 @@ class PrincipalMapPair:
     def budpoint_pairs(self) -> list[tuple[str, str]]:
         return [(p, self.alpha[p]) for p in self.left.principals
                 if self.gamma[self.alpha[p]] == p]
+
+    @cached_property
+    def _through(self) -> dict[str, tuple[dict, dict, dict]]:
+        """Per direction, the far hierarchy's bit, row and column dicts keyed
+        by the near principals through the map ('lr': alpha into right), in
+        O(principals).  A principal that the map leaves out or sends outside
+        the far hierarchy has no key, so reading it raises KeyError."""
+        out = {}
+        for direction, table, far in (("lr", self.alpha, self.right),
+                                      ("rl", self.gamma, self.left)):
+            sent = [(p, q) for p, q in table.items() if q in far]
+            out[direction] = tuple({p: masks[q] for p, q in sent}
+                                   for masks in (far._bit, far._row, far._col))
+        return out
 
 
 def lift_label(pm: PrincipalMapPair, direction: str, label: Label) -> Label:
@@ -396,7 +415,9 @@ def declassify_check(h: PrincipalsHierarchy, authority: Iterable[str],
     True iff l1 flows to l2 joined with the authority's owner-only label."""
     authority = list(authority)
     try:
-        return _subsumed(h, l1.policies, l2.policies, authority)
+        return _subsumed(_masks(l1.policies, h._bit, h._col),
+                         _masks(l2.policies, h._row, h._bit)
+                         + [(h._row[p], h._bit[p]) for p in authority])
     except KeyError as exc:
         # Name the principal a full scan has always named: the authority,
         # then l1, then l2 joined with the authority's owner-only label.
@@ -426,6 +447,10 @@ def cross_declassify_check(pm: PrincipalMapPair,
     verdicts must agree when the authority sets mirror each other and the
     labels stay on transfer principals; disagreement raises
     CorollaryViolation.
+
+    Each side is decided on masks, l2 (near) or l1 (far) read through the
+    maps by `PrincipalMapPair._through`, as `declassify_check` decides the
+    labels `lift_label` builds; an unknown principal is named as they name it.
     """
     a_left = sorted(set(authority_left))
     a_right = sorted(set(authority_right))
@@ -443,13 +468,28 @@ def cross_declassify_check(pm: PrincipalMapPair,
                                 "the left authority")
 
     if direction == "lr":
-        near = declassify_check(pm.left, a_left, l1, lift_label(pm, "rl", l2))
-        far = declassify_check(pm.right, a_right, lift_label(pm, "lr", l1), l2)
+        near_h, far_h, a_near, a_far, back = pm.left, pm.right, a_left, a_right, "rl"
     elif direction == "rl":
-        near = declassify_check(pm.right, a_right, l1, lift_label(pm, "lr", l2))
-        far = declassify_check(pm.left, a_left, lift_label(pm, "rl", l1), l2)
+        near_h, far_h, a_near, a_far, back = pm.right, pm.left, a_right, a_left, "lr"
     else:
         raise ValueError(f"direction must be 'lr' or 'rl', got {direction!r}")
+    push_bit, _, push_col = pm._through[direction]
+    _, pull_row, pull_bit = pm._through[back]
+
+    try:
+        near = _subsumed(_masks(l1.policies, near_h._bit, near_h._col),
+                         _masks(l2.policies, pull_row, pull_bit)
+                         + [(near_h._row[p], near_h._bit[p]) for p in a_near])
+        far = _subsumed(_masks(l1.policies, push_bit, push_col),
+                        _masks(l2.policies, far_h._row, far_h._bit)
+                        + [(far_h._row[p], far_h._bit[p]) for p in a_far])
+    except KeyError:
+        # Name the unknown principal as the lifted labels always have: l2
+        # pulled back, the near check, l1 pushed forward, the far check.  If
+        # they name none, the KeyError is a bug here and propagates.
+        declassify_check(near_h, a_near, l1, lift_label(pm, back, l2))
+        declassify_check(far_h, a_far, lift_label(pm, direction, l1), l2)
+        raise
 
     if near != far:
         raise CorollaryViolation(

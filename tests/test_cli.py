@@ -281,6 +281,13 @@ def test_dlm_label_leq():
     bad = cli_dispatch(["dlm", "label-leq", path("left-hierarchy.json"),
                         "{fac:}", "{stu:}"])
     assert bad.exit_code == 1 and bad.details["holds"] is False
+    # An empty name in a non-blank reader list is an input error, not dropped.
+    for label in ("{stu: fac,,}", "{stu:,}", "{stu: ,fac}"):
+        empty = cli_dispatch(["dlm", "label-leq", path("left-hierarchy.json"), label, "{fac:}"])
+        assert empty.exit_code == 2 and empty.details["error"] == "LabelSyntaxError"
+    owner_only = cli_dispatch(["dlm", "label-leq", path("left-hierarchy.json"),
+                               "{fac: }", "{fac:}"])
+    assert owner_only.exit_code == 0 and owner_only.details["holds"] is True
 
 
 def test_dlm_lift():
@@ -316,6 +323,13 @@ def test_dlm_declassify():
     no = cli_dispatch(["dlm", "declassify", path("left-hierarchy.json"),
                        "{stu:}", "{}"])
     assert no.exit_code == 1 and no.details["allowed"] is False
+    blank = cli_dispatch(["dlm", "declassify", path("left-hierarchy.json"),
+                          "{stu:}", "{}", "--authority", " "])
+    assert blank.exit_code == 1 and blank.details["allowed"] is False
+    for authority in ("stu,,", ",stu", "stu, ,fac"):
+        empty = cli_dispatch(["dlm", "declassify", path("left-hierarchy.json"),
+                              "{stu:}", "{}", "--authority", authority])
+        assert empty.exit_code == 2 and empty.details["error"] == "DlmError"
 
 
 def test_dlm_cross_declassify():
@@ -328,6 +342,15 @@ def test_dlm_cross_declassify():
                              "{fac:}", "{}", "--authority-left", "fac",
                              "--authority-right", "uni_dean"])
     assert mismatch.exit_code == 2
+    for left, right in (("fac,,", "uni_fac"), ("fac", ",uni_fac")):
+        empty = cli_dispatch(["dlm", "cross-declassify", path("hierarchy-pm.json"),
+                              "{fac:}", "{}", "--authority-left", left,
+                              "--authority-right", right])
+        assert empty.exit_code == 2 and empty.details["error"] == "DlmError"
+    blank = cli_dispatch(["dlm", "cross-declassify", path("hierarchy-pm.json"),
+                          "{fac:}", "{}", "--authority-left", "",
+                          "--authority-right", " "])
+    assert blank.exit_code == 1 and blank.details["allowed"] is False
 
 
 # -- report mechanics ------------------------------------------------------------------

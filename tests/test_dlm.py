@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sifc.dlm
 from sifc.dlm import (AuthorityMismatch, CorollaryViolation, DlmError, Label,
                       LabelSyntaxError, NotLagoisHierarchy, Policy,
                       PrincipalMapPair, PrincipalsHierarchy, UnknownPrincipal,
@@ -216,6 +217,7 @@ def test_label_order_laws(data):
 @pytest.mark.parametrize("src,expected", [
     ("{}", Label.empty()),
     ("{o:}", Label.of(policy("o"))),
+    ("{o: }", Label.of(policy("o"))),
     ("{o1: r1, r2; o2: r4}", Label.of(policy("o1", "r1", "r2"), policy("o2", "r4"))),
     ("{ o1 : r1 }", Label.of(policy("o1", "r1"))),
 ])
@@ -223,7 +225,9 @@ def test_parse_label(src, expected):
     assert parse_label(src) == expected
 
 
-@pytest.mark.parametrize("src", ["", "o: r", "{o r}", "{o: r", "{o!: r}"])
+@pytest.mark.parametrize("src", ["", "o: r", "{o r}", "{o: r", "{o!: r}",
+                                 "{stu: fac,,}", "{a:,}", "{o: ,r}", "{o: r,,s}",
+                                 "{o: r, }"])
 def test_parse_label_errors(src):
     with pytest.raises(LabelSyntaxError):
         parse_label(src)
@@ -638,7 +642,105 @@ def test_unknown_principals_are_named_as_by_a_full_scan(case):
             with pytest.raises(UnknownPrincipal) as exc:
                 cross_declassify_check(pm, [], [], a, b_right, "lr")
             assert exc.value.name == expected
+        # Right to left: the left label b is pushed before the right one is checked.
+        expected = _first_unknown(h, b.policies) or _first_unknown(pm.right, b_right.policies)
+        if expected is not None:
+            with pytest.raises(UnknownPrincipal) as exc:
+                cross_declassify_check(pm, [], [], b_right, b, "rl")
+            assert exc.value.name == expected
     assert seen > 100
+
+
+def _lifted_outcome(pm, auth_l, auth_r, l1, l2, direction):
+    """A cross decision by its definition, on the labels `lift_label`
+    builds: the verdict both sides agree on, CorollaryViolation when they
+    differ, or the UnknownPrincipal raised and the name it gives."""
+    near_h, far_h, a_near, a_far, back = ((pm.left, pm.right, auth_l, auth_r, "rl")
+                                          if direction == "lr" else
+                                          (pm.right, pm.left, auth_r, auth_l, "lr"))
+    try:
+        near = declassify_check(near_h, a_near, l1, lift_label(pm, back, l2))
+        far = declassify_check(far_h, a_far, lift_label(pm, direction, l1), l2)
+    except UnknownPrincipal as exc:
+        return "UnknownPrincipal", exc.name
+    return ("agree", near) if near == far else ("CorollaryViolation", None)
+
+
+def _cross_outcome(pm, auth_l, auth_r, l1, l2, direction):
+    """What `cross_declassify_check` gives, in the terms of `_lifted_outcome`."""
+    try:
+        res = cross_declassify_check(pm, auth_l, auth_r, l1, l2, direction)
+    except UnknownPrincipal as exc:
+        return "UnknownPrincipal", exc.name
+    except CorollaryViolation:
+        return "CorollaryViolation", None
+    assert res.allowed == res.near_side == res.far_side and res.direction == direction
+    return "agree", res.allowed
+
+
+def _partial_pairs():
+    """Hand-built fixture pairs whose maps leave a principal out or send one
+    outside the far hierarchy."""
+    def drop(table, key):
+        return {p: q for p, q in table.items() if p != key}
+    return [PrincipalMapPair(LEFT_H, RIGHT_H, drop(PM_ALPHA, "stu"), PM_GAMMA),
+            PrincipalMapPair(LEFT_H, RIGHT_H, dict(PM_ALPHA, dean="zz_far"), PM_GAMMA),
+            PrincipalMapPair(LEFT_H, RIGHT_H, PM_ALPHA, drop(PM_GAMMA, "vice")),
+            PrincipalMapPair(LEFT_H, RIGHT_H, PM_ALPHA, dict(PM_GAMMA, uni_fac="zz_near")),
+            PrincipalMapPair(LEFT_H, RIGHT_H, drop(PM_ALPHA, "fac"),
+                             dict(PM_GAMMA, chanc="zz_near"))]
+
+
+def test_unknown_principals_on_partial_maps_are_named_as_lifted_labels_name_them():
+    rng = random.Random(7)
+    named = set()
+    for pm in _partial_pairs():
+        for direction in ("lr", "rl"):
+            near_h, far_h = (pm.left, pm.right) if direction == "lr" else (pm.right, pm.left)
+            for _ in range(150):
+                a = _label(_plant_unknowns(rng, _draw(rng, list(near_h.principals))))
+                b = _label(_plant_unknowns(rng, _draw(rng, list(far_h.principals))))
+                expected = _lifted_outcome(pm, [], [], a, b, direction)
+                assert _cross_outcome(pm, [], [], a, b, direction) == expected, (a, b)
+                if expected[0] == "UnknownPrincipal":
+                    named.add(expected[1])
+    assert {"stu", "fac", "vice", "zz_far", "zz_near", "zz0"} <= named
+
+
+def test_cross_declassify_on_unchecked_pairs_matches_lifted_labels(monkeypatch):
+    def no_lift(*args):
+        raise AssertionError("a cross decision built a lifted label")
+
+    # The reference below calls this module's own `lift_label`.
+    monkeypatch.setattr(sifc.dlm, "lift_label", no_lift)
+    rng = random.Random(10)
+    pairs = [_random_lifted_pair(rng) for _ in range(300)]
+    seen = set()
+    for pm in pairs:
+        buds = pm.budpoint_pairs()
+        for direction in ("lr", "rl"):
+            near_h, far_h = (pm.left, pm.right) if direction == "lr" else (pm.right, pm.left)
+            for _ in range(6):
+                a = _label(_draw(rng, list(near_h.principals)))
+                b = _label(_draw(rng, list(far_h.principals)))
+                if rng.random() < 0.8:
+                    chosen = rng.sample(buds, rng.randint(0, min(2, len(buds))))
+                    auth_l, auth_r = [p for p, _ in chosen], [q for _, q in chosen]
+                else:
+                    auth_l = rng.sample(pm.left.principals, rng.randint(0, 2))
+                    auth_r = rng.sample(pm.right.principals, rng.randint(0, 2))
+                try:
+                    outcome = _cross_outcome(pm, auth_l, auth_r, a, b, direction)
+                except AuthorityMismatch:
+                    assert ({pm.alpha[p] for p in auth_l} != set(auth_r)
+                            or {pm.gamma[q] for q in auth_r} != set(auth_l))
+                    seen.add("AuthorityMismatch")
+                    continue
+                assert outcome == _lifted_outcome(pm, auth_l, auth_r, a, b, direction), \
+                    (direction, auth_l, auth_r, a, b)
+                seen.add(outcome)
+    assert seen == {("agree", True), ("agree", False), ("CorollaryViolation", None),
+                    "AuthorityMismatch"}
 
 
 # -- the lifted laws, exactly ------------------------------------------------------------

@@ -217,9 +217,9 @@ def test_label_order_laws(data):
 @pytest.mark.parametrize("src,expected", [
     ("{}", Label.empty()),
     ("{o:}", Label.of(policy("o"))),
-    ("{o: }", Label.of(policy("o"))),
     ("{o1: r1, r2; o2: r4}", Label.of(policy("o1", "r1", "r2"), policy("o2", "r4"))),
     ("{ o1 : r1 }", Label.of(policy("o1", "r1"))),
+    ("{o: }", Label.of(policy("o"))),
 ])
 def test_parse_label(src, expected):
     assert parse_label(src) == expected

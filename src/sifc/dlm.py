@@ -460,12 +460,15 @@ def cross_declassify_check(pm: PrincipalMapPair,
     for q in a_right:
         if q not in pm.right:
             raise UnknownPrincipal(q)
-    if {pm.alpha[p] for p in a_left} != set(a_right):
-        raise AuthorityMismatch("alpha image of the left authority must equal "
-                                "the right authority")
-    if {pm.gamma[q] for q in a_right} != set(a_left):
-        raise AuthorityMismatch("gamma image of the right authority must equal "
-                                "the left authority")
+    try:
+        if {pm.alpha[p] for p in a_left} != set(a_right):
+            raise AuthorityMismatch("alpha image of the left authority must equal "
+                                    "the right authority")
+        if {pm.gamma[q] for q in a_right} != set(a_left):
+            raise AuthorityMismatch("gamma image of the right authority must equal "
+                                    "the left authority")
+    except KeyError as exc:  # a hand-built pair whose map leaves the principal out
+        raise UnknownPrincipal(exc.args[0]) from None
 
     if direction == "lr":
         near_h, far_h, a_near, a_far, back = pm.left, pm.right, a_left, a_right, "rl"

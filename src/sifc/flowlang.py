@@ -12,10 +12,11 @@ copies flow:
     tlr y x                right import := left export
     trl y x                left import := right export
 
-Typing checks every phrase against the two lattices and the connection maps;
-the non-interference harness then runs well-typed programs from pairs of
-stores that agree below an adversary's level and checks the final stores
-still agree there.
+The four copies are declared once, in the table `_MOVES` that the checker,
+compiler, typer, generator and parser read.  Typing checks every phrase
+against the two lattices and the connection maps; the non-interference
+harness then runs well-typed programs from pairs of stores that agree below
+an adversary's level and checks the final stores still agree there.
 
 Execution runs a compiled body: a flat list of steps, one per variable
 update, each a copy or a sum of a constant and variables mod 2^16.  The
@@ -29,7 +30,8 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from typing import Mapping, Sequence
 
 from .connection import LagoisConnection
@@ -39,7 +41,6 @@ VALUE_MODULUS = 2 ** 16  # stores hold wrap-around integers
 
 DOMAINS = ("L", "M")
 KINDS = ("internal", "export", "import")
-PHRASE_KINDS = ("txn", "rd", "wr", "trl", "tlr")
 
 
 class FlowError(Exception):
@@ -156,6 +157,29 @@ class Tlr:
 
 Phrase = Txn | Rd | Wr | Trl | Tlr
 
+# The copy phrases: word -> (class, target, source), each end a (domain, kind) whose
+# domain None is the phrase's own.  Every constructor takes ([domain,] target, source).
+_MOVES = {"rd": (Rd, (None, "internal"), (None, "import")),
+          "wr": (Wr, (None, "export"), (None, "internal")),
+          "trl": (Trl, ("L", "import"), ("M", "export")),
+          "tlr": (Tlr, ("M", "import"), ("L", "export"))}
+_MOVE_OF = {cls: (word, *target, *source, attrgetter(*[f.name for f in fields(cls)][-2:]))
+            for word, (cls, target, source) in _MOVES.items()}
+PHRASE_KINDS = ("txn", *_MOVES)
+
+
+def _move(p: Phrase) -> tuple[str, str, str, str, str, str, str] | None:
+    """A copy phrase read through `_MOVES`: its word, then the domain, kind
+    and name of its target and of its source.  None for any other phrase."""
+    entry = _MOVE_OF.get(p.__class__)
+    if entry is None:
+        return None
+    word, tdom, tkind, sdom, skind, ends = entry
+    target, source = ends(p)
+    if tdom is None:
+        tdom = sdom = p.domain
+    return word, tdom, tkind, target, sdom, skind, source
+
 
 @dataclass(frozen=True)
 class PhraseType:
@@ -227,20 +251,13 @@ class Program:
                 self._need(target, p.domain, "internal", idx)
                 for v in expr_vars(e):
                     self._need(v, p.domain, "internal", idx)
-        elif isinstance(p, Rd):
-            self._need(p.z, p.domain, "internal", idx)
-            self._need(p.y, p.domain, "import", idx)
-        elif isinstance(p, Wr):
-            self._need(p.x, p.domain, "export", idx)
-            self._need(p.z, p.domain, "internal", idx)
-        elif isinstance(p, Trl):
-            self._need(p.y, "L", "import", idx)
-            self._need(p.x, "M", "export", idx)
-        elif isinstance(p, Tlr):
-            self._need(p.y, "M", "import", idx)
-            self._need(p.x, "L", "export", idx)
-        else:
+            return
+        move = _move(p)
+        if move is None:
             raise FlowError(f"phrase {idx}: unknown phrase {p!r}")
+        _, tdom, tkind, target, sdom, skind, source = move
+        self._need(target, tdom, tkind, idx)
+        self._need(source, sdom, skind, idx)
 
     def variables(self, domain: str) -> tuple[VarDecl, ...]:
         return tuple(d for d in self.decls if d.domain == domain)
@@ -267,14 +284,9 @@ def _compile(prog: Program) -> list[Step]:
                 const, names = _linear(e)
                 copy = const == 0 and len(names) == 1  # stored values are reduced
                 steps.append((side, target, side, names[0] if copy else (const, names)))
-        elif isinstance(p, Rd):
-            steps.append((_SIDE[p.domain], p.z, _SIDE[p.domain], p.y))
-        elif isinstance(p, Wr):
-            steps.append((_SIDE[p.domain], p.x, _SIDE[p.domain], p.z))
-        elif isinstance(p, Trl):
-            steps.append((0, p.y, 1, p.x))
-        else:  # Tlr, the only phrase left that Program admits
-            steps.append((1, p.y, 0, p.x))
+        else:  # a copy phrase, the only kind left that Program admits
+            _, tdom, _, target, sdom, _, source = _move(p)
+            steps.append((_SIDE[tdom], target, _SIDE[sdom], source))
     return steps
 
 
@@ -320,50 +332,35 @@ def typecheck_phrase(env: Mapping[str, VarDecl], conn: LagoisConnection,
                      p: Phrase, index: int | None = None) -> PhraseType:
     """Type one phrase, or raise FlowTypeError if its premise fails.
 
-    The type is the class the phrase reports in each domain.  A transaction
-    reports the join of the classes it reads (the bottom if it reads none),
-    `rd` and `wr` the class of the variable they write, and `trl` and `tlr`
-    the class of the import and of the export, each in its own domain.
-    Components a rule leaves unconstrained sit at that lattice's top, the
-    identity of the sequence meet.  No premise reads a phrase type, so no
-    verdict depends on this reading."""
+    A transaction's premise is that the join of what it reads flows to the
+    meet of what it writes; a copy's, read off `_MOVES` and named by its word,
+    that the source's class, through gamma (into L) or alpha (into M) if it
+    crosses, flows to the target's.  The type is what the phrase reports in
+    each domain: a transaction the join of what it reads (the bottom if
+    nothing), a copy each moved variable's class on its side, the target's
+    where they share one, and the lattice's top on a side it leaves free (the
+    identity of the sequence meet).  No premise reads a phrase type."""
     left, right = conn.left, conn.right
-
-    def cls(name: str) -> str:
-        return env[name].cls
-
     if isinstance(p, Txn):
         lat = left if p.domain == "L" else right
-        read = lat.join_all(cls(v) for _, e in p.assigns for v in expr_vars(e))
-        written = lat.meet_all(cls(t) for t, _ in p.assigns)
+        read = lat.join_all(env[v].cls for _, e in p.assigns for v in expr_vars(e))
+        written = lat.meet_all(env[t].cls for t, _ in p.assigns)
         if not lat.leq(read, written):
             raise FlowTypeError("txn", read, written, index)
-        own = read
-        return PhraseType(own, right.top) if p.domain == "L" else \
-            PhraseType(left.top, own)
-    if isinstance(p, Rd):
-        lat = left if p.domain == "L" else right
-        if not lat.leq(cls(p.y), cls(p.z)):
-            raise FlowTypeError("rd", cls(p.y), cls(p.z), index)
-        return PhraseType(cls(p.z), right.top) if p.domain == "L" else \
-            PhraseType(left.top, cls(p.z))
-    if isinstance(p, Wr):
-        lat = left if p.domain == "L" else right
-        if not lat.leq(cls(p.z), cls(p.x)):
-            raise FlowTypeError("wr", cls(p.z), cls(p.x), index)
-        return PhraseType(cls(p.x), right.top) if p.domain == "L" else \
-            PhraseType(left.top, cls(p.x))
-    if isinstance(p, Trl):
-        landed = conn.gamma(cls(p.x))
-        if not left.leq(landed, cls(p.y)):
-            raise FlowTypeError("trl", landed, cls(p.y), index)
-        return PhraseType(cls(p.y), cls(p.x))
-    if isinstance(p, Tlr):
-        landed = conn.alpha(cls(p.x))
-        if not right.leq(landed, cls(p.y)):
-            raise FlowTypeError("tlr", landed, cls(p.y), index)
-        return PhraseType(cls(p.x), cls(p.y))
-    raise FlowError(f"unknown phrase {p!r}")
+        return PhraseType(read, right.top) if p.domain == "L" else \
+            PhraseType(left.top, read)
+    move = _move(p)
+    if move is None:
+        raise FlowError(f"unknown phrase {p!r}")
+    word, tdom, _, target, sdom, _, source = move
+    moved, upper = env[source].cls, env[target].cls
+    lat, carry = (left, conn.gamma) if tdom == "L" else (right, conn.alpha)
+    lower = moved if sdom == tdom else carry(moved)
+    if not lat.leq(lower, upper):
+        raise FlowTypeError(word, lower, upper, index)
+    if tdom == "L":
+        return PhraseType(upper, right.top if sdom == "L" else moved)
+    return PhraseType(moved if sdom == "L" else left.top, upper)
 
 
 def typecheck(prog: Program, conn: LagoisConnection) -> PhraseType:
@@ -498,12 +495,11 @@ def gen_well_typed(decls: Sequence[VarDecl], conn: LagoisConnection,
     Raises GenerationStall after `stall_limit` consecutive rejections."""
     prog = Program(tuple(decls), ())
     _classes(prog.env, conn)
-    for domain in DOMAINS:
-        for kind in KINDS:
-            if not [d for d in decls if d.domain == domain and d.kind == kind]:
-                raise FlowError(f"need at least one {kind} variable in domain {domain}")
     pools = {(d, k): [v.name for v in decls if v.domain == d and v.kind == k]
              for d in DOMAINS for k in KINDS}
+    for (domain, kind), pool in pools.items():
+        if not pool:
+            raise FlowError(f"need at least one {kind} variable in domain {domain}")
 
     rng = random.Random(seed)
     body: list[Phrase] = []
@@ -542,21 +538,12 @@ def _random_phrase(rng: random.Random, kind: str, pools) -> Phrase:
             (rng.choice(internal), _random_expr(rng, internal, 2))
             for _ in range(rng.randint(1, 2)))
         return Txn(domain, assigns)
-    if kind == "rd":
-        domain = rng.choice(DOMAINS)
-        return Rd(domain, rng.choice(pools[(domain, "internal")]),
-                  rng.choice(pools[(domain, "import")]))
-    if kind == "wr":
-        domain = rng.choice(DOMAINS)
-        return Wr(domain, rng.choice(pools[(domain, "export")]),
-                  rng.choice(pools[(domain, "internal")]))
-    if kind == "trl":
-        return Trl(rng.choice(pools[("L", "import")]),
-                   rng.choice(pools[("M", "export")]))
-    if kind == "tlr":
-        return Tlr(rng.choice(pools[("M", "import")]),
-                   rng.choice(pools[("L", "export")]))
-    raise ValueError(f"unknown phrase kind {kind!r}")
+    if kind not in _MOVES:
+        raise ValueError(f"unknown phrase kind {kind!r}")
+    cls, (tdom, tkind), (sdom, skind) = _MOVES[kind]
+    own = () if tdom else (rng.choice(DOMAINS),)
+    tdom, sdom = (tdom, sdom) if tdom else own * 2
+    return cls(*own, rng.choice(pools[tdom, tkind]), rng.choice(pools[sdom, skind]))
 
 
 # -- suite driver ------------------------------------------------------------------
@@ -655,18 +642,11 @@ def _parse_line(line: str, decls: list[VarDecl], body: list[Phrase]) -> None:
         if not assigns:
             raise ParseError("empty transaction")
         body.append(Txn(domain, tuple(assigns)))
-    elif head == "rd":
-        domain, z, y = rest
-        body.append(Rd(domain, z, y))
-    elif head == "wr":
-        domain, x, z = rest
-        body.append(Wr(domain, x, z))
-    elif head == "trl":
-        y, x = rest
-        body.append(Trl(y, x))
-    elif head == "tlr":
-        y, x = rest
-        body.append(Tlr(y, x))
+    elif head in _MOVES:
+        cls, (tdom, _), _ = _MOVES[head]
+        if len(rest) != (3 if tdom is None else 2):
+            raise ParseError(f"cannot parse {line!r}")
+        body.append(cls(*rest))
     else:
         raise ParseError(f"unknown statement {head!r}")
 

@@ -707,6 +707,27 @@ def test_unknown_principals_on_partial_maps_are_named_as_lifted_labels_name_them
     assert {"stu", "fac", "vice", "zz_far", "zz_near", "zz0"} <= named
 
 
+@pytest.mark.parametrize("side", ["alpha", "gamma"])
+def test_cross_declassify_names_an_unmapped_authority_principal(side):
+    # A hand-built pair whose map leaves authority principals out names the
+    # first of them in sorted order, as `lift_label` names a label's.
+    if side == "alpha":
+        alpha = {p: q for p, q in PM_ALPHA.items() if p not in ("stu", "prin")}
+        pm = PrincipalMapPair(LEFT_H, RIGHT_H, alpha, PM_GAMMA)
+        authority, expected, direction = (["stu", "prin", "fac"], ["uni_fac"]), "prin", "lr"
+    else:
+        gamma = {q: p for q, p in PM_GAMMA.items() if q != "uni_fac"}
+        pm = PrincipalMapPair(LEFT_H, RIGHT_H, PM_ALPHA, gamma)
+        authority, expected, direction = (["fac"], ["uni_fac"]), "uni_fac", "rl"
+    with pytest.raises(UnknownPrincipal) as lifted:
+        lift_label(pm, direction, authority_label([expected]))
+    assert lifted.value.name == expected
+    for d in ("lr", "rl"):
+        with pytest.raises(UnknownPrincipal) as exc:
+            cross_declassify_check(pm, *authority, Label.empty(), Label.empty(), d)
+        assert exc.value.name == expected
+
+
 def test_cross_declassify_on_unchecked_pairs_matches_lifted_labels(monkeypatch):
     def no_lift(*args):
         raise AssertionError("a cross decision built a lifted label")

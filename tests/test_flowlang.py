@@ -467,6 +467,11 @@ def test_parse_round_trip_semantics(cu):
     "rd L a b c",
     "tlr y",
     "frobnicate a b",
+    "wr L a",
+    "wr L a b c",
+    "trl y",
+    "trl y x z",
+    "tlr y x z",
 ])
 def test_parse_errors(bad):
     with pytest.raises(ParseError):
@@ -655,3 +660,55 @@ def test_phrase_types_report_reads_for_txn_and_writes_for_moves(cu):
     assert typecheck_phrase(env, cu, Trl("ly2", "mx1")) == PhraseType("top1", "UnivFac")
     assert typecheck_phrase(env, cu, Tlr("my1", "lx1")) == \
         PhraseType("Faculty", "Dean(Colleges)")
+
+
+def test_every_copy_phrase_types_and_runs_by_its_premise(cu):
+    # Every rd, wr, trl and tlr over DECLS, each with its premise written out
+    # as (rule, lattice, lower, upper) and the type it reports.  One import at
+    # the bottom of M gives tlr failures too.
+    decls = DECLS + (VarDecl("my0", "M", "import", cu.right.bottom),)
+    cls = {d.name: d.cls for d in decls}
+    lat = {"L": cu.left, "M": cu.right}
+
+    def names(domain, kind):
+        return [d.name for d in decls if d.domain == domain and d.kind == kind]
+
+    def own(domain, c):
+        return PhraseType(c, cu.right.top) if domain == "L" else PhraseType(cu.left.top, c)
+
+    cases = []
+    for dom in ("L", "M"):
+        for z in names(dom, "internal"):
+            for y in names(dom, "import"):
+                cases.append((Rd(dom, z, y), "rd", lat[dom], cls[y], cls[z], own(dom, cls[z])))
+            for x in names(dom, "export"):
+                cases.append((Wr(dom, x, z), "wr", lat[dom], cls[z], cls[x], own(dom, cls[x])))
+    for y in names("L", "import"):
+        for x in names("M", "export"):
+            cases.append((Trl(y, x), "trl", cu.left, cu.gamma(cls[x]), cls[y],
+                          PhraseType(cls[y], cls[x])))
+    for y in names("M", "import"):
+        for x in names("L", "export"):
+            cases.append((Tlr(y, x), "tlr", cu.right, cu.alpha(cls[x]), cls[y],
+                          PhraseType(cls[x], cls[y])))
+
+    env = Program(decls, ()).env
+    # Distinct values, so a step that reads or writes the wrong variable shows.
+    init = StorePair({d.name: 100 + i for i, d in enumerate(decls) if d.domain == "L"},
+                     {d.name: 100 + i for i, d in enumerate(decls) if d.domain == "M"})
+    verdicts = set()
+    for p, rule, lattice, lower, upper, reported in cases:
+        holds = lattice.leq(lower, upper)
+        verdicts.add((rule, holds))
+        if holds:
+            assert typecheck_phrase(env, cu, p, 4) == reported, p
+        else:
+            with pytest.raises(FlowTypeError) as exc:
+                typecheck_phrase(env, cu, p, 4)
+            assert (exc.value.rule, exc.value.lower, exc.value.upper, exc.value.index) == \
+                (rule, lower, upper, 4), p
+        prog = Program(decls, (p,))
+        assert exec_program(prog, init) == interpret(prog, init), p
+    assert len(cases) == 32
+    assert verdicts == {(rule, holds) for rule in ("rd", "wr", "trl", "tlr")
+                        for holds in (True, False)}

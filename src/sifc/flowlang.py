@@ -23,14 +23,18 @@ update, each a copy or a sum of a constant and variables mod 2^16.  The
 suite pays per program for one typecheck and one compilation, and per
 adversary pair for one low/high split of the declarations; each trial then
 pays only for two store draws, two runs of the steps and one comparison of
-the low variables.
+the low variables.  A trial's stores come from the SplitMix64 stream of its
+seed, computed in one pass, and the generator draws each choice of a phrase
+from one float of a seeded `random.Random`.
 """
 
 from __future__ import annotations
 
 import random
 import re
+import struct
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from operator import attrgetter
 from typing import Mapping, Sequence
 
@@ -339,9 +343,12 @@ def typecheck_phrase(env: Mapping[str, VarDecl], conn: LagoisConnection,
     each domain: a transaction the join of what it reads (the bottom if
     nothing), a copy each moved variable's class on its side, the target's
     where they share one, and the lattice's top on a side it leaves free (the
-    identity of the sequence meet).  No premise reads a phrase type."""
+    identity of the sequence meet).  No premise reads a phrase type.  A
+    phrase's own domain must be L or M; `Program` checks its variables."""
     left, right = conn.left, conn.right
     if isinstance(p, Txn):
+        if p.domain not in _SIDE:
+            raise FlowError(f"bad domain {p.domain!r}")
         lat = left if p.domain == "L" else right
         read = lat.join_all(env[v].cls for _, e in p.assigns for v in expr_vars(e))
         written = lat.meet_all(env[t].cls for t, _ in p.assigns)
@@ -353,6 +360,8 @@ def typecheck_phrase(env: Mapping[str, VarDecl], conn: LagoisConnection,
     if move is None:
         raise FlowError(f"unknown phrase {p!r}")
     word, tdom, _, target, sdom, _, source = move
+    if tdom not in _SIDE:
+        raise FlowError(f"bad domain {tdom!r}")
     moved, upper = env[source].cls, env[target].cls
     lat, carry = (left, conn.gamma) if tdom == "L" else (right, conn.alpha)
     lower = moved if sdom == tdom else carry(moved)
@@ -424,15 +433,42 @@ def _split(prog: Program, conn: LagoisConnection, pair: tuple[str, str]) -> Spli
     return tuple(out)
 
 
+_M64 = 2 ** 64 - 1
+
+
+@lru_cache(maxsize=64)  # keyed by a program's declaration count
+def _lanes(n: int):
+    """Seed multiplier, counter offsets, lane mask and lane reader for n outputs."""
+    rep = sum(1 << 128 * i for i in range(n))
+    offsets = sum(((i + 1) * 0x9E3779B97F4A7C15 & _M64) << 128 * i for i in range(n))
+    return rep, offsets, rep * _M64, struct.Struct("<" + "Q8x" * n).unpack
+
+
+def _splitmix64(seed: int, n: int) -> tuple[int, ...]:
+    """SplitMix64 (Steele, Lea & Flood, OOPSLA 2014) outputs 0..n-1 from state
+    `seed mod 2^64`.  Output i mixes seed + (i+1)*gamma, so all n are computed
+    at once in the 128-bit lanes of one int: a lane holds a 64-bit word times
+    a 64-bit constant, and the masks clear what a shift brings down from the
+    next lane before it is read."""
+    rep, offsets, mask, unpack = _lanes(n)
+    z = ((seed & _M64) * rep + offsets) & mask
+    z = ((z ^ z >> 30) & mask) * 0xBF58476D1CE4E5B9 & mask
+    z = ((z ^ z >> 27) & mask) * 0x94D049BB133111EB & mask
+    return unpack((z ^ z >> 31).to_bytes(16 * n, "little"))
+
+
 def _draw(split: Split, seed: int) -> tuple[tuple[dict, dict], tuple[dict, dict]]:
     """Two (left, right) store pairs that agree on every low variable and
-    differ on every high one; a function of the split and the seed."""
-    randrange = random.Random(seed).randrange
+    differ on every high one; a function of the split and `seed mod 2^64`.
+
+    Variable i takes SplitMix64 output z_i: its value is z_i mod 2^16, and a
+    high variable's second value adds 1 + (z_i >> 16) mod (2^16 - 1).  As
+    2^48 = 1 mod 2^16 - 1, the offset 1 is one count in 2^48 likelier."""
     a, b = ({}, {}), ({}, {})
-    for side, name, low in split:
-        v = randrange(VALUE_MODULUS)
+    for (side, name, low), z in zip(split, _splitmix64(seed, len(split))):
+        v = z & 0xFFFF  # mod 2^16, as literals: this loop is the draw's cost
         a[side][name] = v
-        b[side][name] = v if low else (v + 1 + randrange(VALUE_MODULUS - 1)) % VALUE_MODULUS
+        b[side][name] = v if low else (v + 1 + (z >> 16) % 0xFFFF) & 0xFFFF
     return a, b
 
 
@@ -491,7 +527,9 @@ def gen_well_typed(decls: Sequence[VarDecl], conn: LagoisConnection,
                    kinds: Sequence[str] = PHRASE_KINDS,
                    stall_limit: int = 10_000) -> Program:
     """Rejection-sample random phrases, keeping those whose typing premises
-    hold, until the body reaches `length`.  Deterministic for a given seed.
+    hold, until the body reaches `length`.  Deterministic for a given seed:
+    each choice takes one float r() of `random.Random(seed)`, and a pick among
+    n items, seq[int(r() * n)], is uniform up to a bias of at most n * 2^-53.
     Raises GenerationStall after `stall_limit` consecutive rejections."""
     prog = Program(tuple(decls), ())
     _classes(prog.env, conn)
@@ -501,11 +539,11 @@ def gen_well_typed(decls: Sequence[VarDecl], conn: LagoisConnection,
         if not pool:
             raise FlowError(f"need at least one {kind} variable in domain {domain}")
 
-    rng = random.Random(seed)
+    r, kinds = random.Random(seed).random, tuple(kinds)
     body: list[Phrase] = []
     rejections = 0
     while len(body) < length:
-        p = _random_phrase(rng, rng.choice(list(kinds)), pools)
+        p = _random_phrase(r, kinds[int(r() * len(kinds))], pools)
         try:
             typecheck_phrase(prog.env, conn, p)
         except FlowTypeError:
@@ -520,30 +558,30 @@ def gen_well_typed(decls: Sequence[VarDecl], conn: LagoisConnection,
     return Program(tuple(decls), tuple(body))
 
 
-def _random_expr(rng: random.Random, names: list[str], depth: int) -> Expr:
-    roll = rng.random()
+def _random_expr(r, names: list[str], depth: int) -> Expr:
+    roll = r()
     if depth > 0 and roll < 0.3:
-        return Add(_random_expr(rng, names, depth - 1),
-                   _random_expr(rng, names, depth - 1))
+        return Add(_random_expr(r, names, depth - 1), _random_expr(r, names, depth - 1))
     if roll < 0.65 and names:
-        return Var(rng.choice(names))
-    return Const(rng.randrange(16))
+        return Var(names[int(r() * len(names))])
+    return Const(int(r() * 16))
 
 
-def _random_phrase(rng: random.Random, kind: str, pools) -> Phrase:
+def _random_phrase(r, kind: str, pools) -> Phrase:
     if kind == "txn":
-        domain = rng.choice(DOMAINS)
+        domain = DOMAINS[int(r() * 2)]
         internal = pools[(domain, "internal")]
         assigns = tuple(
-            (rng.choice(internal), _random_expr(rng, internal, 2))
-            for _ in range(rng.randint(1, 2)))
+            (internal[int(r() * len(internal))], _random_expr(r, internal, 2))
+            for _ in range(1 + (r() < 0.5)))
         return Txn(domain, assigns)
     if kind not in _MOVES:
         raise ValueError(f"unknown phrase kind {kind!r}")
     cls, (tdom, tkind), (sdom, skind) = _MOVES[kind]
-    own = () if tdom else (rng.choice(DOMAINS),)
+    own = () if tdom else (DOMAINS[int(r() * 2)],)
     tdom, sdom = (tdom, sdom) if tdom else own * 2
-    return cls(*own, rng.choice(pools[tdom, tkind]), rng.choice(pools[sdom, skind]))
+    targets, sources = pools[tdom, tkind], pools[sdom, skind]
+    return cls(*own, targets[int(r() * len(targets))], sources[int(r() * len(sources))])
 
 
 # -- suite driver ------------------------------------------------------------------

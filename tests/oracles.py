@@ -359,6 +359,20 @@ def ni_leak(prog, lposet: BrutePoset, rposet: BrutePoset, pair):
     return None
 
 
+def splitmix64(seed: int, n: int) -> list[int]:
+    """The first n outputs of SplitMix64 (Steele, Lea & Flood, OOPSLA 2014)
+    from state `seed mod 2^64`, one step at a time, as the paper writes it."""
+    mask = 2 ** 64 - 1
+    state, out = seed & mask, []
+    for _ in range(n):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        out.append(z ^ (z >> 31))
+    return out
+
+
 def reference_ni_suite(decls, conn, programs: int, max_len: int, seed: int,
                        draws: int = 3):
     """The suite loop as first written: the public `ni_trial` for every

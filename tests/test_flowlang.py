@@ -10,17 +10,18 @@ from sifc.flowlang import (Add, Const, DuplicateVariable, FlowError,
                            KindMismatch, ParseError, PhraseType, Program, Rd,
                            StoreDomainError, StorePair, Tlr, Trl, Txn,
                            UndeclaredVariable, Var, VarDecl, Wr,
-                           adversary_pairs, exec_program, gen_well_typed,
-                           lint_transfer_classes, low_variables, ni_trial,
-                           parse_program, run_ni_suite, store_pair_from_dict,
-                           typecheck, typecheck_phrase)
+                           adversary_pairs, draw_store_pairs, exec_program,
+                           gen_well_typed, lint_transfer_classes,
+                           low_variables, ni_trial, parse_program,
+                           run_ni_suite, store_pair_from_dict, typecheck,
+                           typecheck_phrase)
 from sifc import flowlang
 from sifc.lattice import UnknownClass
 
 import fixtures as fx
 from gen import random_phrase, random_program
 from oracles import (BrutePoset, affine_finals, interpret, ni_leak,
-                     reference_ni_suite)
+                     reference_ni_suite, splitmix64)
 
 
 @pytest.fixture(scope="module")
@@ -245,6 +246,16 @@ def test_typecheck_reports_phrase_index(cu):
     assert exc.value.index == 1
 
 
+@pytest.mark.parametrize("phrase", [Rd("X", "mz2", "my1"), Wr("X", "mx2", "mz2"),
+                                    Txn("X", (("mz1", Var("mz2")),))],
+                         ids=["rd", "wr", "txn"])
+def test_typecheck_phrase_rejects_a_bad_domain(cu, phrase):
+    # The phrase's variables are all M's; only the domain is wrong, and it
+    # must not be read as M.
+    with pytest.raises(FlowError, match="bad domain 'X'"):
+        typecheck_phrase(Program(DECLS, ()).env, cu, phrase)
+
+
 def test_unknown_class_in_decl(cu):
     prog = Program((VarDecl("a", "L", "internal", "Wizard"),) + DECLS, ())
     with pytest.raises(UnknownClass):
@@ -377,6 +388,82 @@ def test_ni_suite_deterministic_and_green(cu):
     assert r1 == r2
     assert r1.passed
     assert r1.trials == 20 * len(r1.pairs) * 3
+
+
+def _trial_seeds(seed: int, programs: int, pairs: int, draws: int = 3):
+    """`run_ni_suite`'s trial seeds, in its loop order."""
+    return [(seed + 1) * 1_000_003 + p_idx * 7919 + pair_idx * 101 + draw
+            for p_idx in range(programs) for pair_idx in range(pairs)
+            for draw in range(draws)]
+
+
+def test_store_stream_is_splitmix64():
+    assert splitmix64(0, 3) == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4,
+                                0x06C45D188009454F]
+    for seed in (0, 1, -1, 2 ** 64 - 1, 2 ** 64):
+        for n in range(1, 41):
+            assert list(flowlang._splitmix64(seed, n)) == splitmix64(seed, n), (seed, n)
+    assert flowlang._splitmix64(-1, 5) == flowlang._splitmix64(2 ** 64 - 1, 5)
+    for seed in _trial_seeds(7, programs=17, pairs=4)[:200]:
+        assert list(flowlang._splitmix64(seed, len(DECLS))) == splitmix64(seed, len(DECLS))
+
+
+def test_store_draws_split_low_and_high_and_replay(cu):
+    prog = gen_well_typed(DECLS, cu, 6, seed=3)
+    for pair in adversary_pairs(cu):
+        low = set(low_variables(prog, cu, pair))
+        for seed in range(2000):
+            a, b = draw_store_pairs(prog, cu, pair, seed)
+            for side in ("left", "right"):
+                sa, sb = getattr(a, side), getattr(b, side)
+                assert sa.keys() == sb.keys()
+                for name, v in sa.items():
+                    assert 0 <= v < 2 ** 16 and 0 <= sb[name] < 2 ** 16
+                    assert (v == sb[name]) == ((side, name) in low), (pair, seed, name)
+            assert ni_trial(prog, cu, pair, seed, keep_stores=True).initial == (a, b)
+
+
+def test_forged_suite_failures_replay_by_seed():
+    forged = fx.forged_two_point()
+    replayed = 0
+    for seed in range(10):
+        base = random.Random(seed)
+        progs = []
+        for _ in range(6):
+            length = base.randrange(9)
+            progs.append(gen_well_typed(FORGED_DECLS, forged, length, base.getrandbits(48)))
+        report = run_ni_suite(FORGED_DECLS, forged, programs=6, max_len=8, seed=seed)
+        for p_idx, pair, trial_seed, distinguishing in report.failures:
+            result = ni_trial(progs[p_idx], forged, pair, trial_seed)
+            assert not result.passed and result.distinguishing == distinguishing
+            replayed += 1
+    assert replayed > 0
+
+
+def test_store_and_program_streams_are_pinned(cu):
+    # Literals, so a Python whose int, struct or random.Random gave other
+    # draws or other programs for the same seed fails here.
+    a, b = draw_store_pairs(Program(DECLS, ()), cu, ("Faculty", "UnivFac"), 7)
+    assert (a, b) == (
+        StorePair({"lz1": 3543, "lz2": 26140, "lz3": 10754, "lx1": 10699, "lx2": 8666,
+                   "ly1": 43537, "ly2": 53494},
+                  {"mz1": 48894, "mz2": 26465, "mx1": 21353, "mx2": 64235,
+                   "my1": 25388, "my2": 45902}),
+        StorePair({"lz1": 3543, "lz2": 26140, "lz3": 3021, "lx1": 10699, "lx2": 15155,
+                   "ly1": 43537, "ly2": 16678},
+                  {"mz1": 48894, "mz2": 58251, "mx1": 21353, "mx2": 703,
+                   "my1": 53372, "my2": 15735}))
+    report = run_ni_suite(FORGED_DECLS, fx.forged_two_point(), programs=6, max_len=8, seed=1)
+    assert report.failures == (
+        (2, ("lo", "lo2"), 2015844, ("left", "z")), (2, ("lo", "lo2"), 2015845, ("left", "z")),
+        (2, ("lo", "lo2"), 2015846, ("left", "z")), (3, ("lo", "lo2"), 2023763, ("left", "z")),
+        (3, ("lo", "lo2"), 2023764, ("left", "z")), (3, ("lo", "lo2"), 2023765, ("left", "z")))
+    assert gen_well_typed(DECLS, cu, 5, seed=8).body == (
+        Tlr("my2", "lx1"),
+        Txn("M", (("mz1", Const(9)), ("mz2", Const(4)))),
+        Txn("M", (("mz2", Const(8)),)),
+        Txn("L", (("lz2", Add(Const(8), Const(3))),)),
+        Rd("L", "lz2", "ly1"))
 
 
 # -- generation ---------------------------------------------------------------------

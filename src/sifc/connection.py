@@ -182,7 +182,8 @@ class LagoisConnection:
 
     budpoints_left is gamma[M] in left declaration order, budpoints_right is
     alpha[L]; kernels group classes that share an image.  Only
-    :func:`check_connection` and the constructors in this module build these.
+    :func:`check_connection` and the constructors in this module build these,
+    each having proved the laws, so the constructors trust the ones they take.
     """
     left: Lattice
     right: Lattice
@@ -273,11 +274,11 @@ def _require_total(source: Container[str], target: Container[str],
 
 
 def _kernel_blocks(lat: Lattice, table: Mapping[str, str]) -> tuple[tuple[str, ...], ...]:
+    """Classes grouped by image, blocks in order of their first member."""
     blocks: dict[str, list[str]] = {}
     for c in lat.classes:
         blocks.setdefault(table[c], []).append(c)
-    ordered = sorted(blocks.values(), key=lambda b: lat.index(b[0]))
-    return tuple(tuple(b) for b in ordered)
+    return tuple(map(tuple, blocks.values()))
 
 
 def check_connection(left: Lattice, right: Lattice,
@@ -288,18 +289,25 @@ def check_connection(left: Lattice, right: Lattice,
     violations = connection_violations(left, right, alpha, gamma)
     if violations:
         raise NotLagois(violations)
+    return _assemble(left, right, alpha, gamma)
+
+
+def _assemble(left: Lattice, right: Lattice, alpha: Mapping[str, str],
+              gamma: Mapping[str, str]) -> LagoisConnection:
+    """The connection over maps already proven total, in range, monotone and
+    LC1-LC4, by connection_violations or by the caller's own preconditions."""
     return LagoisConnection(
         left, right, _proven_map(left, right, alpha), _proven_map(right, left, gamma),
-        budpoints_left=left.sorted_by_index(set(gamma[m] for m in right.classes)),
-        budpoints_right=right.sorted_by_index(set(alpha[l] for l in left.classes)),
+        budpoints_left=left.sorted_by_index(set(gamma.values())),
+        budpoints_right=right.sorted_by_index(set(alpha.values())),
         kernel_left=_kernel_blocks(left, alpha),
         kernel_right=_kernel_blocks(right, gamma),
     )
 
 
 def _proven_map(source: Lattice, target: Lattice, table: Mapping[str, str]) -> MonotoneMap:
-    """A MonotoneMap over a table that connection_violations has already
-    proven total, in range and order-preserving, built without re-checking."""
+    """A MonotoneMap over a table already proven total, in range and
+    order-preserving, built without re-checking."""
     out = MonotoneMap.__new__(MonotoneMap)
     out.source, out.target, out._table = source, target, dict(table)
     return out
@@ -307,7 +315,7 @@ def _proven_map(source: Lattice, target: Lattice, table: Mapping[str, str]) -> M
 
 def identity_connection(lat: Lattice) -> LagoisConnection:
     ident = {c: c for c in lat.classes}
-    return check_connection(lat, lat, ident, ident)
+    return _assemble(lat, lat, ident, ident)
 
 
 def budpoint_representative(conn: LagoisConnection, side: str, c: str) -> str:
@@ -384,6 +392,8 @@ def find_adjoint(alpha: MonotoneMap) -> MonotoneMap:
       3. the largest-preimage elements, ordered as in L, mirror the image
          order exactly (an order isomorphism onto alpha[L]).
     The map is then gamma(m) = largest preimage of (least image class above m).
+    It is monotone by 2 and 3, and not re-checked: alpha(gamma(m)) is least
+    above m (LC2, LC4), gamma(alpha(l)) the largest preimage of alpha(l) (LC1, LC3).
     """
     left, right = alpha.source, alpha.target
     image = alpha.image()
@@ -412,9 +422,7 @@ def find_adjoint(alpha: MonotoneMap) -> MonotoneMap:
                 raise AdjointError(3, (m1, m2),
                                    "largest-preimage elements do not mirror the image order")
 
-    gamma = {m: largest[least_above[m]] for m in right.classes}
-    conn = check_connection(left, right, alpha.mapping(), gamma)
-    return conn.gamma
+    return _proven_map(right, left, {m: largest[least_above[m]] for m in right.classes})
 
 
 # -- ab-initio construction -------------------------------------------------
@@ -423,7 +431,9 @@ def build_from_closures(left: Lattice, right: Lattice,
                         c: Mapping[str, str], i: Mapping[str, str],
                         h: Mapping[str, str]) -> LagoisConnection:
     """Build a connection from closure operators c on L and i on M whose
-    images are order-isomorphic via h: the maps are h.c and inverse(h).i."""
+    images are order-isomorphic via h: the maps are h.c and inverse(h).i.
+    Idempotent c and i fix their images and h is an order isomorphism, so the
+    round trips are c and i themselves, which gives LC1-LC4 unchecked."""
     _require_closure(left, c, "c")
     _require_closure(right, i, "i")
     image_c = left.sorted_by_index(set(c[x] for x in left.classes))
@@ -443,7 +453,7 @@ def build_from_closures(left: Lattice, right: Lattice,
     h_inv = {v: k for k, v in h.items()}
     alpha = {l: h[c[l]] for l in left.classes}
     gamma = {m: h_inv[i[m]] for m in right.classes}
-    return check_connection(left, right, alpha, gamma)
+    return _assemble(left, right, alpha, gamma)
 
 
 def _require_closure(lat: Lattice, table: Mapping[str, str], name: str) -> None:
@@ -473,7 +483,8 @@ def compose(ab: LagoisConnection, bc: LagoisConnection) -> Composition:
     The chained maps are a valid connection exactly when each outer image is
     closed under the other connection's round trip through the middle
     lattice; a one-sided subset relation between the two middle images is a
-    sufficient shortcut.  The result is re-verified from scratch.
+    sufficient shortcut.  Composites always satisfy LC1 and LC2, and the two
+    closure checks give LC3 and LC4, so the result is not re-verified.
     """
     if ab.right != bc.left:
         raise LatticeMismatch("middle lattices differ; cannot compose")
@@ -491,7 +502,7 @@ def compose(ab: LagoisConnection, bc: LagoisConnection) -> Composition:
                 else "containment-conditions")
     alpha = {l: bc.alpha(ab.alpha(l)) for l in ab.left.classes}
     gamma = {q: ab.gamma(bc.gamma(q)) for q in bc.right.classes}
-    return Composition(check_connection(ab.left, bc.right, alpha, gamma), admitted)
+    return Composition(_assemble(ab.left, bc.right, alpha, gamma), admitted)
 
 
 # -- decomposition ------------------------------------------------------------
@@ -521,25 +532,26 @@ def sublattice(lat: Lattice, subset: Iterable[str], name: str) -> Lattice:
 
 
 def decompose(conn: LagoisConnection) -> Decomposition:
+    """Split a connection into two insertions around the budpoint iso.  Each
+    insertion pairs a round trip, a closure operator by LC1 and LC4 (LC2 and
+    LC3), with the inclusion of its image: a connection, not re-verified."""
     lstar = sublattice(conn.left, conn.budpoints_left, f"{conn.left.name}*")
     mstar = sublattice(conn.right, conn.budpoints_right, f"{conn.right.name}*")
 
     r1 = {l: conn.round_trip_left(l) for l in conn.left.classes}
     e1 = {b: b for b in lstar.classes}
-    insertion_left = check_connection(conn.left, lstar, r1, e1)
+    insertion_left = _assemble(conn.left, lstar, r1, e1)
 
-    i1 = MonotoneMap(lstar, mstar, {b: conn.alpha(b) for b in lstar.classes}, "iso")
-    i2 = MonotoneMap(mstar, lstar, {b: conn.gamma(b) for b in mstar.classes}, "iso-inverse")
-    for b in lstar.classes:
-        if i2(i1(b)) != b:
-            raise NotIso("budpoint maps are not mutually inverse", (b,))
-    for b in mstar.classes:
-        if i1(i2(b)) != b:
-            raise NotIso("budpoint maps are not mutually inverse", (b,))
+    i1 = _proven_map(lstar, mstar, {b: conn.alpha(b) for b in lstar.classes})
+    i2 = _proven_map(mstar, lstar, {b: conn.gamma(b) for b in mstar.classes})
+    for star, there, back in ((lstar, i1, i2), (mstar, i2, i1)):
+        for b in star.classes:
+            if back(there(b)) != b:
+                raise NotIso("budpoint maps are not mutually inverse", (b,))
 
     e2 = {b: b for b in mstar.classes}
     r2 = {m: conn.round_trip_right(m) for m in conn.right.classes}
-    insertion_right = check_connection(mstar, conn.right, e2, r2)
+    insertion_right = _assemble(mstar, conn.right, e2, r2)
 
     return Decomposition(insertion_left, (i1, i2), insertion_right)
 
@@ -552,19 +564,17 @@ def coarsen(conn: LagoisConnection, alpha2: MonotoneMap) -> LagoisConnection:
 
     alpha' must merge whole kernel blocks of alpha, each merged block must
     have a largest member, and alpha' must send the block where alpha sent
-    that largest member.
+    that largest member.  These imply the laws, not re-verified: a merged
+    block's largest member r is the largest of its alpha-block, so
+    gamma(alpha(r)) = r and gamma'(alpha'(l)) = r >= l; LC2-LC4 follow.
     """
     if alpha2.source != conn.left or alpha2.target != conn.right:
         raise LatticeMismatch("replacement map must connect the same lattices")
 
     for block in conn.kernel_left:
-        values = {alpha2(c) for c in block}
-        if len(values) > 1:
-            a, b = block[0], block[1]
-            for c in block[1:]:
-                if alpha2(c) != alpha2(a):
-                    b = c
-                    break
+        a = block[0]
+        b = next((c for c in block if alpha2(c) != alpha2(a)), None)
+        if b is not None:
             raise CoarsenError("not-refinement", (a, b),
                                f"{a!r} and {b!r} shared an image before but not after")
 
@@ -580,7 +590,7 @@ def coarsen(conn: LagoisConnection, alpha2: MonotoneMap) -> LagoisConnection:
                                f"{conn.alpha(rep)!r}, got {alpha2(rep)!r}")
 
     gamma2 = {m: conn.gamma(alpha2(conn.gamma(m))) for m in conn.right.classes}
-    return check_connection(conn.left, conn.right, alpha2.mapping(), gamma2)
+    return _assemble(conn.left, conn.right, alpha2.mapping(), gamma2)
 
 
 def semi_inverse_connection(alpha1: MonotoneMap, gamma1: MonotoneMap) -> LagoisConnection:

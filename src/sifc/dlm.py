@@ -44,7 +44,7 @@ from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 from .connection import Violation, _law_violations, _require_total
-from .lattice import _check_document, _closure_rows, _is_names, _transpose
+from .lattice import _check_document, _closure_rows, _is_names
 
 TOP = "TOP"
 BOT = "BOT"
@@ -117,12 +117,13 @@ class PrincipalsHierarchy:
         index = {p: i for i, p in enumerate(names)}
         pairs = edges + [(TOP, p) for p in names] + [(p, BOT) for p in names]  # p acts for q
         rows = _closure_rows(len(names), [(index[p], index[q]) for p, q in pairs])
+        cols = _closure_rows(len(names), [(index[q], index[p]) for p, q in pairs])
 
         self.principals = tuple(names)
         self.edges = tuple(edges)
         self._bit = {p: 1 << i for i, p in enumerate(names)}
         self._row = dict(zip(names, rows))
-        self._col = dict(zip(names, _transpose(rows)))
+        self._col = dict(zip(names, cols))
 
     def __contains__(self, name: str) -> bool:
         return name in self._bit

@@ -555,7 +555,8 @@ def gen_well_typed(decls: Sequence[VarDecl], conn: LagoisConnection,
             continue
         body.append(p)
         rejections = 0
-    return Program(tuple(decls), tuple(body))
+    object.__setattr__(prog, "body", tuple(body))  # each phrase drawn from its kind's pool
+    return prog
 
 
 def _random_expr(r, names: list[str], depth: int) -> Expr:

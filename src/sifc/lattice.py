@@ -5,11 +5,11 @@ A lattice is built from a class list and an arbitrary set of ordered pairs
 transitive closure is computed and redundant pairs are tolerated.
 
 Bit-vector encoding (Ait-Kaci et al., TOPLAS 1989): each class keeps its bit
-and its up-set and down-set as int masks, closed by Warshall over bit rows.
-leq is one mask test; join(a, b) is the class whose up-set is up(a) & up(b),
-meets alike.  A finite poset with a top and every pairwise meet is a lattice
-(Davey & Priestley, Introduction to Lattices and Order, 2002, ch. 2), so the
-top and one meet lookup per pair prove it.
+and its up-set and down-set as int masks, each closed by one Tarjan SCC pass
+in O(classes + pairs) ORs.  leq is one mask test; join(a, b) is the class
+whose up-set is up(a) & up(b), meets alike.  A finite poset with a top and
+every pairwise meet is a lattice (Davey & Priestley, Introduction to Lattices
+and Order, 2002, ch. 2), so the top and one meet lookup per pair prove it.
 """
 
 from __future__ import annotations
@@ -243,10 +243,9 @@ def build_lattice(name: str, classes: Sequence[str],
         pairs.append((lo, hi))
     cover_list = tuple(dict.fromkeys(pairs))  # first occurrences, in order
 
-    n = len(classes)
-    index = {c: i for i, c in enumerate(classes)}
-    up_rows = _closure_rows(n, ((index[lo], index[hi]) for lo, hi in cover_list))
-    down_rows = _transpose(up_rows)  # down-sets are the converse relation
+    n, index = len(classes), {c: i for i, c in enumerate(classes)}
+    edges = [(index[lo], index[hi]) for lo, hi in cover_list]
+    up_rows, down_rows = _closure_rows(n, edges), _closure_rows(n, [(j, i) for i, j in edges])
 
     # The lowest mutual bit above i names the first cyclic (i < j) pair in declaration order.
     for i, (u, d) in enumerate(zip(up_rows, down_rows)):
@@ -290,26 +289,45 @@ def _raise_missing_bound(classes: Sequence[str], up_rows: Sequence[int], down_ro
 
 def _closure_rows(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
     """Reflexive-transitive closure of a relation on range(n): bit j of row i
-    is set iff j is reachable from i.  Warshall over bit rows, so self-loops
-    and cycles (pre-orders) need no special case."""
-    rows = [1 << i for i in range(n)]
+    is set iff j is reachable from i.  Iterative Tarjan SCC pass (SIAM J.
+    Comput. 1, 1972): components finish in reverse topological order, so a
+    component's row is its members' bits OR their successors' rows (finished,
+    or 0 inside the component), O(V + E) ORs; a cycle shares one row."""
+    succ: list[list[int]] = [[] for _ in range(n)]
     for i, j in edges:
-        rows[i] |= 1 << j
-    for k in range(n):
-        bit, row_k = 1 << k, rows[k]
-        for i in range(n):
-            if rows[i] & bit:
-                rows[i] |= row_k
+        succ[i].append(j)
+    order, low, rows = [0] * n, [0] * n, [0] * n
+    for root in range(n):
+        if order[root]:
+            continue
+        stack, work = [root], [(root, iter(succ[root]), 0)]  # (vertex, successors left, slot)
+        order[root] = low[root] = 1  # 1 + stack slot, ordered as discovery while open
+        while work:
+            v, it, at = work[-1]
+            for w in it:
+                if not order[w]:
+                    work.append((w, iter(succ[w]), len(stack)))
+                    stack.append(w)
+                    order[w] = low[w] = len(stack)
+                    break
+                if order[w] < low[v]:
+                    low[v] = order[w]
+            else:
+                work.pop()
+                if low[v] < order[v]:  # v's component goes on below it on the stack
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                    continue
+                members = stack[at:]
+                del stack[at:]
+                row = 0
+                for w in members:
+                    row |= 1 << w
+                    for x in succ[w]:
+                        row |= rows[x]
+                for w in members:
+                    rows[w], order[w] = row, n + 1  # finished: above every open order
     return rows
-
-
-def _transpose(rows: Sequence[int]) -> list[int]:
-    """The converse of a relation on range(len(rows)) given by bit rows: bit
-    i of row j is set iff bit j of row i is.  Transposes the bit matrix by
-    its binary digits, one string per row."""
-    n = len(rows)
-    digits = [format(r, f"0{n}b") for r in reversed(rows)]
-    return [int("".join(col), 2) for col in zip(*digits)][::-1]
 
 
 def _members(mask: int, names: Sequence[str]) -> Iterator[str]:

@@ -2,8 +2,10 @@
 
 Everything here recomputes order structure from raw class lists and cover
 pairs with plain DFS/enumeration, deliberately avoiding the library's bit
-rows.  The one exception, `reference_sublattice`, rebuilds a restriction
-through `build_lattice` as the reference for `connection.sublattice`.
+rows.  `closure_rows` is Warshall's closure over bit rows, the reference for
+the library's linear-time closure.  The one exception, `reference_sublattice`,
+rebuilds a restriction through `build_lattice` as the reference for
+`connection.sublattice`.
 """
 
 from __future__ import annotations
@@ -36,6 +38,26 @@ def reach_table(classes, covers) -> dict[str, set[str]]:
                     stack.append(nxt)
         table[c] = seen
     return table
+
+
+def closure_rows(n: int, edges) -> list[int]:
+    """Reflexive-transitive closure of a relation on range(n) by Warshall's
+    algorithm (J. ACM 9, 1962) over bit rows: bit j of row i is set iff j is
+    reachable from i.  Self-loops and cycles need no special case."""
+    rows = [1 << i for i in range(n)]
+    for i, j in edges:
+        rows[i] |= 1 << j
+    for k in range(n):
+        bit, row_k = 1 << k, rows[k]
+        for i in range(n):
+            if rows[i] & bit:
+                rows[i] |= row_k
+    return rows
+
+
+def converse_rows(rows) -> list[int]:
+    """The transpose of a bit matrix: bit i of row j is set iff bit j of row i is."""
+    return [sum((row >> j & 1) << i for i, row in enumerate(rows)) for j in range(len(rows))]
 
 
 def brute_leq(classes, covers, a, b) -> bool:

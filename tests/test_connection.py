@@ -9,8 +9,8 @@ import pytest
 
 from sifc.connection import (AdjointError, CoarsenError, ComposeError,
                              LagoisConnection, LatticeMismatch, MonotoneMap,
-                             NotIso, NotLagois, NotSemiInverse, PartialMap, build_from_closures,
-                             check_connection, check_tightness, coarsen,
+                             NotClosure, NotIso, NotLagois, NotSemiInverse, PartialMap,
+                             build_from_closures, check_connection, check_tightness, coarsen,
                              compose, connection_violations, decompose,
                              budpoint_representative, find_adjoint,
                              identity_connection, semi_inverse_connection, sublattice)
@@ -718,3 +718,257 @@ def test_semi_inverse_construction_restores_composition_laws_only(cu):
         semi_inverse_connection(cu.alpha, g0)
     assert [(v.condition, v.witness) for v in exc.value.violations] == \
         [("LC2", ("ViceChancellor",))]
+
+
+# -- constructors skip the re-check: differential against the full checker -----
+#
+# find_adjoint, build_from_closures, identity_connection, compose, decompose
+# and coarsen build their results without running connection_violations,
+# because their own preconditions imply the laws.  Each output must still pass
+# the full checker and equal the record check_connection builds, and each
+# planted precondition failure must raise the error that the preconditions,
+# evaluated here over brute-force orders, name: type, fields and message.
+
+def _brute_blocks(classes, table):
+    """Classes grouped by image, blocks ordered by their first member."""
+    firsts = [c for i, c in enumerate(classes) if table[c] not in map(table.get, classes[:i])]
+    return tuple(tuple(c for c in classes if table[c] == table[f]) for f in firsts)
+
+
+def _assert_proven(conn):
+    """conn passes the full checker and is the record check_connection builds:
+    budpoints are the images in declaration order, kernels the image blocks."""
+    alpha, gamma = conn.alpha.mapping(), conn.gamma.mapping()
+    assert connection_violations(conn.left, conn.right, alpha, gamma) == []
+    assert conn == check_connection(conn.left, conn.right, alpha, gamma)
+    assert conn.budpoints_left == tuple(c for c in conn.left.classes if c in gamma.values())
+    assert conn.budpoints_right == tuple(c for c in conn.right.classes if c in alpha.values())
+    assert conn.kernel_left == _brute_blocks(conn.left.classes, alpha)
+    assert conn.kernel_right == _brute_blocks(conn.right.classes, gamma)
+
+
+def _assert_raises_as(expected, call):
+    with pytest.raises(type(expected)) as exc:
+        call()
+    assert type(exc.value) is type(expected)
+    assert vars(exc.value) == vars(expected)
+    assert str(exc.value) == str(expected)
+
+
+def _poset(lat):
+    return BrutePoset(lat.classes, lat.covers)
+
+
+def _largest(poset, items):
+    return next((u for u in items if all(poset.leq(v, u) for v in items)), None)
+
+
+def _closure_connection(rng, left, right):
+    """A connection from random closures on left and right with isomorphic
+    images (resampled until they are)."""
+    while True:
+        c, i = random_closure(rng, left), random_closure(rng, right)
+        image_c = left.sorted_by_index(set(c.values()))
+        image_i = right.sorted_by_index(set(i.values()))
+        h = find_order_iso(left, image_c, right, image_i) if len(image_c) == len(image_i) else None
+        if h is not None:
+            return build_from_closures(left, right, c, i, h)
+
+
+def _random_lattices(rng, k, hi=6):
+    return [random_lattice_exact(rng, rng.randint(2, hi)) for _ in range(k)]
+
+
+def _planted_adjoint_error(lp, rp, alpha):
+    """The AdjointError that conditions 1-3 name for alpha, or None."""
+    image = [m for m in rp.classes if m in alpha.values()]
+    largest = {}
+    for m in image:
+        members = [l for l in lp.classes if alpha[l] == m]
+        largest[m] = _largest(lp, members)
+        if largest[m] is None:
+            return AdjointError(1, (m,), f"preimage {members} has no largest member")
+    for m in rp.classes:
+        above = [t for t in image if rp.leq(m, t)]
+        if not above:
+            return AdjointError(2, (m,), "no image class above it")
+        if not any(all(rp.leq(u, v) for v in above) for u in above):
+            minimal = [u for u in above if not any(v != u and rp.leq(v, u) for v in above)]
+            return AdjointError(2, (m,), f"image classes above it have no smallest member "
+                                         f"(minimal ones: {minimal})")
+    for m1, m2 in itertools.product(image, repeat=2):
+        if rp.leq(m1, m2) and not lp.leq(largest[m1], largest[m2]):
+            return AdjointError(3, (m1, m2),
+                                "largest-preimage elements do not mirror the image order")
+    return None
+
+
+def test_find_adjoint_output_passes_the_full_check():
+    rng = random.Random(1301)
+    outcomes = Counter()
+    for k in range(300):
+        if k % 4 == 0:
+            conn = _closure_connection(rng, *_random_lattices(rng, 2))
+            left, right, alpha = conn.left, conn.right, conn.alpha.mapping()
+        else:
+            left, right = _random_lattices(rng, 2, hi=8)
+            alpha = random_monotone_map(rng, left, right)
+        amap = MonotoneMap(left, right, alpha)
+        expected = _planted_adjoint_error(_poset(left), _poset(right), alpha)
+        if expected is not None:
+            _assert_raises_as(expected, lambda: find_adjoint(amap))
+            outcomes[expected.condition] += 1
+            continue
+        gamma = find_adjoint(amap)
+        assert gamma == MonotoneMap(right, left, gamma.mapping())
+        assert connection_violations(left, right, alpha, gamma.mapping()) == []
+        outcomes["ok"] += 1
+    assert set(outcomes) == {"ok", 1, 2, 3}, outcomes
+
+
+def _planted_closure_error(lat, table, name):
+    """The NotClosure that the closure laws, in their order, name for table."""
+    poset = _poset(lat)
+    for lo, hi in lat.covers:
+        if not poset.leq(table[lo], table[hi]):
+            return NotClosure(name, "monotone", lo)
+    for law, holds in (("increasing", lambda x: poset.leq(x, table[x])),
+                       ("idempotent", lambda x: table[table[x]] == table[x])):
+        for x in lat.classes:
+            if not holds(x):
+                return NotClosure(name, law, x)
+    return None
+
+
+def _planted_iso_error(left, right, image_c, image_i, h):
+    """The NotIso that the three checks on h, in their order, name."""
+    if set(h) != set(image_c):
+        return NotIso("h must be defined exactly on the image of c",
+                      tuple(sorted(set(h) ^ set(image_c))))
+    if set(h.values()) != set(image_i) or len(set(h.values())) != len(h):
+        return NotIso("h must map one-to-one onto the image of i",
+                      tuple(sorted(set(h.values()) ^ set(image_i))))
+    lp, rp = _poset(left), _poset(right)
+    for a, b in itertools.product(image_c, repeat=2):
+        if lp.leq(a, b) != rp.leq(h[a], h[b]):
+            return NotIso("h does not preserve and reflect order", (a, b))
+    return None
+
+
+def _random_operator(rng, lat):
+    """A closure operator, or a random monotone or arbitrary table on lat."""
+    roll = rng.random()
+    if roll < 0.75:
+        return random_closure(rng, lat)
+    if roll < 0.85:
+        return random_monotone_map(rng, lat, lat)
+    return {x: rng.choice(lat.classes) for x in lat.classes}
+
+
+def test_build_from_closures_and_identity_outputs_pass_the_full_check():
+    rng = random.Random(1302)
+    outcomes = Counter()
+    for _ in range(400):
+        left, right = random_lattice(rng, max_classes=5), random_lattice(rng, max_classes=5)
+        _assert_proven(identity_connection(left))
+        c, i = _random_operator(rng, left), _random_operator(rng, right)
+        image_c = [x for x in left.classes if x in c.values()]
+        image_i = [x for x in right.classes if x in i.values()]
+        h = find_order_iso(left, image_c, right, image_i) if len(image_c) == len(image_i) else None
+        if h is None or rng.random() < 0.2:
+            h = dict(zip(image_c, rng.sample(image_i, min(len(image_c), len(image_i)))))
+            if rng.random() < 0.3:
+                h[rng.choice(left.classes)] = rng.choice(right.classes)
+        expected = (_planted_closure_error(left, c, "c") or _planted_closure_error(right, i, "i")
+                    or _planted_iso_error(left, right, image_c, image_i, h))
+        if expected is not None:
+            _assert_raises_as(expected, lambda: build_from_closures(left, right, c, i, h))
+            detail = expected.law if isinstance(expected, NotClosure) else str(expected)
+            outcomes[type(expected).__name__, detail.split(" (witness")[0]] += 1
+            continue
+        _assert_proven(build_from_closures(left, right, c, i, h))
+        outcomes["ok", ""] += 1
+    assert len(outcomes) == 7, outcomes  # ok, three closure laws, three iso checks
+
+
+def _planted_compose_error(ab, bc):
+    """The ComposeError that the two closure-of-image checks name, or None."""
+    mid = ab.right.classes
+    image_a, image_g = set(ab.alpha.mapping().values()), set(bc.gamma.mapping().values())
+    for x in (x for x in mid if x in image_a):
+        if bc.gamma(bc.alpha(x)) not in image_a:
+            return ComposeError("left", x)
+    for y in (y for y in mid if y in image_g):
+        if ab.alpha(ab.gamma(y)) not in image_g:
+            return ComposeError("right", y)
+    return None
+
+
+def test_compose_output_passes_the_full_check():
+    rng = random.Random(1303)
+    outcomes = Counter()
+    for _ in range(150):
+        left, mid, right = _random_lattices(rng, 3)
+        ab, bc = _closure_connection(rng, left, mid), _closure_connection(rng, mid, right)
+        expected = _planted_compose_error(ab, bc)
+        if expected is not None:
+            _assert_raises_as(expected, lambda: compose(ab, bc))
+            outcomes[expected.side] += 1
+            continue
+        _assert_proven(compose(ab, bc).connection)
+        outcomes["ok"] += 1
+    assert set(outcomes) == {"ok", "left", "right"}, outcomes
+
+
+def test_decompose_insertions_pass_the_full_check():
+    rng = random.Random(1304)
+    for _ in range(60):
+        dec = decompose(_closure_connection(rng, *_random_lattices(rng, 2, hi=8)))
+        _assert_proven(dec.insertion_left)
+        _assert_proven(dec.insertion_right)
+        i1, i2 = dec.iso
+        assert i1 == MonotoneMap(i1.source, i1.target, i1.mapping())
+        assert i2 == MonotoneMap(i2.source, i2.target, i2.mapping())
+
+
+def _planted_coarsen_error(conn, alpha2):
+    """The CoarsenError that coarsen's three conditions, in order, name."""
+    left, alpha = conn.left, conn.alpha.mapping()
+    for block in _brute_blocks(left.classes, alpha):
+        b = next((c for c in block if alpha2[c] != alpha2[block[0]]), None)
+        if b is not None:
+            return CoarsenError("not-refinement", (block[0], b),
+                                f"{block[0]!r} and {b!r} shared an image before but not after")
+    for block in _brute_blocks(left.classes, alpha2):
+        rep = _largest(_poset(left), block)
+        if rep is None:
+            return CoarsenError("no-largest-element", block,
+                                f"merged class {list(block)} has no largest member")
+        if alpha2[rep] != alpha[rep]:
+            return CoarsenError("representative-mismatch", (rep,),
+                                f"largest member {rep!r} must keep its old image "
+                                f"{alpha[rep]!r}, got {alpha2[rep]!r}")
+    return None
+
+
+def test_coarsen_output_passes_the_full_check():
+    rng = random.Random(1305)
+    outcomes = Counter()
+    for k in range(300):
+        conn = _closure_connection(rng, *_random_lattices(rng, 2))
+        left, right = conn.left, conn.right
+        if k % 3 == 0:
+            alpha2 = random_monotone_map(rng, left, right)
+        else:  # merge whole alpha-blocks: send each through a monotone map on M
+            f = random_monotone_map(rng, right, right)
+            alpha2 = {l: f[conn.alpha(l)] for l in left.classes}
+        amap = MonotoneMap(left, right, alpha2)
+        expected = _planted_coarsen_error(conn, alpha2)
+        if expected is not None:
+            _assert_raises_as(expected, lambda: coarsen(conn, amap))
+            outcomes[expected.kind] += 1
+            continue
+        _assert_proven(coarsen(conn, amap))
+        outcomes["ok"] += 1
+    assert set(outcomes) == {"ok", "not-refinement", "no-largest-element",
+                             "representative-mismatch"}, outcomes

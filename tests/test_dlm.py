@@ -22,8 +22,8 @@ from sifc.connection import PartialMap
 
 from fixtures import principal_map_pair, wide_principal_map_pair
 from oracles import (BruteLabels, BrutePoset, brute_lagois_violations, brute_lift,
-                     one_policy_lifted_failures, one_policy_order, reach_table,
-                     rows_above, sampled_lifted_failures)
+                     closure_rows, converse_rows, one_policy_lifted_failures,
+                     one_policy_order, reach_table, rows_above, sampled_lifted_failures)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -281,6 +281,37 @@ def test_unmapped_principals_raise_partial_map(side):
     assert exc.value.missing == tuple(missing)
     with pytest.raises(PartialMap):
         PrincipalMapPair.check(LEFT_H, RIGHT_H, alpha, gamma)
+
+
+def _warshall_rows(h):
+    """The acts-for rows and columns of h by Warshall over the raw edges plus
+    the implicit TOP and BOT pairs."""
+    index = {p: i for i, p in enumerate(h.principals)}
+    pairs = list(h.edges) + [("TOP", p) for p in h.principals] + [(p, "BOT") for p in h.principals]
+    rows = closure_rows(len(index), [(index[p], index[q]) for p, q in pairs])
+    return rows, converse_rows(rows)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_hierarchy_rows_match_warshall_on_random_cyclic_hierarchies(seed):
+    rng = random.Random(1330 + seed)
+    for _ in range(60):
+        h = _random_cyclic_hierarchy(rng, max_names=rng.choice((6, 24, 60)))
+        rows, cols = _warshall_rows(h)
+        assert [h._row[p] for p in h.principals] == rows
+        assert [h._col[p] for p in h.principals] == cols
+
+
+@pytest.mark.parametrize("top_first", [False, True])
+def test_hierarchy_of_a_3000_principal_chain(top_first):
+    # No recursion limit on the closure, and acts-for still follows the chain:
+    # p{k} acts for p{k+1}, declared from either end.
+    n = 3000
+    names = [f"p{k}" for k in range(n)]
+    h = PrincipalsHierarchy(names[::-1] if top_first else names,
+                            [(names[k], names[k + 1]) for k in range(n - 1)])
+    for a, b in ((0, 1), (0, n - 1), (n // 2, n // 2 + 7), (n - 2, n - 1)):
+        assert h.acts_for(names[a], names[b]) and not h.acts_for(names[b], names[a])
 
 
 def _converse_poset(h):

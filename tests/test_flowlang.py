@@ -484,6 +484,17 @@ def test_gen_deterministic(cu):
     assert gen_well_typed(DECLS, cu, 15, seed=9) == gen_well_typed(DECLS, cu, 15, seed=9)
 
 
+@pytest.mark.parametrize("kinds", [flowlang.PHRASE_KINDS, ("rd", "wr"), ("trl", "tlr", "txn")],
+                         ids=["all", "rd-wr", "transfers"])
+def test_gen_sets_the_body_program_would_check(cu, kinds):
+    # The generator sets its body on its own Program without re-checking the
+    # phrases; a Program built from scratch must accept them and be equal.
+    for seed in range(500):
+        g = gen_well_typed(DECLS, cu, seed % 21, seed=seed, kinds=kinds)
+        rebuilt = Program(DECLS, g.body)
+        assert rebuilt == g and rebuilt.env == g.env
+
+
 def test_gen_stalls_when_transfers_cannot_type(cu):
     # Every import class sits strictly below what the maps land on every
     # export: gamma(UnivFac) = Faculty above the Student import, and

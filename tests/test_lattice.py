@@ -9,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sifc.lattice import (BadClassName, CycleError, DuplicateClass, Lattice, LatticeError,
-                          NotALattice, UnknownClass, build_lattice)
+                          NotALattice, UnknownClass, _closure_rows, build_lattice)
 
 from fixtures import (COLLEGE_CLASSES, COLLEGE_COVERS, UNIVERSITY_CLASSES,
                       college, university)
 from gen import random_lattice, random_lattice_exact
-from oracles import brute_join, brute_lattice_error, brute_meet, reach_table
+from oracles import (brute_join, brute_lattice_error, brute_meet, closure_rows, converse_rows,
+                     reach_table)
 
 
 def test_college_builds():
@@ -368,3 +369,71 @@ def test_boolean_lattice_of_256_elements():
         assert lat.join(name[a], name[b]) == name[a | b]
         assert lat.meet(name[a], name[b]) == name[a & b]
         assert lat.leq(name[a], name[b]) == (a & b == a)
+
+
+# -- the linear-time closure against Warshall -----------------------------------
+
+def _random_relation(rng, n):
+    """Random edges on range(n) with cycles, self-loops and repeated edges."""
+    edges = [(rng.randrange(n), rng.randrange(n))
+             for _ in range(rng.randint(0, int(rng.choice((0.02, 0.1, 0.4)) * n * n) + 2))]
+    edges += [(i, i) for i in rng.sample(range(n), rng.randint(0, n // 4))]
+    edges += rng.sample(edges, len(edges) // 3)
+    rng.shuffle(edges)
+    return edges
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_closure_rows_match_warshall_on_random_relations(seed):
+    rng = random.Random(1300 + seed)
+    cyclic = 0
+    for _ in range(200):
+        n = rng.randint(1, 64)
+        edges = _random_relation(rng, n)
+        up = closure_rows(n, edges)
+        assert _closure_rows(n, edges) == up
+        assert _closure_rows(n, [(j, i) for i, j in edges]) == converse_rows(up)
+        cyclic += any(up[i] >> j & 1 and up[j] >> i & 1 for i, j in edges if i != j)
+    assert cyclic > 20
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_cycle_error_pair_matches_oracle_on_cyclic_relations(seed):
+    # Every relation here has at least one cycle through two classes; a cycle
+    # shares one row, and the first (i < j) pair of it is the one named.
+    rng = random.Random(1310 + seed)
+    for _ in range(100):
+        n = rng.randint(2, 48)
+        names = [f"q{i}" for i in range(n)]
+        a, b = rng.sample(range(n), 2)
+        edges = _random_relation(rng, n) + [(a, b), (b, a)]
+        covers = [(names[i], names[j]) for i, j in edges]
+        kind, pair, _ = brute_lattice_error(names, covers)
+        assert kind == "cycle"
+        with pytest.raises(CycleError) as exc:
+            build_lattice("cyc", names, covers)
+        assert exc.value.pair == pair
+        assert str(exc.value) == str(CycleError(pair))
+
+
+def test_lattice_rows_are_the_warshall_closure():
+    rng = random.Random(1320)
+    for n in (1, 2, 5, 17, 40, 64):
+        lat = random_lattice_exact(rng, n)
+        index = {c: i for i, c in enumerate(lat.classes)}
+        up = closure_rows(n, [(index[a], index[b]) for a, b in lat.covers])
+        assert [lat._up[c] for c in lat.classes] == up
+        assert [lat._down[c] for c in lat.classes] == converse_rows(up)
+
+
+@pytest.mark.parametrize("top_first", [False, True])
+def test_closure_of_a_3000_class_chain_needs_no_recursion(top_first):
+    # A depth-first closure that recursed would pass the interpreter's
+    # recursion limit here.  The chain runs order[0] -> order[1] -> ...; the
+    # lattice over it is built at 256 classes above, since proving a chain
+    # of 3,000 a lattice takes seconds.
+    n = 3000
+    order = list(range(n))[::-1] if top_first else list(range(n))
+    rows = _closure_rows(n, [(order[k], order[k + 1]) for k in range(n - 1)])
+    for k in (0, 1, n // 2, n - 2, n - 1):
+        assert rows[order[k]] == sum(1 << v for v in order[k:])

@@ -153,16 +153,6 @@ class MonotoneMap:
     def image(self) -> tuple[str, ...]:
         return self.target.sorted_by_index(set(self._table.values()))
 
-    def preimage(self, value: str) -> tuple[str, ...]:
-        return tuple(c for c in self.source.classes if self._table[c] == value)
-
-    def then(self, other: "MonotoneMap") -> "MonotoneMap":
-        """Composition: first self, then other."""
-        if other.source != self.target:
-            raise LatticeMismatch("cannot compose maps across different lattices")
-        return MonotoneMap(self.source, other.target,
-                           {c: other(self._table[c]) for c in self.source.classes})
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, MonotoneMap):
             return NotImplemented
@@ -396,11 +386,12 @@ def find_adjoint(alpha: MonotoneMap) -> MonotoneMap:
     above m (LC2, LC4), gamma(alpha(l)) the largest preimage of alpha(l) (LC1, LC3).
     """
     left, right = alpha.source, alpha.target
-    image = alpha.image()
+    preimage = {alpha(block[0]): block for block in _kernel_blocks(left, alpha._table)}
+    image = right.sorted_by_index(preimage)
 
     largest: dict[str, str] = {}
     for m in image:
-        members = alpha.preimage(m)
+        members = preimage[m]
         largest[m] = left.join_all(members)
         if largest[m] not in members:
             raise AdjointError(1, (m,), f"preimage {list(members)} has no largest member")
@@ -534,7 +525,9 @@ def sublattice(lat: Lattice, subset: Iterable[str], name: str) -> Lattice:
 def decompose(conn: LagoisConnection) -> Decomposition:
     """Split a connection into two insertions around the budpoint iso.  Each
     insertion pairs a round trip, a closure operator by LC1 and LC4 (LC2 and
-    LC3), with the inclusion of its image: a connection, not re-verified."""
+    LC3), with the inclusion of its image: a connection, not re-verified.
+    The iso legs are alpha and gamma on the budpoints, mutually inverse there
+    by LC4 (gamma(alpha(gamma(m))) = gamma(m)) and LC3, so not re-checked."""
     lstar = sublattice(conn.left, conn.budpoints_left, f"{conn.left.name}*")
     mstar = sublattice(conn.right, conn.budpoints_right, f"{conn.right.name}*")
 
@@ -544,11 +537,6 @@ def decompose(conn: LagoisConnection) -> Decomposition:
 
     i1 = _proven_map(lstar, mstar, {b: conn.alpha(b) for b in lstar.classes})
     i2 = _proven_map(mstar, lstar, {b: conn.gamma(b) for b in mstar.classes})
-    for star, there, back in ((lstar, i1, i2), (mstar, i2, i1)):
-        for b in star.classes:
-            if back(there(b)) != b:
-                raise NotIso("budpoint maps are not mutually inverse", (b,))
-
     e2 = {b: b for b in mstar.classes}
     r2 = {m: conn.round_trip_right(m) for m in conn.right.classes}
     insertion_right = _assemble(mstar, conn.right, e2, r2)

@@ -365,19 +365,18 @@ class LiftedReport:
     failures: tuple[tuple[str, str], ...]  # (property, witness)
 
 
-def random_label(rng: random.Random, principals: Sequence[str],
-                 max_policies: int = 4, max_readers: int = 3) -> Label:
-    """Policy count geometric with mean two (capped), readers uniform small
-    subsets.  Covers the empty label."""
+def random_label(rng: random.Random, principals: Sequence[str]) -> Label:
+    """Policy count geometric with mean two (capped at four), readers uniform
+    subsets of at most three.  Covers the empty label."""
     count = 1
-    while count < max_policies and rng.random() < 0.5:
+    while count < 4 and rng.random() < 0.5:
         count += 1
     if rng.random() < 0.1:
         count = 0
     policies = []
     for _ in range(count):
         owner = rng.choice(principals)
-        size = rng.randint(0, min(max_readers, len(principals)))
+        size = rng.randint(0, min(3, len(principals)))
         readers = frozenset(rng.sample(list(principals), size))
         policies.append(Policy(owner, readers))
     return Label(frozenset(policies))

@@ -196,9 +196,6 @@ class StorePair:
     left: dict[str, int]
     right: dict[str, int]
 
-    def copy(self) -> "StorePair":
-        return StorePair(dict(self.left), dict(self.right))
-
 
 def _linear(e: Expr) -> tuple[int, tuple[str, ...]]:
     """Flatten a sum into its constant and its variables; addition mod 2^16
@@ -262,9 +259,6 @@ class Program:
         _, tdom, tkind, target, sdom, skind, source = move
         self._need(target, tdom, tkind, idx)
         self._need(source, sdom, skind, idx)
-
-    def variables(self, domain: str) -> tuple[VarDecl, ...]:
-        return tuple(d for d in self.decls if d.domain == domain)
 
 
 # -- execution ----------------------------------------------------------------
@@ -632,7 +626,8 @@ def run_ni_suite(decls: Sequence[VarDecl], conn: LagoisConnection,
 
 # -- text format --------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\d+|[A-Za-z_][A-Za-z0-9_]*|:=|[+;]")
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"  # a variable name; a term is one or an ASCII numeral
+_NAME_RE, _TERM_RE = re.compile(_NAME), re.compile(rf"([0-9]+)|{_NAME}")
 
 
 def parse_program(text: str) -> Program:
@@ -659,7 +654,8 @@ def _parse_line(line: str, decls: list[VarDecl], body: list[Phrase]) -> None:
     head, *rest = line.split()
     if head == "var":
         domain, name, colon, cls, kind = rest
-        if colon != ":" or kind not in KINDS or domain not in DOMAINS:
+        if (colon != ":" or kind not in KINDS or domain not in DOMAINS
+                or not _NAME_RE.fullmatch(name)):
             raise ParseError(f"malformed declaration {line!r}")
         decls.append(VarDecl(name, domain, kind, cls))
     elif head == "t":
@@ -691,25 +687,15 @@ def _parse_line(line: str, decls: list[VarDecl], body: list[Phrase]) -> None:
 
 
 def _parse_expr(src: str) -> Expr:
-    tokens = _TOKEN_RE.findall(src)
-    if "".join(tokens) != "".join(src.split()):
-        raise ParseError(f"bad expression {src.strip()!r}")
-    if not tokens:
+    """A sum of terms: `+` between each two, whitespace around each."""
+    if not src.strip():
         raise ParseError("empty expression")
     terms = []
-    expect_term = True
-    for tok in tokens:
-        if expect_term:
-            if tok == "+" or tok == ";":
-                raise ParseError(f"bad expression {src.strip()!r}")
-            terms.append(Const(int(tok)) if tok.isdigit() else Var(tok))
-            expect_term = False
-        else:
-            if tok != "+":
-                raise ParseError(f"bad expression {src.strip()!r}")
-            expect_term = True
-    if expect_term:
-        raise ParseError(f"bad expression {src.strip()!r}")
+    for term in src.split("+"):
+        m = _TERM_RE.fullmatch(term.strip())
+        if m is None:
+            raise ParseError(f"bad expression {src.strip()!r}")
+        terms.append(Const(int(m[0])) if m[1] else Var(m[0]))
     # Pair up neighbours until one term is left: the tree is log2(terms) deep,
     # so recursive walkers (dataclass equality, hash and repr among them)
     # handle a sum of any length.  Addition is associative, so the shape does

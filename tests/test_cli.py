@@ -510,11 +510,16 @@ BINARY = bytes(range(128, 256))
      "UnicodeDecodeError"),
     ([*NI_SUITE, "--len", "-1"], None, {}, None),
     (NI_SUITE, None, {"SIFC_SEED": "abc"}, None),
+    (["find-adjoint", DOC], fixture_doc("college-univ.json", ("alpha", "Student"), "top2"), {},
+     "NotMonotone"),
+    (["dlm", "check-hierarchy", DOC], {"principals": ["stu", "a-b"]}, {}, "DlmError"),
+    (["dlm", "check-hierarchy", DOC], {"principals": ["stu", "fac", "stu"]}, {}, "DlmError"),
 ], ids=["unhashable-cover", "non-string-principal", "unhashable-edge",
         "unhashable-connection-alpha", "unhashable-principal-alpha", "closures-without-i",
         "closures-list", "nul-in-file-reference", "number-too-long", "nesting-too-deep",
         "binary-lattice", "binary-program",
-        "negative-len", "bad-seed-env"])
+        "negative-len", "bad-seed-env",
+        "non-monotone-alpha", "invalid-principal-name", "duplicate-principal"])
 def test_malformed_inputs_are_typed_input_errors(tmp_path, monkeypatch, argv, content, env,
                                                  error):
     for key, value in env.items():
@@ -603,3 +608,45 @@ def test_internal_errors_propagate_and_exit_3(monkeypatch, capsys):
                                         "message": "'bug'"}
     assert captured.err.startswith("INTERNAL ERROR: 'bug'\nTraceback")
     assert "KeyError: 'bug'" in captured.err
+
+
+def test_ill_typed_generated_program_is_an_internal_error(monkeypatch, capsys):
+    # run_ni_suite re-checks the programs its own generator built, so an
+    # IllTyped there is a bug in sifc, neither a FAIL nor the input's fault
+    from sifc import flowlang
+    from sifc.flowlang import IllTyped, Program, Trl, VarDecl
+
+    def ill_typed(decls, conn, length, seed):
+        decls = (*decls, VarDecl("ly0", "L", "import", "Student"),
+                 VarDecl("mx0", "M", "export", "top2"))
+        return Program(decls, (Trl("ly0", "mx0"),))
+
+    monkeypatch.setattr(flowlang, "gen_well_typed", ill_typed)
+    with pytest.raises(IllTyped):
+        cli_dispatch(NI_SUITE)
+    code = main(NI_SUITE)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert json.loads(captured.out)["error"] == "IllTyped"
+    assert captured.err.startswith("INTERNAL ERROR: program is not well-typed")
+    assert "Traceback" in captured.err
+
+
+def test_coarsen_failure_names_kind_and_witness(tmp_path):
+    table = dict(fx.CU_ALPHA, Faculty="Dean(Colleges)")  # splits the block {Student, Faculty}
+    v = run_with(tmp_path, ["coarsen", path("college-univ.json"), DOC], {"alpha2": table})
+    assert v.exit_code == 1
+    assert v.details["error"] == "CoarsenError"
+    assert v.details["kind"] == "not-refinement"
+    assert v.details["witness"] == ["Student", "Faculty"]
+
+
+def test_check_connection_reads_the_connection_document_it_writes(tmp_path):
+    conn = fx.college_university()
+    f = tmp_path / "conn.json"
+    f.write_text(json.dumps(conn.to_dict()))
+    v = cli_dispatch(["check-connection", str(f)])
+    assert v.exit_code == 0
+    assert v.details["budpoints_left"] == list(conn.budpoints_left)
+    assert v.details["budpoints_right"] == list(conn.budpoints_right)
+    assert v.details["gamma"] == conn.gamma.mapping()

@@ -9,7 +9,8 @@ import pytest
 
 from sifc.connection import (AdjointError, CoarsenError, ComposeError,
                              LagoisConnection, LatticeMismatch, MonotoneMap,
-                             NotClosure, NotIso, NotLagois, NotSemiInverse, PartialMap,
+                             NotClosure, NotIso, NotLagois, NotMonotone, NotSemiInverse,
+                             PartialMap,
                              build_from_closures, check_connection, check_tightness, coarsen,
                              compose, connection_violations, decompose,
                              budpoint_representative, find_adjoint,
@@ -972,3 +973,46 @@ def test_coarsen_output_passes_the_full_check():
         outcomes["ok"] += 1
     assert set(outcomes) == {"ok", "not-refinement", "no-largest-element",
                              "representative-mismatch"}, outcomes
+
+
+# -- input checks of maps and constructors ---------------------------------------
+
+def test_monotone_map_rejects_an_order_reversal(cu):
+    table = dict(fx.CU_ALPHA, Student="top2")
+    with pytest.raises(NotMonotone) as exc:
+        MonotoneMap(cu.left, cu.right, table, "alpha")
+    assert exc.value.pair == ("Student", "Faculty")
+    assert str(exc.value) == "alpha is not order-preserving at 'Student' <= 'Faculty'"
+
+
+def test_map_values_outside_the_target_are_unknown_classes(cu):
+    table = dict(fx.CU_ALPHA, top1="top9")
+    with pytest.raises(UnknownClass) as exc:
+        MonotoneMap(cu.left, cu.right, table, "alpha")
+    assert str(exc.value) == "unknown class 'top9' in alpha range"
+    with pytest.raises(UnknownClass) as exc:
+        check_connection(cu.left, cu.right, table, fx.CU_GAMMA)
+    assert str(exc.value) == "unknown class 'top9' in alpha range"
+
+
+def test_monotone_map_call_rejects_unknown_class(cu):
+    with pytest.raises(UnknownClass) as exc:
+        cu.alpha("nope")
+    assert str(exc.value) == "unknown class 'nope' in map domain"
+
+
+def test_coarsen_rejects_a_map_between_other_lattices(cu):
+    ident = MonotoneMap(cu.left, cu.left, {c: c for c in cu.left.classes})
+    with pytest.raises(LatticeMismatch):
+        coarsen(cu, ident)
+
+
+def test_semi_inverse_rejects_a_gamma_that_does_not_run_back(cu):
+    with pytest.raises(LatticeMismatch):
+        semi_inverse_connection(cu.alpha, cu.alpha)
+
+
+def test_budpoint_representative_rejects_a_bad_side(cu):
+    with pytest.raises(ValueError) as exc:
+        budpoint_representative(cu, "middle", "Student")
+    assert str(exc.value) == "side must be 'left' or 'right', got 'middle'"

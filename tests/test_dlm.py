@@ -212,6 +212,16 @@ def test_label_order_laws(data):
             assert label_leq(h, l1, smaller)
 
 
+@pytest.mark.parametrize("principals,message", [
+    (["a", "b c"], "invalid principal name 'b c'"),
+    (["a", "b", "a"], "duplicate principal 'a'"),
+], ids=["invalid-name", "duplicate-name"])
+def test_hierarchy_rejects_bad_principal_lists(principals, message):
+    with pytest.raises(DlmError) as exc:
+        PrincipalsHierarchy(principals, [])
+    assert str(exc.value) == message
+
+
 # -- label literals ----------------------------------------------------------------
 
 @pytest.mark.parametrize("src,expected", [
@@ -227,7 +237,7 @@ def test_parse_label(src, expected):
 
 @pytest.mark.parametrize("src", ["", "o: r", "{o r}", "{o: r", "{o!: r}",
                                  "{stu: fac,,}", "{a:,}", "{o: ,r}", "{o: r,,s}",
-                                 "{o: r, }"])
+                                 "{o: r, }", "{o: r!}"])
 def test_parse_label_errors(src):
     with pytest.raises(LabelSyntaxError):
         parse_label(src)
@@ -488,6 +498,26 @@ def test_cross_declassify_authority_mismatch(pm):
     with pytest.raises(AuthorityMismatch):
         cross_declassify_check(pm, ["fac"], ["uni_dean"],
                                Label.of(policy("fac")), Label.empty())
+
+
+def test_cross_declassify_names_an_unknown_authority_principal(pm):
+    # each authority against its own hierarchy, the left one first: an
+    # unknown right principal is not reported as an authority mismatch
+    for left, right, name in ((["zz"], ["uni_fac"], "zz"), (["fac"], ["zz"], "zz"),
+                              (["zz_left"], ["zz_right"], "zz_left")):
+        with pytest.raises(UnknownPrincipal) as exc:
+            cross_declassify_check(pm, left, right, Label.empty(), Label.empty())
+        assert exc.value.name == name
+
+
+def test_bad_direction_is_a_value_error(pm):
+    message = "direction must be 'lr' or 'rl', got 'up'"
+    with pytest.raises(ValueError) as exc:
+        lift_label(pm, "up", Label.empty())
+    assert str(exc.value) == message
+    with pytest.raises(ValueError) as exc:
+        cross_declassify_check(pm, [], [], Label.empty(), Label.empty(), direction="up")
+    assert str(exc.value) == message
 
 
 def test_cross_declassify_detects_disagreement_off_transfer_scope(pm):

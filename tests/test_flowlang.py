@@ -53,6 +53,31 @@ def zero_store(prog: Program) -> StorePair:
 
 # -- program well-formedness ---------------------------------------------------
 
+@pytest.mark.parametrize("decl,message", [
+    (VarDecl("a", "X", "internal", "Student"), "bad domain 'X' for 'a'"),
+    (VarDecl("a", "L", "inward", "Student"), "bad kind 'inward' for 'a'"),
+], ids=["domain", "kind"])
+def test_program_rejects_a_bad_declaration(decl, message):
+    with pytest.raises(FlowError) as exc:
+        Program((decl,), ())
+    assert str(exc.value) == message
+
+
+def test_non_phrases_are_rejected(cu):
+    with pytest.raises(FlowError) as exc:
+        Program(DECLS, ("lz1",))
+    assert str(exc.value) == "phrase 0: unknown phrase 'lz1'"
+    with pytest.raises(FlowError) as exc:
+        typecheck_phrase(Program(DECLS, ()).env, cu, ("rd", "L", "lz1", "ly1"))
+    assert str(exc.value) == "unknown phrase ('rd', 'L', 'lz1', 'ly1')"
+
+
+def test_gen_well_typed_rejects_an_unknown_phrase_kind(cu):
+    with pytest.raises(ValueError) as exc:
+        gen_well_typed(DECLS, cu, 3, seed=0, kinds=("txm",))
+    assert str(exc.value) == "unknown phrase kind 'txm'"
+
+
 def test_duplicate_variable():
     with pytest.raises(DuplicateVariable):
         Program((VarDecl("a", "L", "internal", "x"),
@@ -570,6 +595,13 @@ def test_parse_round_trip_semantics(cu):
     "trl y",
     "trl y x z",
     "tlr y x z",
+    "var L := : Student internal\nt L { a := := }",
+    "t L { a := \u0663 }",
+    "var L a+b : Student internal",
+    "t L { a := + 1 }",
+    "t L { a := 1 2 }",
+    "t L { a := 1 + }",
+    "t X { a := 1 }",
 ])
 def test_parse_errors(bad):
     with pytest.raises(ParseError):
@@ -580,6 +612,21 @@ def test_parse_reports_line_number():
     with pytest.raises(ParseError) as exc:
         parse_program("var L a : Student internal\nwr L a\n")
     assert "line 2" in str(exc.value)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("var L a : Student internal\nvar M a : UnivFac internal", "variable 'a' declared twice"),
+    ("var L a : Student internal\nt L { a := b }", "phrase 0: variable 'b' is not declared"),
+    ("var L a : Student internal\nt X { a := 1 }", "line 2: bad domain 'X'"),
+    ("var L := : Student internal", "line 1: malformed declaration 'var L := : Student internal'"),
+    ("var L a : Student internal\nt L { a := := }", "line 2: bad expression ':='"),
+    ("var L a : Student internal\nt L { a := \u0663 }", "line 2: bad expression '\u0663'"),
+], ids=["duplicate", "undeclared", "bad-domain", "name-not-an-identifier", "name-as-term",
+        "non-ascii-digit"])
+def test_parse_error_messages(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse_program(text)
+    assert str(exc.value) == message
 
 
 # -- suite loop, executor and the exact non-interference oracle --------------------

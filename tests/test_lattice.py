@@ -3,13 +3,15 @@
 import itertools
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sifc.lattice import (BadClassName, CycleError, DuplicateClass, Lattice, LatticeError,
-                          NotALattice, UnknownClass, _closure_rows, build_lattice)
+                          NotALattice, UnknownClass, _closure_rows, build_lattice,
+                          load_lattice)
 
 from fixtures import (COLLEGE_CLASSES, COLLEGE_COVERS, UNIVERSITY_CLASSES,
                       college, university)
@@ -126,6 +128,10 @@ def test_unknown_class_errors():
         lat.join("nope", "Student")
     with pytest.raises(UnknownClass):
         lat.meet("Student", "nope")
+    for query in (lat.upset, lat.downset):
+        with pytest.raises(UnknownClass) as exc:
+            query("nope")
+        assert str(exc.value) == "unknown class 'nope' in College"
 
 
 @settings(max_examples=200)
@@ -167,6 +173,12 @@ def test_serialization_round_trip():
     assert again == lat
     assert again.classes == lat.classes
     assert again.to_dict() == lat.to_dict()
+
+
+def test_load_lattice_reads_the_fixture_file():
+    lat = load_lattice(str(Path(__file__).resolve().parent.parent / "fixtures" / "college.json"))
+    assert lat == college()
+    assert lat.classes == college().classes
 
 
 @pytest.mark.parametrize("doc", [

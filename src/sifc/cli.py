@@ -19,21 +19,14 @@ from pathlib import Path
 
 from . import __version__
 from . import connection as conn_mod
-from .connection import (AdjointError, ComposeError, CoarsenError,
-                         LagoisConnection, MapError, MonotoneMap, NotClosure,
-                         NotIso, NotLagois, NotSemiInverse, check_connection,
-                         check_tightness, compose, decompose, find_adjoint)
-from .dlm import (CorollaryViolation, DlmError, NotLagoisHierarchy,
-                  PrincipalMapPair, PrincipalsHierarchy,
-                  check_lifted_connection, cross_declassify_check,
-                  declassify_check, format_label, label_leq, lift_label,
-                  parse_label)
-from .flowlang import (FlowError, FlowTypeError, GenerationStall, IllTyped,
-                       ParseError, Program, exec_program, lint_transfer_classes,
-                       parse_program, run_ni_suite, store_pair_from_dict,
-                       store_pair_to_dict, typecheck)
-from .lattice import (CycleError, Lattice, LatticeError, NotALattice,
-                      _check_document)
+from .connection import (LagoisConnection, MonotoneMap, check_connection, check_tightness,
+                         compose, decompose, find_adjoint)
+from .errors import (AdjointError, CoarsenError, ComposeError, CorollaryViolation, CycleError,
+                     DlmError, FlowError, FlowTypeError, GenerationStall, IllTyped,
+                     LatticeError, MapError, NotALattice, NotClosure, NotIso, NotLagois,
+                     NotLagoisHierarchy, NotSemiInverse, ParseError)
+from .lattice import Lattice, _check_document
+# flowlang and dlm are imported in the handlers that use them: start-up pays for what runs.
 
 PASS, FAIL, INPUT_ERROR, INTERNAL_ERROR = "pass", "fail", "input-error", "internal-error"
 _EXIT = {PASS: 0, FAIL: 1, INPUT_ERROR: 2, INTERNAL_ERROR: 3}
@@ -81,6 +74,7 @@ def _reject_lone_surrogates(text: str) -> None:
 
 
 def _load_program(path: str) -> Program:
+    from .flowlang import parse_program
     with open(path, "r", encoding="utf-8") as fh:
         return parse_program(fh.read())
 
@@ -120,6 +114,7 @@ def _load_verified_connection(path: str) -> LagoisConnection:
 
 
 def _load_principal_maps(path: str) -> PrincipalMapPair:
+    from .dlm import PrincipalMapPair, PrincipalsHierarchy
     return PrincipalMapPair.check(*_load_sides(path, PrincipalsHierarchy, ("alpha", "gamma")))
 
 
@@ -216,6 +211,7 @@ def _cmd_semi_inverse(args) -> Verdict:
 
 
 def _cmd_typecheck(args) -> Verdict:
+    from .flowlang import lint_transfer_classes, typecheck
     conn = _load_verified_connection(args.connection)
     prog = _load_program(args.program)
     t = typecheck(prog, conn)
@@ -226,6 +222,7 @@ def _cmd_typecheck(args) -> Verdict:
 
 
 def _cmd_run(args) -> Verdict:
+    from .flowlang import exec_program, store_pair_from_dict, store_pair_to_dict, typecheck
     prog = _load_program(args.program)
     if args.connection:
         conn = _load_verified_connection(args.connection)
@@ -236,6 +233,7 @@ def _cmd_run(args) -> Verdict:
 
 
 def _cmd_ni_suite(args) -> Verdict:
+    from .flowlang import run_ni_suite
     conn = _load_verified_connection(args.connection)
     prog = _load_program(args.program)
     report = run_ni_suite(prog.decls, conn, programs=args.trials,
@@ -255,6 +253,7 @@ def _cmd_ni_suite(args) -> Verdict:
 
 
 def _cmd_dlm_check_hierarchy(args) -> Verdict:
+    from .dlm import PrincipalsHierarchy
     h = PrincipalsHierarchy.from_dict(_load_json(args.file))
     return Verdict(PASS, {"status": PASS,
                           "principals": list(h.principals),
@@ -262,6 +261,7 @@ def _cmd_dlm_check_hierarchy(args) -> Verdict:
 
 
 def _cmd_dlm_label_leq(args) -> Verdict:
+    from .dlm import PrincipalsHierarchy, format_label, label_leq, parse_label
     h = PrincipalsHierarchy.from_dict(_load_json(args.file))
     l1, l2 = parse_label(args.label1), parse_label(args.label2)
     holds = label_leq(h, l1, l2)
@@ -271,6 +271,7 @@ def _cmd_dlm_label_leq(args) -> Verdict:
 
 
 def _cmd_dlm_lift(args) -> Verdict:
+    from .dlm import format_label, lift_label, parse_label
     pm = _load_principal_maps(args.file)
     lifted = lift_label(pm, args.direction, parse_label(args.label))
     return Verdict(PASS, {"status": PASS, "direction": args.direction,
@@ -278,6 +279,7 @@ def _cmd_dlm_lift(args) -> Verdict:
 
 
 def _cmd_dlm_check_lifted(args) -> Verdict:
+    from .dlm import check_lifted_connection
     pm = _load_principal_maps(args.file)
     report = check_lifted_connection(pm, samples=args.samples, seed=args.seed)
     status = PASS if report.passed else FAIL
@@ -301,6 +303,7 @@ def _split_principals(raw: str) -> list[str]:
 
 
 def _cmd_dlm_declassify(args) -> Verdict:
+    from .dlm import PrincipalsHierarchy, declassify_check, parse_label
     h = PrincipalsHierarchy.from_dict(_load_json(args.file))
     allowed = declassify_check(h, _split_principals(args.authority),
                                parse_label(args.label1), parse_label(args.label2))
@@ -309,6 +312,7 @@ def _cmd_dlm_declassify(args) -> Verdict:
 
 
 def _cmd_dlm_cross_declassify(args) -> Verdict:
+    from .dlm import cross_declassify_check, parse_label
     pm = _load_principal_maps(args.file)
     result = cross_declassify_check(
         pm, _split_principals(args.authority_left),

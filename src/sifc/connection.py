@@ -28,26 +28,12 @@ from itertools import combinations
 from operator import eq
 from typing import Container, Iterable, Mapping, Sequence
 
+from .errors import (AdjointError, CoarsenError, ComposeError, LatticeMismatch, MapError,
+                     NotClosure, NotIso, NotLagois, NotMonotone, NotSemiInverse, PartialMap)
 from .lattice import Lattice, UnknownClass, _extrema, _restriction
 
 VIOLATION_CONDITIONS = ("Monotone-alpha", "Monotone-gamma",
                         "LC1", "LC2", "LC3", "LC4")
-
-
-class MapError(Exception):
-    """Base class for map validation errors."""
-
-
-class PartialMap(MapError):
-    def __init__(self, missing: tuple[str, ...], where: str = "map"):
-        super().__init__(f"{where} leaves {list(missing)} unmapped")
-        self.missing = missing
-
-
-class NotMonotone(MapError):
-    def __init__(self, pair: tuple[str, str], where: str = "map"):
-        super().__init__(f"{where} is not order-preserving at {pair[0]!r} <= {pair[1]!r}")
-        self.pair = pair
 
 
 @dataclass(frozen=True)
@@ -58,71 +44,6 @@ class Violation:
 
     def to_json(self) -> dict:
         return {"condition": self.condition, "witness": list(self.witness)}
-
-
-class NotLagois(Exception):
-    """Raised when a candidate map pair fails verification."""
-
-    def __init__(self, violations: list[Violation]):
-        lines = ", ".join(f"{v.condition}@{'/'.join(v.witness)}" for v in violations)
-        super().__init__(f"not a valid connection: {lines}")
-        self.violations = violations
-
-
-class LatticeMismatch(MapError):
-    pass
-
-
-class AdjointError(Exception):
-    """Synthesis of the right map failed; `condition` is 1, 2 or 3."""
-
-    def __init__(self, condition: int, witness: tuple[str, ...], detail: str):
-        super().__init__(f"no adjoint: condition ({condition}) fails at "
-                         f"{'/'.join(witness)}: {detail}")
-        self.condition = condition
-        self.witness = witness
-
-
-class NotClosure(Exception):
-    def __init__(self, operator: str, law: str, witness: str):
-        super().__init__(f"{operator} is not a closure operator: "
-                         f"{law} fails at {witness!r}")
-        self.operator = operator
-        self.law = law
-        self.witness = witness
-
-
-class NotIso(Exception):
-    def __init__(self, detail: str, witness: tuple[str, ...]):
-        super().__init__(f"not an order isomorphism: {detail} (witness {list(witness)})")
-        self.witness = witness
-
-
-class ComposeError(Exception):
-    """A containment condition for chaining two connections failed."""
-
-    def __init__(self, side: str, witness: str):
-        which = ("image of the left connection's alpha" if side == "left"
-                 else "image of the right connection's gamma")
-        super().__init__(f"composition rejected: the {which} is not closed "
-                         f"under the middle round trip (witness {witness!r})")
-        self.side = side
-        self.witness = witness
-
-
-class CoarsenError(Exception):
-    """kind is one of not-refinement, no-largest-element, representative-mismatch."""
-
-    def __init__(self, kind: str, witness: tuple[str, ...], detail: str):
-        super().__init__(f"coarsening rejected ({kind}): {detail}")
-        self.kind = kind
-        self.witness = witness
-
-
-class NotSemiInverse(Exception):
-    def __init__(self, witness: str):
-        super().__init__(f"alpha . gamma . alpha differs from alpha at {witness!r}")
-        self.witness = witness
 
 
 class MonotoneMap:

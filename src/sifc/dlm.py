@@ -44,45 +44,14 @@ from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 from .connection import Violation, _law_violations, _require_total
+from .errors import (AuthorityMismatch, CorollaryViolation, DlmError, LabelSyntaxError,
+                     NotLagoisHierarchy, UnknownPrincipal)
 from .lattice import _check_document, _closure_rows, _is_names
 
 TOP = "TOP"
 BOT = "BOT"
 
 PRINCIPAL_RE = re.compile(r"[A-Za-z0-9_]+\Z")
-
-
-class DlmError(Exception):
-    pass
-
-
-class UnknownPrincipal(DlmError):
-    def __init__(self, name: str, where: str = ""):
-        detail = f" in {where}" if where else ""
-        super().__init__(f"unknown principal {name!r}{detail}")
-        self.name = name
-
-
-class LabelSyntaxError(DlmError):
-    pass
-
-
-class NotLagoisHierarchy(DlmError):
-    def __init__(self, violations: list[Violation]):
-        lines = ", ".join(f"{v.condition}@{'/'.join(v.witness)}" for v in violations)
-        super().__init__(f"principal maps are not a valid connection: {lines}")
-        self.violations = violations
-
-
-class AuthorityMismatch(DlmError):
-    pass
-
-
-class CorollaryViolation(DlmError):
-    """The two sides of the cross-domain declassification test disagreed."""
-
-    def __init__(self, detail: str):
-        super().__init__(detail)
 
 
 class PrincipalsHierarchy:

@@ -39,61 +39,14 @@ from operator import attrgetter
 from typing import Mapping, Sequence
 
 from .connection import LagoisConnection
+from .errors import (DuplicateVariable, FlowError, FlowTypeError, GenerationStall, IllTyped,
+                     KindMismatch, ParseError, StoreDomainError, UndeclaredVariable)
 from .lattice import UnknownClass
 
 VALUE_MODULUS = 2 ** 16  # stores hold wrap-around integers
 
 DOMAINS = ("L", "M")
 KINDS = ("internal", "export", "import")
-
-
-class FlowError(Exception):
-    pass
-
-
-class DuplicateVariable(FlowError):
-    pass
-
-
-class UndeclaredVariable(FlowError):
-    pass
-
-
-class KindMismatch(FlowError):
-    pass
-
-
-class StoreDomainError(FlowError):
-    pass
-
-
-class ParseError(FlowError):
-    pass
-
-
-class FlowTypeError(FlowError):
-    """A typing premise failed: `rule` names the offending construct and
-    (lower, upper) is the comparison that did not hold."""
-
-    def __init__(self, rule: str, lower: str, upper: str, index: int | None = None):
-        at = f" (phrase {index})" if index is not None else ""
-        super().__init__(f"rule {rule}{at}: {lower!r} must flow to {upper!r}")
-        self.rule = rule
-        self.lower = lower
-        self.upper = upper
-        self.index = index
-
-
-class IllTyped(FlowError):
-    """The harness refuses to run trials for programs that do not typecheck."""
-
-    def __init__(self, cause: FlowTypeError):
-        super().__init__(f"program is not well-typed: {cause}")
-        self.cause = cause
-
-
-class GenerationStall(FlowError):
-    pass
 
 
 # -- syntax -------------------------------------------------------------------
@@ -250,7 +203,7 @@ class Program:
         if isinstance(p, Txn):
             for target, e in p.assigns:
                 self._need(target, p.domain, "internal", idx)
-                for v in expr_vars(e):
+                for v in _linear(e)[1]:  # in source order: the first undeclared one is named
                     self._need(v, p.domain, "internal", idx)
             return
         move = _move(p)

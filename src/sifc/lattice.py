@@ -20,49 +20,10 @@ from functools import reduce
 from itertools import compress
 from typing import Callable, Container, Iterable, Iterator, Mapping, NoReturn, Sequence
 
+from .errors import (BadClassName, CycleError, DuplicateClass, LatticeError, NotALattice,
+                     UnknownClass)
+
 CLASS_NAME_RE = re.compile(r"[A-Za-z0-9_()+-]+\Z")
-
-
-class LatticeError(Exception):
-    """Base class for lattice construction and query errors."""
-
-
-class DuplicateClass(LatticeError):
-    def __init__(self, name: str):
-        super().__init__(f"duplicate class name {name!r}")
-        self.name = name
-
-
-class BadClassName(LatticeError):
-    def __init__(self, name: str):
-        super().__init__(f"invalid class name {name!r} (must match [A-Za-z0-9_()+-]+)")
-        self.name = name
-
-
-class UnknownClass(LatticeError):
-    def __init__(self, name: str, where: str = ""):
-        detail = f" in {where}" if where else ""
-        super().__init__(f"unknown class {name!r}{detail}")
-        self.name = name
-
-
-class CycleError(LatticeError):
-    def __init__(self, pair: tuple[str, str]):
-        super().__init__(f"classes {pair[0]!r} and {pair[1]!r} are mutually below each other")
-        self.pair = pair
-
-
-class NotALattice(LatticeError):
-    def __init__(self, kind: str, pair: tuple[str, str], candidates: tuple[str, ...]):
-        bound = "least upper bound" if kind == "join" else "greatest lower bound"
-        if candidates:
-            detail = f"minimal candidates {list(candidates)}"
-        else:
-            detail = "no common bound at all"
-        super().__init__(f"pair ({pair[0]!r}, {pair[1]!r}) has no unique {bound}: {detail}")
-        self.kind = kind
-        self.pair = pair
-        self.candidates = candidates
 
 
 class Lattice:

@@ -3,7 +3,22 @@ maps connecting them."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from sifc.lattice import Lattice, build_lattice
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_python(code: str, *argv: str, **env: str) -> subprocess.CompletedProcess:
+    """Run `code` with `argv` in a fresh interpreter that imports this
+    checkout's sifc, from the repository root, with `env` added."""
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-c", code, *argv], cwd=ROOT, capture_output=True,
+                          text=True, check=True, env=dict(os.environ, PYTHONPATH=path, **env))
 
 COLLEGE_CLASSES = ["bot1", "Student", "Dean(S)", "Faculty", "Dean(F)",
                    "CollegePrincipal", "top1"]

@@ -629,6 +629,15 @@ def test_parse_error_messages(text, message):
     assert str(exc.value) == message
 
 
+def test_first_undeclared_variable_is_named_whatever_the_string_hashing():
+    code = ("import sys\nfrom sifc.flowlang import ParseError, parse_program\n"
+            "try:\n    parse_program(sys.argv[1])\nexcept ParseError as exc:\n    print(exc)")
+    for seed in "0123":
+        proc = fx.run_python(code, "var L a : Student internal\nt L { a := b + c }",
+                             PYTHONHASHSEED=seed)
+        assert proc.stdout == "phrase 0: variable 'b' is not declared\n", seed
+
+
 # -- suite loop, executor and the exact non-interference oracle --------------------
 
 def posets(conn):

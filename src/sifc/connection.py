@@ -30,7 +30,7 @@ from typing import Container, Iterable, Mapping, Sequence
 
 from .errors import (AdjointError, CoarsenError, ComposeError, LatticeMismatch, MapError,
                      NotClosure, NotIso, NotLagois, NotMonotone, NotSemiInverse, PartialMap)
-from .lattice import Lattice, UnknownClass, _extrema, _restriction
+from .lattice import Lattice, UnknownClass, _extrema, _members, _restriction
 
 VIOLATION_CONDITIONS = ("Monotone-alpha", "Monotone-gamma",
                         "LC1", "LC2", "LC3", "LC4")
@@ -257,37 +257,38 @@ def check_tightness(conn: LagoisConnection) -> TightnessReport:
     are the budpoints, and such a set is closed under meets, with the
     closure of c the meet of the closed elements above c.
 
-    The check is exact without enumerating budpoint subsets S.  It tests
-    (a) for each class c, the round trip of c is the meet of the budpoints
-    above c, and (b) the top and the meet of each pair of budpoints are
-    budpoints, so meet(S) is one for every S by induction.  Given both, the
-    meet of the budpoints above join(S) is a budpoint above it, hence the
-    least one, and it is the round trip of join(S) by (a).
+    The check is exact without enumerating budpoint subsets S.  It tests (a)
+    for each class c, the round trip of c is the meet of the budpoints above
+    c, and (b) the top and the meet of each pair of budpoints are budpoints,
+    so meet(S) is one for every S by induction.  Given both, the meet of the
+    budpoints above join(S) is a budpoint above it, hence the least one, and
+    it is the round trip of join(S) by (a).  Both run on the bit rows: (a)
+    holds at c when its round trip is a budpoint above c and below every
+    budpoint above c, and only a class that fails this mask test has the meet
+    computed; (b) looks each pair's AND of down rows up among the budpoints'.
 
     On every connection this module builds, the budpoints are the maps'
     images, so (a) at the top and at each meet(x, y) of two budpoints implies
     (b): each round trip is a budpoint, and (a) makes it equal to its
-    argument there.  (b) can
-    fail alone only on a hand-built LagoisConnection whose declared
-    budpoints are not those images, as in the tests' escaping-meet case.
-    `subsets_checked` counts the subsets whose meet was checked: on each
-    side the empty one and each pair.
+    argument there.  (b) can fail alone only on a hand-built LagoisConnection
+    whose declared budpoints are not those images, as in the tests'
+    escaping-meet case.  `subsets_checked` counts the subsets whose meet was
+    checked: on each side the empty one and each pair.
     """
     failures: list[str] = []
     checked = 0
     for side, view in (("left", conn), ("right", conn.transpose())):
-        lat, budset = view.left, set(view.budpoints_left)
-        above = dict.fromkeys(lat.classes, lat.top)  # ends as the meet of the budpoints above c
-        for b in view.budpoints_left:
-            above.update((c, lat.meet(above[c], b)) for c in lat.downset(b))
-        for c, bound in above.items():
-            if view.round_trip_left(c) != bound:
-                failures.append(f"{side}:{c}: round trip is not the meet of "
-                                f"dominating budpoints")
-        subsets = [(), *combinations(view.budpoints_left, 2)]
+        lat, buds, up, down = view.left, view.budpoints_left, view.left._up, view.left._down
+        budmask = sum(1 << lat.index(b) for b in set(buds))
+        for c in lat.classes:
+            r, above = view.round_trip_left(c), up[c] & budmask
+            if (not above & lat._bit[r] or above & ~up[r]) and r != lat.meet_all(
+                    _members(above, lat.classes)):
+                failures.append(f"{side}:{c}: round trip is not the meet of dominating budpoints")
+        closed, subsets = set(map(down.__getitem__, buds)), [(), *combinations(buds, 2)]
         checked += len(subsets)
-        failures += [f"{side}:{subset}: meet escapes the budpoint set"
-                     for subset in subsets if lat.meet_all(subset) not in budset]
+        failures += [f"{side}:{s}: meet escapes the budpoint set" for s in subsets
+                     if (down[s[0]] & down[s[1]] if s else down[lat.top]) not in closed]
     return TightnessReport(not failures, tuple(failures), checked)
 
 

@@ -9,7 +9,8 @@ and its up-set and down-set as int masks, each closed by one Tarjan SCC pass
 in O(classes + pairs) ORs.  leq is one mask test; join(a, b) is the class
 whose up-set is up(a) & up(b), meets alike.  A finite poset with a top and
 every pairwise meet is a lattice (Davey & Priestley, Introduction to Lattices
-and Order, 2002, ch. 2), so the top and one meet lookup per pair prove it.
+and Order, 2002, ch. 2).  A comparable pair meets at its lower member, so the
+top and one meet lookup per incomparable pair prove it.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ class Lattice:
     row and down row as int masks; `leq` is one mask test, and `join`/`meet`
     look up the class whose up (down) row is the AND of two rows.  Use
     :func:`build_lattice`: this constructor takes closed, antisymmetric rows
-    and proves them a lattice by the top and every pairwise meet (Davey &
-    Priestley 2002, ch. 2), or raises NotALattice.
+    and proves them a lattice by the top and the meet of each incomparable
+    pair (Davey & Priestley 2002, ch. 2), or raises NotALattice.
     """
 
     __slots__ = ("name", "classes", "covers", "top", "bottom",
@@ -43,13 +44,13 @@ class Lattice:
     def __init__(self, name: str, classes: tuple[str, ...], covers: tuple[tuple[str, str], ...],
                  up_rows: Sequence[int], down_rows: Sequence[int]):
         # Antisymmetry makes the rows distinct, so each mask names one class.  The
-        # meet of a and b is the class whose down row is down(a) & down(b), if any.
-        by_up = dict(zip(up_rows, classes))
-        by_down = dict(zip(down_rows, classes))
+        # meet of a and b is the class whose down row is down(a) & down(b), if any;
+        # only an incomparable j > i needs the lookup: a bit above i in neither row.
+        by_up, by_down = dict(zip(up_rows, classes)), dict(zip(down_rows, classes))
         everything = (1 << len(classes)) - 1
         if everything not in by_down or not all(
-                all(map(by_down.__contains__, map(d.__and__, down_rows[i + 1:])))
-                for i, d in enumerate(down_rows)):
+                d & e in by_down for i, (u, d) in enumerate(zip(up_rows, down_rows))
+                for e in _members((everything ^ (u | d)) & -2 << i, down_rows)):
             _raise_missing_bound(classes, up_rows, down_rows, by_up, by_down)
         self.name, self.classes, self.covers = name, classes, covers
         self._bit = {c: 1 << i for i, c in enumerate(classes)}
@@ -210,10 +211,8 @@ def build_lattice(name: str, classes: Sequence[str],
 
     # The lowest mutual bit above i names the first cyclic (i < j) pair in declaration order.
     for i, (u, d) in enumerate(zip(up_rows, down_rows)):
-        mutual = (u & d) >> (i + 1)
-        if mutual:
-            j = i + (mutual & -mutual).bit_length()
-            raise CycleError((classes[i], classes[j]))
+        if mutual := u & d & -2 << i:  # the bits above i
+            raise CycleError((classes[i], next(_members(mutual, classes))))
 
     return Lattice(name, classes, cover_list, up_rows, down_rows)
 
@@ -293,7 +292,7 @@ def _closure_rows(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
 
 def _members(mask: int, names: Sequence[str]) -> Iterator[str]:
     """The names whose index bit is set in mask, in index order."""
-    return compress(names, map("1".__eq__, reversed(bin(mask))))
+    return compress(names, bin(mask)[:1:-1].encode().replace(b"0", b"\0"))  # digits, low first
 
 
 def _extrema(items: Sequence, below: Callable[[object, object], object]) -> list:

@@ -22,7 +22,7 @@ from gen import (find_order_iso, random_closure, random_connection,
                  random_lattice, random_lattice_exact, random_monotone_map)
 from oracles import (BrutePoset, brute_adjoints_exhaustive,
                      brute_adjoints_monotone, brute_lagois_violations,
-                     brute_tightness_passed, reference_sublattice)
+                     brute_tightness_failures, brute_tightness_passed, reference_sublattice)
 
 
 @pytest.fixture(scope="module")
@@ -313,6 +313,56 @@ def test_tightness_fails_when_budpoint_meets_escape():
                                "right:(): meet escapes the budpoint set")
     poset = BrutePoset(chain.classes, chain.covers)
     assert not brute_tightness_passed(poset, poset, ident, ident, ("lo",), ("lo",))
+
+
+def _monotone_maps(source, target):
+    """Every order-preserving table from source to target."""
+    pairs = [(a, b) for a in source.classes for b in source.upset(a)]
+    for images in itertools.product(target.classes, repeat=len(source)):
+        table = dict(zip(source.classes, images))
+        if all(target.leq(table[a], table[b]) for a, b in pairs):
+            yield table
+
+
+def test_tightness_agrees_with_brute_force_on_every_small_monotone_pair():
+    # Bounded-exhaustive: every monotone (alpha, gamma) pair between the
+    # chains of 1-4 classes and the diamond, budpoints as check_connection
+    # sets them.  Then each passing pair loses one declared budpoint at a
+    # time, so that the meet behind the mask test runs against the oracle;
+    # there the failure lines, not only the verdict, must match it.
+    lattices = [build_lattice(f"chain{n}", [f"c{i}" for i in range(n)],
+                              [(f"c{i}", f"c{i + 1}") for i in range(n - 1)]) for n in range(1, 5)]
+    lattices.append(build_lattice("diamond", ["bot", "x", "y", "top"],
+                                  [("bot", "x"), ("bot", "y"), ("x", "top"), ("y", "top")]))
+    posets = {lat: BrutePoset(lat.classes, lat.covers) for lat in lattices}
+
+    def agrees(left, right, alpha, gamma, *buds) -> bool:
+        conn = _unverified(left, right, alpha, gamma, *buds)
+        report = check_tightness(conn)
+        oracle = (posets[left], posets[right], alpha, gamma,
+                  conn.budpoints_left, conn.budpoints_right)
+        assert report.passed == brute_tightness_passed(*oracle)
+        if buds:
+            assert report.failures == tuple(brute_tightness_failures(*oracle))
+        return report.passed
+
+    total, passing = 0, []
+    for left, right in itertools.product(lattices, repeat=2):
+        gammas = list(_monotone_maps(right, left))
+        for alpha, gamma in itertools.product(_monotone_maps(left, right), gammas):
+            total += 1
+            if agrees(left, right, alpha, gamma):
+                passing.append((left, right, alpha, gamma))
+    assert (total, len(passing)) == (6653, 145)
+    dropped = Counter()
+    for left, right, alpha, gamma in passing:
+        buds = _unverified(left, right, alpha, gamma).budpoints_left
+        for b in buds:
+            dropped[agrees(left, right, alpha, gamma, [x for x in buds if x != b])] += 1
+        buds = _unverified(left, right, alpha, gamma).budpoints_right
+        for b in buds:
+            dropped[agrees(left, right, alpha, gamma, None, [x for x in buds if x != b])] += 1
+    assert set(dropped) == {False}, dropped
 
 
 def _random_connection(rng, max_classes=6):

@@ -298,6 +298,28 @@ def _assert_outcome_matches_oracle(classes, covers) -> str:
     return kind
 
 
+def _every_relation(names, pairs):
+    """Each subset of `pairs` (index pairs into names) as a cover list."""
+    for keep in itertools.product((False, True), repeat=len(pairs)):
+        yield [(names[i], names[j]) for (i, j), k in zip(pairs, keep) if k]
+
+
+def test_build_lattice_matches_oracle_on_every_small_relation():
+    # Bounded-exhaustive: every relation without self-loops on 1-4 classes,
+    # and every relation on 5 classes that extends the declaration order.
+    outcomes = Counter()
+    for n in range(1, 5):
+        names = [f"c{i}" for i in range(n)]
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        for covers in _every_relation(names, pairs):
+            outcomes[_assert_outcome_matches_oracle(names, covers)] += 1
+    names = [f"c{i}" for i in range(5)]
+    for covers in _every_relation(names, list(itertools.combinations(range(5), 2))):
+        outcomes[_assert_outcome_matches_oracle(names, covers)] += 1
+    assert sum(outcomes.values()) == 4165 + 1024
+    assert sum(outcomes.values()) - outcomes["lattice"] == 4836, outcomes
+
+
 # The meets-only proof: a finite poset with a top in which every pair has a
 # meet is a lattice.  Each case below breaks one half of that, and the
 # fallback scan must still name the oracle's first pair.
@@ -442,10 +464,35 @@ def test_lattice_rows_are_the_warshall_closure():
 def test_closure_of_a_3000_class_chain_needs_no_recursion(top_first):
     # A depth-first closure that recursed would pass the interpreter's
     # recursion limit here.  The chain runs order[0] -> order[1] -> ...; the
-    # lattice over it is built at 256 classes above, since proving a chain
-    # of 3,000 a lattice takes seconds.
+    # test below builds the lattice over it.
     n = 3000
     order = list(range(n))[::-1] if top_first else list(range(n))
     rows = _closure_rows(n, [(order[k], order[k + 1]) for k in range(n - 1)])
     for k in (0, 1, n // 2, n - 2, n - 1):
         assert rows[order[k]] == sum(1 << v for v in order[k:])
+
+
+@pytest.mark.parametrize("top_first", [False, True])
+def test_a_3000_class_chain_builds_as_a_lattice(top_first):
+    # Every pair of a chain is comparable, so the proof looks up no meet.
+    n = 3000
+    names = [f"c{i}" for i in range(n)]
+    lat = build_lattice("chain", names[::-1] if top_first else names,
+                        [(names[k], names[k + 1]) for k in range(n - 1)])
+    assert (lat.bottom, lat.top) == ("c0", f"c{n - 1}")
+    for i, j in ((0, n - 1), (17, 2000), (n // 2, n // 2 + 1), (2999, 1)):
+        assert lat.meet(names[i], names[j]) == names[min(i, j)]
+        assert lat.join(names[i], names[j]) == names[max(i, j)]
+
+
+def test_wide_antichain_matches_oracle():
+    # M_12: twelve pairwise incomparable atoms between a bottom and a top, so
+    # the proof looks up nearly every pair.  Two classes under a5 and a6 then
+    # give that pair two maximal lower bounds: a missing meet under a top.
+    atoms = [f"a{i}" for i in range(12)]
+    covers = [p for a in atoms for p in (("0", a), (a, "1"))]
+    assert _assert_outcome_matches_oracle(["0", *atoms, "1"], covers) == "lattice"
+    extra = [(lo, hi) for lo in ("m1", "m2") for hi in ("a5", "a6")]
+    classes, covers = ["0", *atoms, "1", "m1", "m2"], covers + extra + [("0", "m1"), ("0", "m2")]
+    assert brute_lattice_error(classes, covers) == ("meet", ("a5", "a6"), ("m1", "m2"))
+    assert _assert_outcome_matches_oracle(classes, covers) == "meet"

@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Every subcommand is a thin adapter over the library: parse files, call one
-library function, serialize the result.  Reports go to stdout (JSON by
+library function, serialize the result.  A subcommand is one row of the
+`_COMMANDS` table (name, help, arguments) plus one handler, which returns a
+`Verdict` whose details state its status.  Reports go to stdout (JSON by
 default, `--format text` for humans), a one-line summary to stderr.  Exit
 codes: 0 pass, 1 fail (violations found or conditions unmet), 2 input error,
 3 internal error (a bug in sifc; stderr then carries the traceback).
@@ -34,13 +36,12 @@ _EXIT = {PASS: 0, FAIL: 1, INPUT_ERROR: 2, INTERNAL_ERROR: 3}
 
 @dataclass
 class Verdict:
-    status: str
-    details: dict
+    details: dict  # details["status"] is PASS, FAIL, INPUT_ERROR or INTERNAL_ERROR
     lines: list[dict] = field(default_factory=list)  # JSON-lines payload
 
     @property
     def exit_code(self) -> int:
-        return _EXIT[self.status]
+        return _EXIT[self.details["status"]]
 
 
 # -- file plumbing: each document is checked here, and trusted after ---------
@@ -137,16 +138,15 @@ def _conn_report(conn: LagoisConnection, extra: dict | None = None) -> dict:
 
 def _cmd_check_lattice(args) -> Verdict:
     lat = Lattice.from_dict(_load_json(args.file))
-    return Verdict(PASS, {"status": PASS, "name": lat.name,
-                          "classes": list(lat.classes),
-                          "top": lat.top, "bottom": lat.bottom})
+    return Verdict({"status": PASS, "name": lat.name, "classes": list(lat.classes),
+                    "top": lat.top, "bottom": lat.bottom})
 
 
 def _cmd_check_connection(args) -> Verdict:
     try:
         conn = _load_verified_connection(args.file)
     except NotLagois as exc:
-        return Verdict(FAIL, {"status": FAIL, "violations": len(exc.violations)},
+        return Verdict({"status": FAIL, "violations": len(exc.violations)},
                        [v.to_json() for v in exc.violations])
     extra = {}
     if args.tightness:
@@ -154,32 +154,31 @@ def _cmd_check_connection(args) -> Verdict:
         extra["tightness"] = {"passed": report.passed,
                               "subsets_checked": report.subsets_checked,
                               "failures": list(report.failures)}
-    return Verdict(PASS, _conn_report(conn, extra))
+    return Verdict(_conn_report(conn, extra))
 
 
 def _cmd_find_adjoint(args) -> Verdict:
     left, right, alpha, _ = _load_sides(args.file, Lattice, ("alpha",), ("gamma",))
     gamma = find_adjoint(MonotoneMap(left, right, alpha, "alpha"))
-    return Verdict(PASS, {"status": PASS, "gamma": gamma.mapping()})
+    return Verdict({"status": PASS, "gamma": gamma.mapping()})
 
 
 def _cmd_build_from_closures(args) -> Verdict:
     conn = conn_mod.build_from_closures(*_load_sides(args.file, Lattice, ("c", "i", "h")))
-    return Verdict(PASS, _conn_report(conn))
+    return Verdict(_conn_report(conn))
 
 
 def _cmd_compose(args) -> Verdict:
     ab = _load_verified_connection(args.first)
     bc = _load_verified_connection(args.second)
     result = compose(ab, bc)
-    return Verdict(PASS, _conn_report(result.connection,
-                                      {"admitted_by": result.admitted_by}))
+    return Verdict(_conn_report(result.connection, {"admitted_by": result.admitted_by}))
 
 
 def _cmd_decompose(args) -> Verdict:
     conn = _load_verified_connection(args.file)
     dec = decompose(conn)
-    return Verdict(PASS, {
+    return Verdict({
         "status": PASS,
         "budpoints_left": list(conn.budpoints_left),
         "budpoints_right": list(conn.budpoints_right),
@@ -199,7 +198,7 @@ def _cmd_coarsen(args) -> Verdict:
     alpha2 = MonotoneMap(conn.left, conn.right, _require_map(table, "alpha2", LatticeError),
                          "alpha2")
     out = conn_mod.coarsen(conn, alpha2)
-    return Verdict(PASS, _conn_report(out))
+    return Verdict(_conn_report(out))
 
 
 def _cmd_semi_inverse(args) -> Verdict:
@@ -207,7 +206,7 @@ def _cmd_semi_inverse(args) -> Verdict:
     amap = MonotoneMap(left, right, alpha, "alpha")
     gmap = MonotoneMap(right, left, gamma, "gamma")
     out = conn_mod.semi_inverse_connection(amap, gmap)
-    return Verdict(PASS, _conn_report(out))
+    return Verdict(_conn_report(out))
 
 
 def _cmd_typecheck(args) -> Verdict:
@@ -218,7 +217,7 @@ def _cmd_typecheck(args) -> Verdict:
     details = {"status": PASS, "type": {"left": t.left, "right": t.right}}
     if args.lint:
         details["lint"] = lint_transfer_classes(prog, conn)
-    return Verdict(PASS, details)
+    return Verdict(details)
 
 
 def _cmd_run(args) -> Verdict:
@@ -229,7 +228,7 @@ def _cmd_run(args) -> Verdict:
         typecheck(prog, conn)  # refuse to run ill-typed programs when asked
     init = store_pair_from_dict(_load_json(args.store))
     final = exec_program(prog, init)
-    return Verdict(PASS, {"status": PASS, "final": store_pair_to_dict(final)})
+    return Verdict({"status": PASS, "final": store_pair_to_dict(final)})
 
 
 def _cmd_ni_suite(args) -> Verdict:
@@ -238,7 +237,7 @@ def _cmd_ni_suite(args) -> Verdict:
     prog = _load_program(args.program)
     report = run_ni_suite(prog.decls, conn, programs=args.trials,
                           max_len=args.len, seed=args.seed, draws=args.draws)
-    details = {
+    return Verdict({
         "status": PASS if report.passed else FAIL,
         "programs": report.programs,
         "pairs": [list(p) for p in report.pairs],
@@ -248,16 +247,14 @@ def _cmd_ni_suite(args) -> Verdict:
                       "distinguishing": list(d)}
                      for p, pair, s, d in report.failures],
         "seed": args.seed,
-    }
-    return Verdict(details["status"], details)
+    })
 
 
 def _cmd_dlm_check_hierarchy(args) -> Verdict:
     from .dlm import PrincipalsHierarchy
     h = PrincipalsHierarchy.from_dict(_load_json(args.file))
-    return Verdict(PASS, {"status": PASS,
-                          "principals": list(h.principals),
-                          "acts_for": [[p, q] for p, q in h.edges]})
+    return Verdict({"status": PASS, "principals": list(h.principals),
+                    "acts_for": [[p, q] for p, q in h.edges]})
 
 
 def _cmd_dlm_label_leq(args) -> Verdict:
@@ -265,8 +262,7 @@ def _cmd_dlm_label_leq(args) -> Verdict:
     h = PrincipalsHierarchy.from_dict(_load_json(args.file))
     l1, l2 = parse_label(args.label1), parse_label(args.label2)
     holds = label_leq(h, l1, l2)
-    return Verdict(PASS if holds else FAIL,
-                   {"status": PASS if holds else FAIL, "holds": holds,
+    return Verdict({"status": PASS if holds else FAIL, "holds": holds,
                     "label1": format_label(l1), "label2": format_label(l2)})
 
 
@@ -274,17 +270,16 @@ def _cmd_dlm_lift(args) -> Verdict:
     from .dlm import format_label, lift_label, parse_label
     pm = _load_principal_maps(args.file)
     lifted = lift_label(pm, args.direction, parse_label(args.label))
-    return Verdict(PASS, {"status": PASS, "direction": args.direction,
-                          "label": format_label(lifted)})
+    return Verdict({"status": PASS, "direction": args.direction,
+                    "label": format_label(lifted)})
 
 
 def _cmd_dlm_check_lifted(args) -> Verdict:
     from .dlm import check_lifted_connection
     pm = _load_principal_maps(args.file)
     report = check_lifted_connection(pm, samples=args.samples, seed=args.seed)
-    status = PASS if report.passed else FAIL
-    return Verdict(status, {
-        "status": status,
+    return Verdict({
+        "status": PASS if report.passed else FAIL,
         "samples": report.samples,
         "seed": args.seed,
         "checks": dict(sorted(report.checks.items())),
@@ -307,8 +302,7 @@ def _cmd_dlm_declassify(args) -> Verdict:
     h = PrincipalsHierarchy.from_dict(_load_json(args.file))
     allowed = declassify_check(h, _split_principals(args.authority),
                                parse_label(args.label1), parse_label(args.label2))
-    return Verdict(PASS if allowed else FAIL,
-                   {"status": PASS if allowed else FAIL, "allowed": allowed})
+    return Verdict({"status": PASS if allowed else FAIL, "allowed": allowed})
 
 
 def _cmd_dlm_cross_declassify(args) -> Verdict:
@@ -319,19 +313,72 @@ def _cmd_dlm_cross_declassify(args) -> Verdict:
         _split_principals(args.authority_right),
         parse_label(args.label1), parse_label(args.label2),
         direction=args.direction)
-    status = PASS if result.allowed else FAIL
-    return Verdict(status, {"status": status, "allowed": result.allowed,
-                            "near": result.near_side, "far": result.far_side,
-                            "direction": result.direction})
+    return Verdict({"status": PASS if result.allowed else FAIL, "allowed": result.allowed,
+                    "near": result.near_side, "far": result.far_side,
+                    "direction": result.direction})
 
 
 # -- parser -------------------------------------------------------------------
 
 def _count(text: str) -> int:
     """argparse type of the count flags: a non-negative integer."""
-    if int(text) < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {text}")
-    return int(text)
+    try:
+        count = int(text)
+    except ValueError:
+        count = -1
+    if count < 0:
+        raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
+    return count
+
+
+_DIRECTION = ("--direction", {"choices": ("lr", "rl"), "default": "lr"})
+_SEED = ("--seed", {"type": int})  # build_parser sets its default
+
+# name: (help, handler, arguments); an argument is a name or (name, argparse
+# keywords).  A row without a handler is a group, and the rows named
+# "<group> <leaf>" are its subcommands.
+_COMMANDS = {
+    "check-lattice": ("validate a lattice file", _cmd_check_lattice, ("file",)),
+    "check-connection": ("verify a map pair", _cmd_check_connection, (
+        "file", ("--tightness", {"action": "store_true",
+                                "help": "also check budpoint meet/join tightness"}))),
+    "find-adjoint": ("synthesise gamma from alpha", _cmd_find_adjoint, ("file",)),
+    "build-from-closures": ("build a connection from closure operators and an iso",
+                            _cmd_build_from_closures, ("file",)),
+    "compose": ("chain two connections", _cmd_compose, ("first", "second")),
+    "decompose": ("split a connection into insertions around an iso", _cmd_decompose,
+                  ("file",)),
+    "coarsen": ("replace alpha by a coarser map", _cmd_coarsen, (
+        "file", ("map", {"help": "JSON object with the replacement alpha"}))),
+    "semi-inverse": ("rebuild gamma as gamma.alpha.gamma and verify", _cmd_semi_inverse,
+                     ("file",)),
+    "typecheck": ("type a transfer program", _cmd_typecheck, (
+        "program", ("--connection", {"required": True}),
+        ("--lint", {"action": "store_true", "help": "flag non-budpoint transfer classes"}))),
+    "run": ("execute a transfer program", _cmd_run, (
+        "program", ("--store", {"required": True}),
+        ("--connection", {"help": "typecheck against this connection before running"}))),
+    "ni-suite": ("generate well-typed programs and test non-interference", _cmd_ni_suite, (
+        ("program", {"help": "source of the variable declarations"}),
+        ("--connection", {"required": True}),
+        ("--trials", {"type": _count, "default": 100, "help": "number of generated programs"}),
+        _SEED,
+        ("--len", {"type": _count, "default": 20, "help": "max body length"}),
+        ("--draws", {"type": _count, "default": 3, "help": "store draws per adversary pair"}))),
+    "dlm": ("decentralized label model commands", None, ()),
+    "dlm check-hierarchy": ("validate a hierarchy file", _cmd_dlm_check_hierarchy, ("file",)),
+    "dlm label-leq": ("test the relabeling rule", _cmd_dlm_label_leq,
+                      ("file", "label1", "label2")),
+    "dlm lift": ("map a label across hierarchies", _cmd_dlm_lift, ("file", "label", _DIRECTION)),
+    "dlm check-lifted": ("decide the lifted-connection laws", _cmd_dlm_check_lifted, (
+        "file", ("--samples", {"type": _count, "default": 500}), _SEED)),
+    "dlm declassify": ("authority-mediated relabeling", _cmd_dlm_declassify, (
+        "file", "label1", "label2",
+        ("--authority", {"default": "", "help": "comma-separated principals"}))),
+    "dlm cross-declassify": ("declassification across two domains", _cmd_dlm_cross_declassify, (
+        "file", "label1", "label2", ("--authority-left", {"default": ""}),
+        ("--authority-right", {"default": ""}), _DIRECTION)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -343,118 +390,20 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"%(prog)s {__version__}")
     parser.add_argument("--format", choices=("json", "text"), default="json",
                         help="report style on stdout")
-    # A string default goes through `type`, so a bad SIFC_SEED is a usage error.
-    seed = os.environ.get("SIFC_SEED") or "0"
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check-lattice", help="validate a lattice file")
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_check_lattice)
-
-    p = sub.add_parser("check-connection", help="verify a map pair")
-    p.add_argument("file")
-    p.add_argument("--tightness", action="store_true",
-                   help="also check budpoint meet/join tightness")
-    p.set_defaults(handler=_cmd_check_connection)
-
-    p = sub.add_parser("find-adjoint", help="synthesise gamma from alpha")
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_find_adjoint)
-
-    p = sub.add_parser("build-from-closures",
-                       help="build a connection from closure operators and an iso")
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_build_from_closures)
-
-    p = sub.add_parser("compose", help="chain two connections")
-    p.add_argument("first")
-    p.add_argument("second")
-    p.set_defaults(handler=_cmd_compose)
-
-    p = sub.add_parser("decompose",
-                       help="split a connection into insertions around an iso")
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_decompose)
-
-    p = sub.add_parser("coarsen", help="replace alpha by a coarser map")
-    p.add_argument("file")
-    p.add_argument("map", help="JSON object with the replacement alpha")
-    p.set_defaults(handler=_cmd_coarsen)
-
-    p = sub.add_parser("semi-inverse",
-                       help="rebuild gamma as gamma.alpha.gamma and verify")
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_semi_inverse)
-
-    p = sub.add_parser("typecheck", help="type a transfer program")
-    p.add_argument("program")
-    p.add_argument("--connection", required=True)
-    p.add_argument("--lint", action="store_true",
-                   help="flag non-budpoint transfer classes")
-    p.set_defaults(handler=_cmd_typecheck)
-
-    p = sub.add_parser("run", help="execute a transfer program")
-    p.add_argument("program")
-    p.add_argument("--store", required=True)
-    p.add_argument("--connection", default=None,
-                   help="typecheck against this connection before running")
-    p.set_defaults(handler=_cmd_run)
-
-    p = sub.add_parser("ni-suite",
-                       help="generate well-typed programs and test non-interference")
-    p.add_argument("program", help="source of the variable declarations")
-    p.add_argument("--connection", required=True)
-    p.add_argument("--trials", type=_count, default=100,
-                   help="number of generated programs")
-    p.add_argument("--seed", type=int, default=seed)
-    p.add_argument("--len", type=_count, default=20, help="max body length")
-    p.add_argument("--draws", type=_count, default=3,
-                   help="store draws per adversary pair")
-    p.set_defaults(handler=_cmd_ni_suite)
-
-    dlm = sub.add_parser("dlm", help="decentralized label model commands")
-    dlm_sub = dlm.add_subparsers(dest="dlm_command", required=True)
-
-    p = dlm_sub.add_parser("check-hierarchy", help="validate a hierarchy file")
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_dlm_check_hierarchy)
-
-    p = dlm_sub.add_parser("label-leq", help="test the relabeling rule")
-    p.add_argument("file")
-    p.add_argument("label1")
-    p.add_argument("label2")
-    p.set_defaults(handler=_cmd_dlm_label_leq)
-
-    p = dlm_sub.add_parser("lift", help="map a label across hierarchies")
-    p.add_argument("file")
-    p.add_argument("label")
-    p.add_argument("--direction", choices=("lr", "rl"), default="lr")
-    p.set_defaults(handler=_cmd_dlm_lift)
-
-    p = dlm_sub.add_parser("check-lifted",
-                           help="decide the lifted-connection laws")
-    p.add_argument("file")
-    p.add_argument("--samples", type=_count, default=500)
-    p.add_argument("--seed", type=int, default=seed)
-    p.set_defaults(handler=_cmd_dlm_check_lifted)
-
-    p = dlm_sub.add_parser("declassify", help="authority-mediated relabeling")
-    p.add_argument("file")
-    p.add_argument("label1")
-    p.add_argument("label2")
-    p.add_argument("--authority", default="", help="comma-separated principals")
-    p.set_defaults(handler=_cmd_dlm_declassify)
-
-    p = dlm_sub.add_parser("cross-declassify",
-                           help="declassification across two domains")
-    p.add_argument("file")
-    p.add_argument("label1")
-    p.add_argument("label2")
-    p.add_argument("--authority-left", default="")
-    p.add_argument("--authority-right", default="")
-    p.add_argument("--direction", choices=("lr", "rl"), default="lr")
-    p.set_defaults(handler=_cmd_dlm_cross_declassify)
-
+    # --seed defaults to SIFC_SEED, or 0.  A string default goes through
+    # `type`, so a bad SIFC_SEED is a usage error.
+    seed = {"default": os.environ.get("SIFC_SEED") or "0"}
+    groups = {"": parser.add_subparsers(dest="command", required=True)}
+    for name, (help_text, handler, arguments) in _COMMANDS.items():
+        group, _, leaf = name.rpartition(" ")
+        p = groups[group].add_parser(leaf, help=help_text)
+        for spec in arguments:
+            arg, keywords = (spec, {}) if isinstance(spec, str) else spec
+            p.add_argument(arg, **keywords, **(seed if arg == "--seed" else {}))
+        if handler is None:
+            groups[name] = p.add_subparsers(dest=f"{name}_command", required=True)
+        else:
+            p.set_defaults(handler=handler)
     return parser
 
 
@@ -468,8 +417,7 @@ _INPUT_ERRORS = (OSError, UnicodeDecodeError, json.JSONDecodeError, LatticeError
 
 
 def _error_verdict(status: str, exc: Exception) -> Verdict:
-    return Verdict(status, {"status": status, "error": type(exc).__name__,
-                            "message": str(exc)})
+    return Verdict({"status": status, "error": type(exc).__name__, "message": str(exc)})
 
 
 def _failure_verdict(exc: Exception) -> Verdict:
@@ -481,7 +429,7 @@ def _failure_verdict(exc: Exception) -> Verdict:
     elif isinstance(exc, AdjointError):
         details["condition"] = exc.condition
         details["witness"] = list(exc.witness)
-    elif isinstance(exc, (ComposeError,)):
+    elif isinstance(exc, ComposeError):
         details["side"] = exc.side
         details["witness"] = [exc.witness]
     elif isinstance(exc, CoarsenError):
@@ -545,7 +493,7 @@ def main(argv=None) -> int:
         import traceback  # here, so that normal runs do not pay for the import
         verdict, trace = _error_verdict(INTERNAL_ERROR, exc), traceback.format_exc()
     print(render(verdict, args.format))
-    summary = verdict.status.replace("-", " ").upper()  # PASS ... INTERNAL ERROR
+    summary = verdict.details["status"].replace("-", " ").upper()  # PASS ... INTERNAL ERROR
     message = verdict.details.get("message", "")
     print(f"{summary}" + (f": {message}" if message else ""), file=sys.stderr)
     print(trace, end="", file=sys.stderr)

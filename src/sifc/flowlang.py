@@ -188,30 +188,33 @@ class Program:
             env[d.name] = d
         object.__setattr__(self, "env", env)
         for idx, p in enumerate(self.body):
-            self._check_phrase(p, idx)
+            _check_phrase(env, p, idx)
 
-    def _need(self, name: str, domain: str, kind: str, idx: int) -> None:
-        d = self.env.get(name)
-        if d is None:
-            raise UndeclaredVariable(f"phrase {idx}: variable {name!r} is not declared")
-        if d.domain != domain or d.kind != kind:
-            raise KindMismatch(
-                f"phrase {idx}: {name!r} is a {d.domain} {d.kind} variable, "
-                f"needs a {domain} {kind} one")
 
-    def _check_phrase(self, p: Phrase, idx: int) -> None:
-        if isinstance(p, Txn):
-            for target, e in p.assigns:
-                self._need(target, p.domain, "internal", idx)
-                for v in _linear(e)[1]:  # in source order: the first undeclared one is named
-                    self._need(v, p.domain, "internal", idx)
-            return
+def _check_phrase(env: Mapping[str, VarDecl], p: Phrase, idx: int | None) -> None:
+    """Raise a FlowError unless `p` is a phrase of domain L or M whose every
+    variable `env` declares with the domain and kind its place needs; the
+    message names phrase `idx`, if given."""
+    at = "" if idx is None else f"phrase {idx}: "
+    if isinstance(p, Txn):
+        domain = p.domain
+        needs = [(v, domain, "internal") for target, e in p.assigns
+                 for v in (target, *_linear(e)[1])]  # in source order
+    else:
         move = _move(p)
         if move is None:
-            raise FlowError(f"phrase {idx}: unknown phrase {p!r}")
-        _, tdom, tkind, target, sdom, skind, source = move
-        self._need(target, tdom, tkind, idx)
-        self._need(source, sdom, skind, idx)
+            raise FlowError(f"{at}unknown phrase {p!r}")
+        _, domain, tkind, target, sdom, skind, source = move
+        needs = [(target, domain, tkind), (source, sdom, skind)]
+    if domain not in DOMAINS:
+        raise FlowError(f"{at}bad domain {domain!r}")
+    for name, side, kind in needs:
+        d = env.get(name)
+        if d is None:
+            raise UndeclaredVariable(f"{at}variable {name!r} is not declared")
+        if d.domain != side or d.kind != kind:
+            raise KindMismatch(f"{at}{name!r} is a {d.domain} {d.kind} variable, "
+                               f"needs a {side} {kind} one")
 
 
 # -- execution ----------------------------------------------------------------
@@ -290,12 +293,18 @@ def typecheck_phrase(env: Mapping[str, VarDecl], conn: LagoisConnection,
     each domain: a transaction the join of what it reads (the bottom if
     nothing), a copy each moved variable's class on its side, the target's
     where they share one, and the lattice's top on a side it leaves free (the
-    identity of the sequence meet).  No premise reads a phrase type.  A
-    phrase's own domain must be L or M; `Program` checks its variables."""
+    identity of the sequence meet).  No premise reads a phrase type.  The
+    phrase is first checked against `env` as `Program` checks its body, with
+    the same errors."""
+    _check_phrase(env, p, index)
+    return _type_phrase(env, conn, p, index)
+
+
+def _type_phrase(env: Mapping[str, VarDecl], conn: LagoisConnection,
+                 p: Phrase, index: int | None) -> PhraseType:
+    """`typecheck_phrase` of a phrase that `_check_phrase` has passed."""
     left, right = conn.left, conn.right
     if isinstance(p, Txn):
-        if p.domain not in _SIDE:
-            raise FlowError(f"bad domain {p.domain!r}")
         lat = left if p.domain == "L" else right
         read = lat.join_all(env[v].cls for _, e in p.assigns for v in expr_vars(e))
         written = lat.meet_all(env[t].cls for t, _ in p.assigns)
@@ -303,12 +312,7 @@ def typecheck_phrase(env: Mapping[str, VarDecl], conn: LagoisConnection,
             raise FlowTypeError("txn", read, written, index)
         return PhraseType(read, right.top) if p.domain == "L" else \
             PhraseType(left.top, read)
-    move = _move(p)
-    if move is None:
-        raise FlowError(f"unknown phrase {p!r}")
-    word, tdom, _, target, sdom, _, source = move
-    if tdom not in _SIDE:
-        raise FlowError(f"bad domain {tdom!r}")
+    word, tdom, _, target, sdom, _, source = _move(p)
     moved, upper = env[source].cls, env[target].cls
     lat, carry = (left, conn.gamma) if tdom == "L" else (right, conn.alpha)
     lower = moved if sdom == tdom else carry(moved)
@@ -324,7 +328,7 @@ def typecheck(prog: Program, conn: LagoisConnection) -> PhraseType:
     _classes(prog.env, conn)
     l, m = conn.left.top, conn.right.top
     for idx, p in enumerate(prog.body):
-        t = typecheck_phrase(prog.env, conn, p, idx)
+        t = _type_phrase(prog.env, conn, p, idx)
         l = conn.left.meet(l, t.left)
         m = conn.right.meet(m, t.right)
     return PhraseType(l, m)
@@ -492,7 +496,7 @@ def gen_well_typed(decls: Sequence[VarDecl], conn: LagoisConnection,
     while len(body) < length:
         p = _random_phrase(r, kinds[int(r() * len(kinds))], pools)
         try:
-            typecheck_phrase(prog.env, conn, p)
+            _type_phrase(prog.env, conn, p, None)  # its variables come from the pools
         except FlowTypeError:
             rejections += 1
             if rejections >= stall_limit:

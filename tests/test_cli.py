@@ -3,6 +3,7 @@ direct library calls."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -384,6 +385,20 @@ def test_unknown_subcommand_exits_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("name", ["", *cli._COMMANDS], ids=["sifc", *cli._COMMANDS])
+def test_help_names_every_argument_the_table_declares(capsys, name):
+    # "" is the top-level parser; a group's help names its subcommands
+    with pytest.raises(SystemExit) as exc:
+        main([*name.split(), "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    declared = [arg if isinstance(arg, str) else arg[0]
+                for arg in (cli._COMMANDS[name][2] if name else ())]
+    children = [n.rpartition(" ")[2] for n in cli._COMMANDS if n.rpartition(" ")[0] == name]
+    for word in declared + children:
+        assert re.search(rf"(?<![\w-]){re.escape(word)}(?![\w-])", out), word
+
+
 def test_console_entry_point():
     # the child imports this checkout's package, installed or not
     src = str(FIXTURES.parent / "src")
@@ -537,11 +552,16 @@ def test_malformed_inputs_are_typed_input_errors(tmp_path, monkeypatch, argv, co
 @pytest.mark.parametrize("argv", [
     ["ni-suite", path("pipeline.sif"), "--connection", path("college-univ.json"),
      flag, "-1"] for flag in ("--trials", "--len", "--draws")
-] + [["dlm", "check-lifted", path("hierarchy-pm.json"), "--samples", "-1"]])
-def test_count_flags_must_be_non_negative(argv):
+] + [["dlm", "check-lifted", path("hierarchy-pm.json"), "--samples", "-1"],
+     ["ni-suite", path("pipeline.sif"), "--connection", path("college-univ.json"),
+      "--trials", "abc"]])
+def test_count_flags_must_be_non_negative(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         cli_dispatch(argv)
     assert exc.value.code == 2
+    flag, text = argv[-2:]
+    assert capsys.readouterr().err.endswith(
+        f"error: argument {flag}: not a non-negative integer: {text!r}\n")
 
 
 @pytest.mark.parametrize("argv,content", [
@@ -594,11 +614,11 @@ def test_unmapped_principals_are_partial_maps(tmp_path, side):
 
 
 def test_internal_errors_propagate_and_exit_3(monkeypatch, capsys):
-    def broken(args):
+    def broken(name):
         raise KeyError("bug")
 
     argv = ["check-lattice", path("college.json")]
-    monkeypatch.setattr(cli, "_cmd_check_lattice", broken)
+    monkeypatch.setattr(cli, "_load_json", broken)  # a bug inside the handler
     with pytest.raises(KeyError):
         cli_dispatch(argv)
     code = main(argv)

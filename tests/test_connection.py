@@ -324,17 +324,27 @@ def _monotone_maps(source, target):
             yield table
 
 
-def test_tightness_agrees_with_brute_force_on_every_small_monotone_pair():
-    # Bounded-exhaustive: every monotone (alpha, gamma) pair between the
-    # chains of 1-4 classes and the diamond, budpoints as check_connection
-    # sets them.  Then each passing pair loses one declared budpoint at a
-    # time, so that the meet behind the mask test runs against the oracle;
-    # there the failure lines, not only the verdict, must match it.
+@pytest.fixture(scope="module")
+def small_pairs():
+    """Bounded-exhaustive instances: every monotone (left, right, alpha, gamma)
+    between the chains of 1-4 classes and the diamond."""
     lattices = [build_lattice(f"chain{n}", [f"c{i}" for i in range(n)],
                               [(f"c{i}", f"c{i + 1}") for i in range(n - 1)]) for n in range(1, 5)]
     lattices.append(build_lattice("diamond", ["bot", "x", "y", "top"],
                                   [("bot", "x"), ("bot", "y"), ("x", "top"), ("y", "top")]))
-    posets = {lat: BrutePoset(lat.classes, lat.covers) for lat in lattices}
+    pairs = [(left, right, alpha, gamma) for left, right in itertools.product(lattices, repeat=2)
+             for alpha, gamma in itertools.product(_monotone_maps(left, right),
+                                                   list(_monotone_maps(right, left)))]
+    assert len(pairs) == 6653
+    return pairs
+
+
+def test_tightness_agrees_with_brute_force_on_every_small_monotone_pair(small_pairs):
+    # Every small monotone pair, budpoints as check_connection sets them.
+    # Then each passing pair loses one declared budpoint at a time, so that
+    # the meet behind the mask test runs against the oracle; there the
+    # failure lines, not only the verdict, must match it.
+    posets = {lat: _poset(lat) for lat in {left for left, *_ in small_pairs}}
 
     def agrees(left, right, alpha, gamma, *buds) -> bool:
         conn = _unverified(left, right, alpha, gamma, *buds)
@@ -346,14 +356,8 @@ def test_tightness_agrees_with_brute_force_on_every_small_monotone_pair():
             assert report.failures == tuple(brute_tightness_failures(*oracle))
         return report.passed
 
-    total, passing = 0, []
-    for left, right in itertools.product(lattices, repeat=2):
-        gammas = list(_monotone_maps(right, left))
-        for alpha, gamma in itertools.product(_monotone_maps(left, right), gammas):
-            total += 1
-            if agrees(left, right, alpha, gamma):
-                passing.append((left, right, alpha, gamma))
-    assert (total, len(passing)) == (6653, 145)
+    passing = [pair for pair in small_pairs if agrees(*pair)]
+    assert len(passing) == 145
     dropped = Counter()
     for left, right, alpha, gamma in passing:
         buds = _unverified(left, right, alpha, gamma).budpoints_left
@@ -363,6 +367,36 @@ def test_tightness_agrees_with_brute_force_on_every_small_monotone_pair():
         for b in buds:
             dropped[agrees(left, right, alpha, gamma, None, [x for x in buds if x != b])] += 1
     assert set(dropped) == {False}, dropped
+
+
+def test_violations_match_brute_force_on_every_small_monotone_pair(small_pairs):
+    posets = {lat: _poset(lat) for lat in {left for left, *_ in small_pairs}}
+    connections = 0
+    for left, right, alpha, gamma in small_pairs:
+        mine = [(v.condition, v.witness) for v in connection_violations(left, right, alpha, gamma)]
+        assert mine == brute_lagois_violations(posets[left], posets[right], alpha, gamma), \
+            (alpha, gamma)
+        connections += not mine
+    assert connections == 145
+
+
+def test_every_small_connection_synthesises_decomposes_and_composes(small_pairs):
+    # On each connection among the small pairs: find_adjoint recovers gamma,
+    # decompose recomposes both maps, and composing with the transpose gives
+    # the directly checked round trip gamma . alpha in both directions.
+    connections = [check_connection(*pair) for pair in small_pairs
+                   if not connection_violations(*pair)]
+    assert len(connections) == 145
+    for conn in connections:
+        left, alpha, gamma = conn.left, conn.alpha.mapping(), conn.gamma.mapping()
+        assert find_adjoint(conn.alpha) == conn.gamma
+        dec = decompose(conn)
+        assert {l: dec.recomposed_alpha(l) for l in left.classes} == alpha
+        assert {m: dec.recomposed_gamma(m) for m in conn.right.classes} == gamma
+        chained = {l: gamma[alpha[l]] for l in left.classes}
+        assert connection_violations(left, left, chained, chained) == []
+        composite = compose(conn, conn.transpose()).connection
+        assert composite.alpha.mapping() == composite.gamma.mapping() == chained
 
 
 def _random_connection(rng, max_classes=6):

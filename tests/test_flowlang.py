@@ -281,6 +281,37 @@ def test_typecheck_phrase_rejects_a_bad_domain(cu, phrase):
         typecheck_phrase(Program(DECLS, ()).env, cu, phrase)
 
 
+def _outcome(call):
+    """A call's result, or the type and message of the FlowError it raised."""
+    try:
+        return call()
+    except FlowError as exc:  # FlowTypeError included
+        return type(exc), str(exc)
+
+
+def test_typecheck_phrase_checks_variables_as_program_does(cu):
+    # every copy and one-assignment transaction over the declared names and
+    # one undeclared name, with the phrase domains L, M and a bad one
+    names = [d.name for d in DECLS] + ["nope"]
+    pairs = list(itertools.product(names, repeat=2))
+    phrases = [cls(domain, a, b) for cls in (Rd, Wr) for domain in "LMX" for a, b in pairs]
+    phrases += [cls(a, b) for cls in (Trl, Tlr) for a, b in pairs]
+    phrases += [Txn(domain, ((a, Add(Var(b), Const(1))),)) for domain in "LMX" for a, b in pairs]
+    phrases += [Txn("X", ()), Txn("L", ((names[0], Const(1)), ("nope", Var(names[1]))))]
+    env = Program(DECLS, ()).env
+    kinds = set()
+    for p in phrases:
+        try:
+            prog = Program(DECLS, (p,))
+        except FlowError as exc:
+            expected = type(exc), str(exc)
+        else:
+            expected = _outcome(lambda: typecheck(prog, cu))
+        assert _outcome(lambda: typecheck_phrase(env, cu, p, 0)) == expected, p
+        kinds.add(expected[0] if isinstance(expected, tuple) else PhraseType)
+    assert kinds == {UndeclaredVariable, KindMismatch, FlowError, FlowTypeError, PhraseType}
+
+
 def test_unknown_class_in_decl(cu):
     prog = Program((VarDecl("a", "L", "internal", "Wizard"),) + DECLS, ())
     with pytest.raises(UnknownClass):

@@ -1,16 +1,19 @@
-"""The README's command block runs as documented, and no mutation of the
-documents it reads makes a README command raise or exit outside 0/1/2."""
+"""The README's command block runs as documented and prints exactly what
+`tests/readme_runs.json` holds, and no mutation of the documents it reads
+makes a README command raise or exit outside 0/1/2."""
 
+import io
 import json
 import re
 import shlex
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sifc.cli import cli_dispatch
+from sifc.cli import _COMMANDS, cli_dispatch, main
 from sifc.connection import MapError
 from sifc.dlm import DlmError
 from sifc.flowlang import FlowError
@@ -43,7 +46,7 @@ def test_readme_lists_every_documented_command():
         "check-lattice", "check-connection", "find-adjoint", "build-from-closures",
         "compose", "decompose", "coarsen", "semi-inverse", "typecheck", "run",
         "ni-suite", "dlm check-hierarchy", "dlm label-leq", "dlm lift",
-        "dlm check-lifted", "dlm declassify", "dlm cross-declassify"}
+        "dlm check-lifted", "dlm declassify", "dlm cross-declassify"} == set(_COMMANDS) - {"dlm"}
 
 
 @pytest.mark.parametrize("argv,quoted", readme_commands(),
@@ -57,6 +60,42 @@ def test_readme_command_runs_as_documented(monkeypatch, argv, quoted):
     else:  # a failing fixture, with the witness the README quotes
         assert v.exit_code == 1
         assert quoted in v.lines
+
+
+# -- the exact bytes of each run ------------------------------------------------
+
+EXPECTED_RUNS = Path(__file__).resolve().parent / "readme_runs.json"
+RUNS = [["--format", fmt, *argv] for argv in COMMANDS for fmt in ("json", "text")]
+
+
+def readme_run(argv: list[str]) -> dict:
+    """Exit code, stdout and stderr of one run through `main`, in-process;
+    the caller sets the repo root as cwd and unsets SIFC_SEED."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def write_expected_runs() -> None:
+    """Regenerate the expected file, from the repo root:
+    `env -u SIFC_SEED PYTHONPATH=src:tests python -c
+    'import test_readme; test_readme.write_expected_runs()'`."""
+    runs = {" ".join(argv): readme_run(argv) for argv in RUNS}
+    EXPECTED_RUNS.write_text(json.dumps(runs, indent=1) + "\n", encoding="utf-8")
+
+
+def test_expected_file_holds_each_readme_run_in_both_formats():
+    expected = json.loads(EXPECTED_RUNS.read_text(encoding="utf-8"))
+    assert list(expected) == [" ".join(argv) for argv in RUNS]
+
+
+@pytest.mark.parametrize("argv", RUNS, ids=[" ".join(argv) for argv in RUNS])
+def test_readme_run_prints_the_expected_bytes(monkeypatch, argv):
+    monkeypatch.chdir(ROOT)
+    monkeypatch.delenv("SIFC_SEED", raising=False)
+    expected = json.loads(EXPECTED_RUNS.read_text(encoding="utf-8"))[" ".join(argv)]
+    assert readme_run(argv) == expected
 
 
 # -- mutated documents -----------------------------------------------------------

@@ -16,7 +16,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
@@ -27,17 +26,21 @@ from .errors import (AdjointError, CoarsenError, ComposeError, CorollaryViolatio
                      DlmError, FlowError, FlowTypeError, GenerationStall, IllTyped,
                      LatticeError, MapError, NotALattice, NotClosure, NotIso, NotLagois,
                      NotLagoisHierarchy, NotSemiInverse, ParseError)
-from .lattice import Lattice, _check_document
+from .lattice import Lattice, Record, _check_document
 # flowlang and dlm are imported in the handlers that use them: start-up pays for what runs.
 
 PASS, FAIL, INPUT_ERROR, INTERNAL_ERROR = "pass", "fail", "input-error", "internal-error"
 _EXIT = {PASS: 0, FAIL: 1, INPUT_ERROR: 2, INTERNAL_ERROR: 3}
 
 
-@dataclass
-class Verdict:
-    details: dict  # details["status"] is PASS, FAIL, INPUT_ERROR or INTERNAL_ERROR
-    lines: list[dict] = field(default_factory=list)  # JSON-lines payload
+class Verdict(Record, frozen=False):
+    """details["status"] is PASS, FAIL, INPUT_ERROR or INTERNAL_ERROR; lines
+    is the JSON-lines payload, a fresh list unless given."""
+    __slots__ = ("details", "lines")
+
+    def __init__(self, details: dict, lines: list[dict] | None = None):
+        self.details = details
+        self.lines = [] if lines is None else lines
 
     @property
     def exit_code(self) -> int:

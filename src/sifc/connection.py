@@ -23,24 +23,21 @@ coarsening of the left map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from operator import eq
 from typing import Container, Iterable, Mapping, Sequence
 
 from .errors import (AdjointError, CoarsenError, ComposeError, LatticeMismatch, MapError,
                      NotClosure, NotIso, NotLagois, NotMonotone, NotSemiInverse, PartialMap)
-from .lattice import Lattice, UnknownClass, _extrema, _members, _restriction
+from .lattice import Lattice, Record, UnknownClass, _extrema, _members, _restriction
 
 VIOLATION_CONDITIONS = ("Monotone-alpha", "Monotone-gamma",
                         "LC1", "LC2", "LC3", "LC4")
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     """One failed connection condition together with a replayable witness."""
-    condition: str
-    witness: tuple[str, ...]
+    __slots__ = ("condition", "witness")
 
     def to_json(self) -> dict:
         return {"condition": self.condition, "witness": list(self.witness)}
@@ -87,8 +84,7 @@ class MonotoneMap:
         return f"MonotoneMap({self.source.name} -> {self.target.name})"
 
 
-@dataclass(frozen=True)
-class LagoisConnection:
+class LagoisConnection(Record):
     """A verified connection with its budpoint sets and kernel partitions.
 
     budpoints_left is gamma[M] in left declaration order, budpoints_right is
@@ -96,14 +92,8 @@ class LagoisConnection:
     :func:`check_connection` and the constructors in this module build these,
     each having proved the laws, so the constructors trust the ones they take.
     """
-    left: Lattice
-    right: Lattice
-    alpha: MonotoneMap
-    gamma: MonotoneMap
-    budpoints_left: tuple[str, ...]
-    budpoints_right: tuple[str, ...]
-    kernel_left: tuple[tuple[str, ...], ...]
-    kernel_right: tuple[tuple[str, ...], ...]
+    __slots__ = ("left", "right", "alpha", "gamma", "budpoints_left", "budpoints_right",
+                 "kernel_left", "kernel_right")
 
     def __repr__(self) -> str:
         return (f"LagoisConnection({self.left.name} <-> {self.right.name}, "
@@ -241,11 +231,8 @@ def budpoint_representative(conn: LagoisConnection, side: str, c: str) -> str:
 
 # -- tightness ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TightnessReport:
-    passed: bool
-    failures: tuple[str, ...]
-    subsets_checked: int
+class TightnessReport(Record):
+    __slots__ = ("passed", "failures", "subsets_checked")
 
 
 def check_tightness(conn: LagoisConnection) -> TightnessReport:
@@ -384,10 +371,9 @@ def _require_closure(lat: Lattice, table: Mapping[str, str], name: str) -> None:
 
 # -- composition -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Composition:
-    connection: LagoisConnection
-    admitted_by: str  # "image-subset" or "containment-conditions"
+class Composition(Record):
+    """admitted_by is "image-subset" or "containment-conditions"."""
+    __slots__ = ("connection", "admitted_by")
 
 
 def compose(ab: LagoisConnection, bc: LagoisConnection) -> Composition:
@@ -420,17 +406,14 @@ def compose(ab: LagoisConnection, bc: LagoisConnection) -> Composition:
 
 # -- decomposition ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Record):
     """insertion_left . iso . insertion_right recover the original maps.
 
     insertion_left runs L onto its budpoints (round trip one way, inclusion
     back); iso is the mutually inverse budpoint bijection; insertion_right
     embeds the right budpoints into M with the round trip as its inverse leg.
     """
-    insertion_left: LagoisConnection
-    iso: tuple[MonotoneMap, MonotoneMap]
-    insertion_right: LagoisConnection
+    __slots__ = ("insertion_left", "iso", "insertion_right")
 
     def recomposed_alpha(self, c: str) -> str:
         return self.insertion_right.alpha(self.iso[0](self.insertion_left.alpha(c)))

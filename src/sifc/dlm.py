@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from typing import Iterable, Mapping, Sequence
@@ -46,7 +45,7 @@ from typing import Iterable, Mapping, Sequence
 from .connection import Violation, _law_violations, _require_total
 from .errors import (AuthorityMismatch, CorollaryViolation, DlmError, LabelSyntaxError,
                      NotLagoisHierarchy, UnknownPrincipal)
-from .lattice import _check_document, _closure_rows, _is_names
+from .lattice import Record, _check_document, _closure_rows, _is_names
 
 TOP = "TOP"
 BOT = "BOT"
@@ -125,19 +124,16 @@ class PrincipalsHierarchy:
         return f"PrincipalsHierarchy({len(self.principals)} principals)"
 
 
-@dataclass(frozen=True, order=True)
-class Policy:
-    owner: str
-    readers: frozenset[str]
+class Policy(Record, order=True):
+    __slots__ = ("owner", "readers")  # str, frozenset[str]
 
     def __str__(self) -> str:
         readers = ", ".join(sorted(self.readers))
         return f"{self.owner}: {readers}" if readers else f"{self.owner}:"
 
 
-@dataclass(frozen=True)
-class Label:
-    policies: frozenset[Policy]
+class Label(Record):
+    __slots__ = ("policies",)  # frozenset[Policy]
 
     @staticmethod
     def of(*policies: Policy) -> "Label":
@@ -265,15 +261,12 @@ def hierarchy_violations(left: PrincipalsHierarchy, right: PrincipalsHierarchy,
     return _law_violations(side(left), side(right), alpha, gamma)
 
 
-@dataclass(frozen=True)
-class PrincipalMapPair:
+class PrincipalMapPair(Record):
     """A verified connection between two principals hierarchies.  The maps
     are composed with the hierarchies' masks at the first cross-domain
     decision and kept, so a pair's maps must not change after that."""
-    left: PrincipalsHierarchy
-    right: PrincipalsHierarchy
-    alpha: Mapping[str, str]
-    gamma: Mapping[str, str]
+    __slots__ = ("left", "right", "alpha", "gamma", "__dict__")  # _through is kept in __dict__
+    __match_args__ = ("left", "right", "alpha", "gamma")
 
     @staticmethod
     def check(left: PrincipalsHierarchy, right: PrincipalsHierarchy,
@@ -325,13 +318,9 @@ _LIFTED = {"Monotone-alpha": "1a", "Monotone-gamma": "1b", "LC1": "2a",
            "LC2": "2b", "LC3": "3a", "LC4": "3b"}
 
 
-@dataclass(frozen=True)
-class LiftedReport:
-    passed: bool
-    samples: int
-    seed: int
-    checks: dict[str, int]
-    failures: tuple[tuple[str, str], ...]  # (property, witness)
+class LiftedReport(Record):
+    """failures are (property, witness) pairs; checks count per property."""
+    __slots__ = ("passed", "samples", "seed", "checks", "failures")
 
 
 def random_label(rng: random.Random, principals: Sequence[str]) -> Label:
@@ -395,12 +384,10 @@ def declassify_check(h: PrincipalsHierarchy, authority: Iterable[str],
         raise UnknownPrincipal(next((n for n in scan if n not in h), exc.args[0])) from None
 
 
-@dataclass(frozen=True)
-class CrossDeclassifyResult:
-    allowed: bool
-    near_side: bool   # verdict evaluated in the label's home domain
-    far_side: bool    # verdict evaluated across the connection
-    direction: str
+class CrossDeclassifyResult(Record):
+    """near_side is the verdict in the label's home domain, far_side the one
+    evaluated across the connection."""
+    __slots__ = ("allowed", "near_side", "far_side", "direction")
 
 
 def cross_declassify_check(pm: PrincipalMapPair,

@@ -33,7 +33,6 @@ from __future__ import annotations
 import random
 import re
 import struct
-from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from operator import attrgetter
 from typing import Mapping, Sequence
@@ -41,7 +40,7 @@ from typing import Mapping, Sequence
 from .connection import LagoisConnection
 from .errors import (DuplicateVariable, FlowError, FlowTypeError, GenerationStall, IllTyped,
                      KindMismatch, ParseError, StoreDomainError, UndeclaredVariable)
-from .lattice import UnknownClass
+from .lattice import Record, UnknownClass
 
 VALUE_MODULUS = 2 ** 16  # stores hold wrap-around integers
 
@@ -51,65 +50,47 @@ KINDS = ("internal", "export", "import")
 
 # -- syntax -------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Const:
-    value: int
+class Const(Record):
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(Record):
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
-class Add:
-    lhs: "Expr"
-    rhs: "Expr"
+class Add(Record):
+    __slots__ = ("lhs", "rhs")  # each an Expr
 
 
 Expr = Const | Var | Add
 
 
-@dataclass(frozen=True)
-class VarDecl:
-    name: str
-    domain: str  # "L" | "M"
-    kind: str    # "internal" | "export" | "import"
-    cls: str     # security class in that domain's lattice
+class VarDecl(Record):
+    """domain is "L" or "M", kind one of KINDS, cls a security class in that
+    domain's lattice."""
+    __slots__ = ("name", "domain", "kind", "cls")
 
 
-@dataclass(frozen=True)
-class Txn:
-    domain: str
-    assigns: tuple[tuple[str, Expr], ...]
+class Txn(Record):
+    __slots__ = ("domain", "assigns")  # assigns: tuple[tuple[str, Expr], ...]
 
 
-@dataclass(frozen=True)
-class Rd:
-    domain: str
-    z: str
-    y: str
+class Rd(Record):
+    __slots__ = ("domain", "z", "y")
 
 
-@dataclass(frozen=True)
-class Wr:
-    domain: str
-    x: str
-    z: str
+class Wr(Record):
+    __slots__ = ("domain", "x", "z")
 
 
-@dataclass(frozen=True)
-class Trl:
+class Trl(Record):
     """Left import := right export."""
-    y: str
-    x: str
+    __slots__ = ("y", "x")
 
 
-@dataclass(frozen=True)
-class Tlr:
+class Tlr(Record):
     """Right import := left export."""
-    y: str
-    x: str
+    __slots__ = ("y", "x")
 
 
 Phrase = Txn | Rd | Wr | Trl | Tlr
@@ -120,7 +101,7 @@ _MOVES = {"rd": (Rd, (None, "internal"), (None, "import")),
           "wr": (Wr, (None, "export"), (None, "internal")),
           "trl": (Trl, ("L", "import"), ("M", "export")),
           "tlr": (Tlr, ("M", "import"), ("L", "export"))}
-_MOVE_OF = {cls: (word, *target, *source, attrgetter(*[f.name for f in fields(cls)][-2:]))
+_MOVE_OF = {cls: (word, *target, *source, attrgetter(*cls.__match_args__[-2:]))
             for word, (cls, target, source) in _MOVES.items()}
 PHRASE_KINDS = ("txn", *_MOVES)
 
@@ -138,16 +119,12 @@ def _move(p: Phrase) -> tuple[str, str, str, str, str, str, str] | None:
     return word, tdom, tkind, target, sdom, skind, source
 
 
-@dataclass(frozen=True)
-class PhraseType:
-    left: str
-    right: str
+class PhraseType(Record):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class StorePair:
-    left: dict[str, int]
-    right: dict[str, int]
+class StorePair(Record):
+    __slots__ = ("left", "right")  # each a dict[str, int]
 
 
 def _linear(e: Expr) -> tuple[int, tuple[str, ...]]:
@@ -170,15 +147,14 @@ def expr_vars(e: Expr) -> set[str]:
     return set(_linear(e)[1])
 
 
-@dataclass(frozen=True)
-class Program:
-    decls: tuple[VarDecl, ...]
-    body: tuple[Phrase, ...]
-    env: Mapping[str, VarDecl] = field(init=False, repr=False, compare=False)
+class Program(Record):
+    """env maps each declared name to its declaration; it is no field."""
+    __slots__ = ("decls", "body", "env")
+    __match_args__ = ("decls", "body")
 
-    def __post_init__(self):
+    def __init__(self, decls: tuple[VarDecl, ...], body: tuple[Phrase, ...]):
         env: dict[str, VarDecl] = {}
-        for d in self.decls:
+        for d in decls:
             if d.domain not in DOMAINS:
                 raise FlowError(f"bad domain {d.domain!r} for {d.name!r}")
             if d.kind not in KINDS:
@@ -186,8 +162,9 @@ class Program:
             if d.name in env:
                 raise DuplicateVariable(f"variable {d.name!r} declared twice")
             env[d.name] = d
-        object.__setattr__(self, "env", env)
-        for idx, p in enumerate(self.body):
+        for name, value in (("decls", decls), ("body", body), ("env", env)):
+            object.__setattr__(self, name, value)
+        for idx, p in enumerate(body):
             _check_phrase(env, p, idx)
 
 
@@ -359,14 +336,10 @@ def adversary_pairs(conn: LagoisConnection) -> list[tuple[str, str]]:
             if conn.gamma(conn.alpha(l)) == l]
 
 
-@dataclass(frozen=True)
-class NiTrialResult:
-    passed: bool
-    pair: tuple[str, str]
-    seed: int
-    distinguishing: tuple[str, str] | None  # (side, variable)
-    initial: tuple[StorePair, StorePair] | None = None
-    final: tuple[StorePair, StorePair] | None = None
+class NiTrialResult(Record, defaults=(None, None)):
+    """distinguishing is (side, variable) or None; initial and final, the
+    two runs' store pairs, default to None."""
+    __slots__ = ("passed", "pair", "seed", "distinguishing", "initial", "final")
 
 
 # The low/high split of a program at an adversary pair: (side, name, low) for
@@ -538,14 +511,9 @@ def _random_phrase(r, kind: str, pools) -> Phrase:
 
 # -- suite driver ------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NiSuiteReport:
-    programs: int
-    pairs: tuple[tuple[str, str], ...]
-    draws_per_pair: int
-    trials: int
-    failures: tuple[tuple[int, tuple[str, str], int, tuple[str, str]], ...]
-    seed: int
+class NiSuiteReport(Record):
+    """Each failure is (program index, pair, trial seed, distinguishing)."""
+    __slots__ = ("programs", "pairs", "draws_per_pair", "trials", "failures", "seed")
 
     @property
     def passed(self) -> bool:
@@ -654,7 +622,7 @@ def _parse_expr(src: str) -> Expr:
             raise ParseError(f"bad expression {src.strip()!r}")
         terms.append(Const(int(m[0])) if m[1] else Var(m[0]))
     # Pair up neighbours until one term is left: the tree is log2(terms) deep,
-    # so recursive walkers (dataclass equality, hash and repr among them)
+    # so recursive walkers (record equality, hash and repr among them)
     # handle a sum of any length.  Addition is associative, so the shape does
     # not change the value.
     while len(terms) > 1:

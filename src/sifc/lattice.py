@@ -11,6 +11,9 @@ whose up-set is up(a) & up(b), meets alike.  A finite poset with a top and
 every pairwise meet is a lattice (Davey & Priestley, Introduction to Lattices
 and Order, 2002, ch. 2).  A comparable pair meets at its lower member, so the
 top and one meet lookup per incomparable pair prove it.
+
+`Record`, the base of every immutable record of sifc, lives here too, as
+each command loads this module anyway.
 """
 
 from __future__ import annotations
@@ -123,11 +126,14 @@ class Lattice:
 
     def __eq__(self, other) -> bool:
         # Structural: same class set and same order.  The display name and the
-        # particular cover presentation do not matter.
+        # particular cover presentation do not matter.  Declared in one order,
+        # two lattices give each class the same bit, so their rows compare.
         if other is self:
             return True
         if not isinstance(other, Lattice):
             return NotImplemented
+        if self.classes == other.classes:
+            return self._up == other._up
         return self._bit.keys() == other._bit.keys() and self.order_pairs() == other.order_pairs()
 
     def __hash__(self) -> int:
@@ -299,6 +305,55 @@ def _extrema(items: Sequence, below: Callable[[object, object], object]) -> list
     """The minimal elements of items, in input order, where below(v, u) says
     v <= u; passing the converse order yields the maximal elements."""
     return [u for u in items if not any(v != u and below(v, u) for v in items)]
+
+
+class Record:
+    """Base of sifc's records: slotted classes whose fields are their
+    `__slots__`, or their `__match_args__` where more slots follow.  Once per
+    class, this writes what `dataclasses` would where the class does not: an
+    `__init__` over the fields (`defaults` for the last ones), the repr
+    `Name(field=value, ...)`, `==` only within one class, the hash of the
+    field tuple and, with `order`, its ordering.  Assignment and deletion
+    raise AttributeError, unless `frozen` is false: then the record is
+    mutable and unhashable."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, frozen: bool = True, order: bool = False, defaults: tuple = ()):
+        names = cls.__match_args__ = cls.__dict__.get("__match_args__", cls.__slots__)
+        mine = "(" + "".join(f"self.{n}, " for n in names) + ")"
+        theirs = mine.replace("self.", "other.")
+        shown = ", ".join(f"{n}={{self.{n}!r}}" for n in names)
+        code = {"__init__": f"def __init__(self, {', '.join(names)}):\n"
+                            + "".join(f" _set_{n}(self, {n})\n" for n in names),
+                "__repr__": "def __repr__(self):\n"
+                            f" return f'{{self.__class__.__qualname__}}({shown})'\n"}
+        ops = {"eq": "=="} | ({"lt": "<", "le": "<=", "gt": ">", "ge": ">="} if order else {})
+        for op, sym in ops.items():
+            code[f"__{op}__"] = (f"def __{op}__(self, other):\n return {mine} {sym} {theirs} "
+                                 "if other.__class__ is self.__class__ else NotImplemented\n")
+        if frozen:
+            code["__hash__"] = f"def __hash__(self):\n return hash({mine})\n"
+        else:
+            cls.__setattr__, cls.__delattr__ = object.__setattr__, object.__delattr__
+            cls.__hash__ = None
+        code = {name: text for name, text in code.items() if name not in cls.__dict__}
+        space = {f"_set_{n}": cls.__dict__[n].__set__ for n in names}  # the slots' own setters
+        exec("".join(code.values()), space)
+        for name in code:
+            space[name].__qualname__ = f"{cls.__qualname__}.{name}"
+            setattr(cls, name, space[name])
+        if defaults:
+            cls.__init__.__defaults__ = defaults
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # copy and pickle rebuild a record through its __init__
+        return self.__class__, tuple(map(self.__getattribute__, self.__match_args__))
 
 
 def load_lattice(path: str) -> Lattice:

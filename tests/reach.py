@@ -35,12 +35,6 @@ PROTOCOL = "Python's comparison protocol; the library never compares with anothe
 ALLOWED = {
     ("lattice.py", "Lattice.__repr__",
      'return f"Lattice({self.name!r}, {len(self.classes)} classes)"'): REPR,
-    ("connection.py", "MonotoneMap.__repr__",
-     'return f"MonotoneMap({self.source.name} -> {self.target.name})"'): REPR,
-    ("connection.py", "LagoisConnection.__repr__",
-     'return (f"LagoisConnection({self.left.name} <-> {self.right.name}, "'): REPR,
-    ("dlm.py", "PrincipalsHierarchy.__repr__",
-     'return f"PrincipalsHierarchy({len(self.principals)} principals)"'): REPR,
     ("dlm.py", "Label.__str__", "return format_label(self)"): REPR,
     ("lattice.py", "Lattice.__eq__", "return NotImplemented"): PROTOCOL,
     ("connection.py", "MonotoneMap.__eq__", "return NotImplemented"): PROTOCOL,

@@ -204,6 +204,24 @@ def test_structural_equality_ignores_name_and_presentation():
     assert a == a and not a != a
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_equality_matches_oracle_in_every_declaration_order(seed):
+    # Lattices over c0..c(n-1) of one size: in one declaration order they are
+    # compared row by row, in a shuffled one by their order pairs.
+    rng = random.Random(seed)
+    seen = Counter()
+    for _ in range(150):
+        n = rng.randint(1, 5)
+        a, b = (random_lattice(rng, max_classes=n, min_classes=n) for _ in range(2))
+        shuffled = build_lattice("s", rng.sample(b.classes, n), rng.sample(b.covers, len(b.covers)))
+        for x, y in ((a, b), (a, shuffled)):
+            reach_x, reach_y = (reach_table(z.classes, z.covers) for z in (x, y))
+            expected = reach_x == reach_y
+            assert (x == y, x != y, y == x) == (expected, not expected, expected)
+            seen[x.classes == y.classes, expected] += 1
+    assert len(seen) == 4
+
+
 # -- differential tests of the bit-vector kernel -------------------------------
 
 def _assert_matches_oracle(lat, classes, covers):

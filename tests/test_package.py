@@ -2,6 +2,7 @@
 subcommand loads only the library modules it runs, and every public name and
 error class is the same object under each path that names it."""
 
+import functools
 import importlib
 import json
 
@@ -13,9 +14,11 @@ from sifc import errors
 import fixtures as fx
 from test_readme import COMMANDS
 
-# The child's last stdout line: the sifc modules it has loaded.
+# A line of the child's stdout: the sifc modules it has loaded.
 LOADED = "import json, sys\nprint(json.dumps([m for m in sys.modules if m.startswith('sifc')]))"
 BASE = {"sifc", "sifc.cli", "sifc.connection", "sifc.errors", "sifc.lattice"}
+# Records are built without `dataclasses`, which would load these.
+UNUSED = ("dataclasses", "inspect")
 
 
 def _extra(argv: list[str]) -> set[str]:
@@ -25,10 +28,23 @@ def _extra(argv: list[str]) -> set[str]:
     return {"sifc.flowlang"} if argv[0] in ("typecheck", "run", "ni-suite") else set()
 
 
+@functools.cache
+def _loaded(argv: tuple[str, ...]) -> tuple[set[str], set[str]]:
+    """The sifc modules and the UNUSED modules a child has loaded after one command."""
+    probe = f"\nprint(json.dumps([m for m in {UNUSED!r} if m in sys.modules]))"
+    proc = fx.run_python("import sys, sifc.cli\nsifc.cli.main(sys.argv[1:])\n" + LOADED + probe,
+                         *argv)
+    return tuple(set(json.loads(line)) for line in proc.stdout.splitlines()[-2:])
+
+
 @pytest.mark.parametrize("argv", COMMANDS, ids=[" ".join(argv) for argv in COMMANDS])
 def test_subcommand_loads_only_the_modules_it_runs(argv):
-    proc = fx.run_python("import sys, sifc.cli\nsifc.cli.main(sys.argv[1:])\n" + LOADED, *argv)
-    assert set(json.loads(proc.stdout.splitlines()[-1])) == BASE | _extra(argv)
+    assert _loaded(tuple(argv))[0] == BASE | _extra(argv)
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=[" ".join(argv) for argv in COMMANDS])
+def test_subcommand_loads_no_dataclasses(argv):
+    assert _loaded(tuple(argv))[1] == set()
 
 
 def test_import_sifc_loads_no_submodule():

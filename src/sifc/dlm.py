@@ -82,10 +82,14 @@ class PrincipalsHierarchy:
                 raise UnknownPrincipal(q)
             edges.append((p, q))
 
-        index = {p: i for i, p in enumerate(names)}
-        pairs = edges + [(TOP, p) for p in names] + [(p, BOT) for p in names]  # p acts for q
-        rows = _closure_rows(len(names), [(index[p], index[q]) for p, q in pairs])
-        cols = _closure_rows(len(names), [(index[q], index[p]) for p, q in pairs])
+        # Close the declared edges (p acts for q) only: a row gains BOT's row, and
+        # is everyone if it then holds TOP; a column gains TOP's, likewise with BOT.
+        index, n = {p: i for i, p in enumerate(names)}, len(names)
+        rows = _closure_rows(n, [(index[p], index[q]) for p, q in edges])
+        cols = _closure_rows(n, [(index[q], index[p]) for p, q in edges])
+        for closed, via, absorbing in ((rows, BOT, TOP), (cols, TOP, BOT)):
+            base, bit = closed[index[via]], 1 << index[absorbing]
+            closed[:] = [(1 << n) - 1 if (r | base) & bit else r | base for r in closed]
 
         self.principals = tuple(names)
         self.edges = tuple(edges)

@@ -20,19 +20,18 @@ an adversary's level and checks the final stores still agree there.
 
 Execution runs a compiled body: a flat list of steps, one per variable
 update, each a copy or a sum of a constant and variables mod 2^16.  The
-suite pays per program for one typecheck and one compilation, and per
-adversary pair for one low/high split of the declarations; each trial then
-pays only for two store draws, two runs of the steps and one comparison of
-the low variables.  A trial's stores come from the SplitMix64 stream of its
-seed, computed in one pass, and the generator draws each choice of a phrase
-from one float of a seeded `random.Random`.
+suite pays per program for one typecheck, one compilation, one low/high
+split per adversary pair and one pass over all its trials: that pass draws
+every store from SplitMix64 at once, packs both runs of every trial into
+lanes of one int per variable, runs the steps once over them and compares
+the runs with one XOR and one mask.  The generator draws each choice of a
+phrase from one float of a seeded `random.Random`.
 """
 
 from __future__ import annotations
 
 import random
 import re
-import struct
 from functools import lru_cache
 from operator import attrgetter
 from typing import Mapping, Sequence
@@ -221,15 +220,18 @@ def _compile(prog: Program) -> list[Step]:
     return steps
 
 
-def _run(steps: list[Step], stores: tuple[dict[str, int], dict[str, int]]) -> None:
-    """Apply the steps in order to the (left, right) stores, in place."""
+def _run(steps: list[Step], stores: tuple[dict[str, int], dict[str, int]],
+         rep: int, mask: int) -> None:
+    """Apply the steps in order to the (left, right) stores, in place.  A
+    store may pack many runs' values, each below 2^16, into lanes: `rep` has
+    1 in each lane and `mask` 2^16 - 1, and every lane must hold a sum."""
     for dst, target, src, source in steps:
         read = stores[src]
         if source.__class__ is str:
             stores[dst][target] = read[source]
         else:
             const, names = source
-            stores[dst][target] = (const + sum(map(read.__getitem__, names))) % VALUE_MODULUS
+            stores[dst][target] = (const * rep + sum(map(read.__getitem__, names))) & mask
 
 
 def exec_program(prog: Program, init: StorePair) -> StorePair:
@@ -239,14 +241,11 @@ def exec_program(prog: Program, init: StorePair) -> StorePair:
     store as left by the previous assignment; every other phrase updates
     exactly one variable.
     """
-    expected_left = {d.name for d in prog.decls if d.domain == "L"}
-    expected_right = {d.name for d in prog.decls if d.domain == "M"}
-    if set(init.left) != expected_left or set(init.right) != expected_right:
+    if [set(init.left), set(init.right)] != [{d.name for d in prog.decls if d.domain == side}
+                                             for side in DOMAINS]:
         raise StoreDomainError("initial stores must cover exactly the declared variables")
-
-    stores = ({k: v % VALUE_MODULUS for k, v in init.left.items()},
-              {k: v % VALUE_MODULUS for k, v in init.right.items()})
-    _run(_compile(prog), stores)
+    stores = tuple({k: v % VALUE_MODULUS for k, v in st.items()} for st in (init.left, init.right))
+    _run(_compile(prog), stores, 1, VALUE_MODULUS - 1)
     return StorePair(*stores)
 
 
@@ -316,14 +315,9 @@ def lint_transfer_classes(prog: Program, conn: LagoisConnection) -> list[str]:
     classes still typecheck (the maps are total), but they sit outside the
     negotiated transfer structure."""
     _classes(prog.env, conn)
-    warnings = []
-    for d in prog.decls:
-        if d.kind == "internal":
-            continue
-        buds = conn.budpoints_left if d.domain == "L" else conn.budpoints_right
-        if d.cls not in buds:
-            warnings.append(f"{d.name}: transfer class {d.cls!r} is not a budpoint")
-    return warnings
+    buds = {"L": conn.budpoints_left, "M": conn.budpoints_right}
+    return [f"{d.name}: transfer class {d.cls!r} is not a budpoint" for d in prog.decls
+            if d.kind != "internal" and d.cls not in buds[d.domain]]
 
 
 # -- non-interference harness ----------------------------------------------------
@@ -342,72 +336,96 @@ class NiTrialResult(Record, defaults=(None, None)):
     __slots__ = ("passed", "pair", "seed", "distinguishing", "initial", "final")
 
 
-# The low/high split of a program at an adversary pair: (side, name, low) for
-# each declaration, in declaration order, where low means at or below the pair.
-Split = tuple[tuple[int, str, bool], ...]
+def _lows(prog: Program, conn: LagoisConnection, pair: tuple[str, str]) -> bytes:
+    """Per declaration, in order: 255 if it is at or below the adversary
+    pair (low), else 0 (high)."""
+    at = {"L": (conn.left.leq, pair[0]), "M": (conn.right.leq, pair[1])}
+    return bytes([255 if leq(d.cls, level) else 0
+                  for d in prog.decls for leq, level in (at[d.domain],)])
 
 
-def _split(prog: Program, conn: LagoisConnection, pair: tuple[str, str]) -> Split:
-    levels = ((conn.left, pair[0]), (conn.right, pair[1]))
-    out = []
-    for d in prog.decls:
-        side = _SIDE[d.domain]
-        lat, level = levels[side]
-        out.append((side, d.name, lat.leq(d.cls, level)))
-    return tuple(out)
+_PASS = 64  # trials per pass of `_trials`, so its ints stay O(declarations)
 
 
-_M64 = 2 ** 64 - 1
+@lru_cache(maxsize=64)  # keyed by (outputs per seed, seeds)
+def _mix_consts(n: int, seeds: int) -> tuple[int, int, int, int]:
+    """Counter offsets, and 64, 16 and 1 low bits set per 128-bit lane, output-major."""
+    one = int.from_bytes((b"\1" + bytes(15)) * (n * seeds), "little")
+    gammas = ((i + 1) * 0x9E3779B97F4A7C15 % 2 ** 64 for i in range(n))
+    gammas = b"".join(g.to_bytes(16, "little") * seeds for g in gammas)
+    return int.from_bytes(gammas, "little"), one * (2 ** 64 - 1), one * 0xFFFF, one
 
 
-@lru_cache(maxsize=64)  # keyed by a program's declaration count
-def _lanes(n: int):
-    """Seed multiplier, counter offsets, lane mask and lane reader for n outputs."""
-    rep = sum(1 << 128 * i for i in range(n))
-    offsets = sum(((i + 1) * 0x9E3779B97F4A7C15 & _M64) << 128 * i for i in range(n))
-    return rep, offsets, rep * _M64, struct.Struct("<" + "Q8x" * n).unpack
+def _trials(prog: Program, trials: Sequence[tuple[bytes, int]],
+            keep_stores: bool = False) -> list:
+    """Run a program's trials, each (`_lows` bytes, seed), `_PASS` at a time.
 
+    A trial's runs a and b start from SplitMix64 (Steele, Lea & Flood, OOPSLA
+    2014) at `seed mod 2^64`: declaration i takes output z_i mod 2^16, plus,
+    if high, 1 + (z_i >> 16) mod (2^16 - 1) in run b.  A pass mixes all its
+    outputs in the 128-bit lanes of one int and keeps runs a and b in the two
+    64-bit halves of each; a variable's lanes of every trial form one int, so
+    the steps run once for all (SIMD within a register: Fisher & Dietz, LCPC
+    1998), and one XOR and one mask compare every low variable.  A half holds
+    any sum of fewer than 2^48 values below 2^16 without carry.  Returns each
+    trial's witness, the first low variable (side, name) whose final values
+    differ, or None; with `keep_stores`, (witness, initial, final), each an
+    (a, b) pair of stores."""
+    steps = _compile(prog)
+    places = [(_SIDE[d.domain], d.name) for d in prog.decls]
+    n, out = len(places), []
 
-def _splitmix64(seed: int, n: int) -> tuple[int, ...]:
-    """SplitMix64 (Steele, Lea & Flood, OOPSLA 2014) outputs 0..n-1 from state
-    `seed mod 2^64`.  Output i mixes seed + (i+1)*gamma, so all n are computed
-    at once in the 128-bit lanes of one int: a lane holds a 64-bit word times
-    a 64-bit constant, and the masks clear what a shift brings down from the
-    next lane before it is read."""
-    rep, offsets, mask, unpack = _lanes(n)
-    z = ((seed & _M64) * rep + offsets) & mask
-    z = ((z ^ z >> 30) & mask) * 0xBF58476D1CE4E5B9 & mask
-    z = ((z ^ z >> 27) & mask) * 0x94D049BB133111EB & mask
-    return unpack((z ^ z >> 31).to_bytes(16 * n, "little"))
-
-
-def _draw(split: Split, seed: int) -> tuple[tuple[dict, dict], tuple[dict, dict]]:
-    """Two (left, right) store pairs that agree on every low variable and
-    differ on every high one; a function of the split and `seed mod 2^64`.
-
-    Variable i takes SplitMix64 output z_i: its value is z_i mod 2^16, and a
-    high variable's second value adds 1 + (z_i >> 16) mod (2^16 - 1).  As
-    2^48 = 1 mod 2^16 - 1, the offset 1 is one count in 2^48 likelier."""
-    a, b = ({}, {}), ({}, {})
-    for (side, name, low), z in zip(split, _splitmix64(seed, len(split))):
-        v = z & 0xFFFF  # mod 2^16, as literals: this loop is the draw's cost
-        a[side][name] = v
-        b[side][name] = v if low else (v + 1 + (z >> 16) % 0xFFFF) & 0xFFFF
-    return a, b
+    def lane(stores, k):  # the store pair of run k
+        return StorePair(*({x: v >> 64 * k & 0xFFFF for x, v in st.items()} for st in stores))
+    for at in range(0, len(trials), _PASS):
+        t = len(chunk := trials[at:at + _PASS])
+        size, span = 16 * n * t, 16 * t  # bytes of all runs, of a variable's
+        low = bytearray(size)  # 0xFFFF in the b halves of low variables
+        for j, (lows, _) in enumerate(chunk):
+            low[16 * j + 8::span] = low[16 * j + 9::span] = lows
+        low = int.from_bytes(low, "little")
+        offsets, m64, m16, one = _mix_consts(n, t)
+        z = b"".join((seed % 2 ** 64).to_bytes(16, "little") for _, seed in chunk)
+        z = (int.from_bytes(z * n, "little") + offsets) & m64
+        z = ((z ^ z >> 30) & m64) * 0xBF58476D1CE4E5B9 & m64
+        z = ((z ^ z >> 27) & m64) * 0x94D049BB133111EB & m64
+        z ^= z >> 31
+        s = (z >> 16 & m16) + (z >> 32 & m16) + (z >> 48 & m16)  # as 2^16 = 1 mod
+        s = (s & m16) + (s >> 16 & m16)  # 2^16 - 1, the sum of three digits, folded
+        s -= (s + one >> 16 & one) * 0xFFFF
+        a = z & m16
+        runs = a | (a + s + one & m16) << 64  # run b as if every variable were high
+        runs = (runs ^ (runs ^ runs << 64) & low).to_bytes(size, "little")
+        stores = ({}, {})
+        for i, (side, name) in enumerate(places):
+            stores[side][name] = int.from_bytes(runs[span * i:span * (i + 1)], "little")
+        initial = (dict(stores[0]), dict(stores[1]))
+        rep = int.from_bytes((b"\1" + bytes(7)) * 2 * t, "little")
+        _run(steps, stores, rep, rep * 0xFFFF)
+        final = int.from_bytes(b"".join(stores[side][name].to_bytes(span, "little")
+                                        for side, name in places), "little")
+        diff = (final ^ final >> 64) & low >> 64  # in the a halves of low variables
+        witness = [None] * t
+        if diff:  # per trial, the first variable whose half is not 0
+            diff = (diff | diff >> 8).to_bytes(size, "little")
+            named = [(_SIDE_NAMES[side], name) for side, name in places] + [None]
+            witness = [named[n - len(diff[16 * j::span].lstrip(b"\0"))] for j in range(t)]
+        out += [(witness[j], *((lane(st, 2 * j), lane(st, 2 * j + 1)) for st in (initial, stores)))
+                for j in range(t)] if keep_stores else witness
+    return out
 
 
 def draw_store_pairs(prog: Program, conn: LagoisConnection,
                      pair: tuple[str, str], seed: int) -> tuple[StorePair, StorePair]:
     """Two initial store pairs that agree on every variable at or below the
     adversary pair and differ everywhere else."""
-    a, b = _draw(_split(prog, conn, pair), seed)
-    return StorePair(*a), StorePair(*b)
+    return _trials(prog, [(_lows(prog, conn, pair), seed)], keep_stores=True)[0][1]
 
 
 def low_variables(prog: Program, conn: LagoisConnection,
                   pair: tuple[str, str]) -> list[tuple[str, str]]:
-    return [(_SIDE_NAMES[side], name)
-            for side, name, low in _split(prog, conn, pair) if low]
+    return [(_SIDE_NAMES[_SIDE[d.domain]], d.name)
+            for d, low in zip(prog.decls, _lows(prog, conn, pair)) if low]
 
 
 def _require_well_typed(prog: Program, conn: LagoisConnection) -> None:
@@ -417,31 +435,17 @@ def _require_well_typed(prog: Program, conn: LagoisConnection) -> None:
         raise IllTyped(exc) from exc
 
 
-def _trial(steps: list[Step], split: Split, pair: tuple[str, str], seed: int,
-           keep_stores: bool = False) -> NiTrialResult:
-    """`ni_trial` on a compiled, already checked program and its split."""
-    a, b = _draw(split, seed)
-    _run(steps, a)
-    _run(steps, b)
-    distinguishing = next(((_SIDE_NAMES[side], name) for side, name, low in split
-                           if low and a[side][name] != b[side][name]), None)
-    if distinguishing is None and not keep_stores:
-        return NiTrialResult(True, pair, seed, None)
-    initial = _draw(split, seed)  # failures carry both runs: draw them again
-    return NiTrialResult(distinguishing is None, pair, seed, distinguishing,
-                         (StorePair(*initial[0]), StorePair(*initial[1])),
-                         (StorePair(*a), StorePair(*b)))
-
-
 def ni_trial(prog: Program, conn: LagoisConnection, pair: tuple[str, str],
              seed: int, keep_stores: bool = False) -> NiTrialResult:
     """One non-interference experiment at the given adversary pair.
 
     Draws two low-agreeing stores, executes both, and passes iff the final
     stores still agree on every low variable.  Refuses ill-typed programs.
-    """
+    A failure carries both runs' initial and final stores."""
     _require_well_typed(prog, conn)
-    return _trial(_compile(prog), _split(prog, conn, pair), pair, seed, keep_stores)
+    [(distinguishing, *stores)] = _trials(prog, [(_lows(prog, conn, pair), seed)], True)
+    return NiTrialResult(distinguishing is None, pair, seed, distinguishing,
+                         *(stores if distinguishing or keep_stores else ()))
 
 
 # -- well-typed program generation -------------------------------------------------
@@ -527,25 +531,20 @@ def run_ni_suite(decls: Sequence[VarDecl], conn: LagoisConnection,
     with `draws` independent store draws each.  Trials are independent and
     deterministically seeded, so the aggregate does not depend on execution
     order."""
-    pairs = adversary_pairs(conn)
-    base = random.Random(seed)
-    failures = []
-    trials = 0
+    for name, count in (("programs", programs), ("max_len", max_len), ("draws", draws)):
+        if count < 0:
+            raise FlowError(f"{name} must be at least 0, got {count}")
+    pairs, base, failures = adversary_pairs(conn), random.Random(seed), []
     for p_idx in range(programs):
         length = base.randrange(max_len + 1)
         prog = gen_well_typed(decls, conn, length, base.getrandbits(48))
         _require_well_typed(prog, conn)
-        steps = _compile(prog)
-        for pair_idx, pair in enumerate(pairs):
-            split = _split(prog, conn, pair)
-            for draw in range(draws):
-                trial_seed = ((seed + 1) * 1_000_003 + p_idx * 7919
-                              + pair_idx * 101 + draw)
-                result = _trial(steps, split, pair, trial_seed)
-                trials += 1
-                if not result.passed:
-                    failures.append((p_idx, pair, trial_seed, result.distinguishing))
-    return NiSuiteReport(programs, tuple(pairs), draws, trials,
+        runs = [(pair, lows, (seed + 1) * 1_000_003 + p_idx * 7919 + pair_idx * 101 + draw)
+                for pair_idx, pair in enumerate(pairs)
+                for lows in (_lows(prog, conn, pair),) for draw in range(draws)]
+        failures += [(p_idx, pair, trial_seed, witness) for (pair, _, trial_seed), witness
+                     in zip(runs, _trials(prog, [run[1:] for run in runs])) if witness]
+    return NiSuiteReport(programs, tuple(pairs), draws, programs * len(pairs) * draws,
                          tuple(failures), seed)
 
 

@@ -412,6 +412,32 @@ def splitmix64(seed: int, n: int) -> list[int]:
     return out
 
 
+def reference_trial(prog, lposet: BrutePoset, rposet: BrutePoset, pair, seed: int):
+    """One non-interference trial as the harness defines it, from the paper
+    form of SplitMix64 and the tree interpreter: declaration i takes output
+    z_i, its value mod 2^16 starts both runs, and a high one (not at or below
+    the adversary pair) adds 1 + (z_i >> 16) mod (2^16 - 1) in the second.
+    Returns (distinguishing, (a, b) initial stores, (a, b) final stores), where
+    distinguishing is the first low (side, name) whose final values differ,
+    in declaration order, or None."""
+    stores = ({"L": {}, "M": {}}, {"L": {}, "M": {}})
+    low = {}
+    for d, z in zip(prog.decls, splitmix64(seed, len(prog.decls))):
+        poset, level = (lposet, pair[0]) if d.domain == "L" else (rposet, pair[1])
+        low[d.name] = poset.leq(d.cls, level)
+        value = z % VALUE_MODULUS
+        stores[0][d.domain][d.name] = value
+        stores[1][d.domain][d.name] = value if low[d.name] else \
+            (value + 1 + (z >> 16) % (VALUE_MODULUS - 1)) % VALUE_MODULUS
+    initial = tuple(StorePair(st["L"], st["M"]) for st in stores)
+    final = tuple(interpret(prog, st) for st in initial)
+    sides = {"L": "left", "M": "right"}
+    distinguishing = next(((sides[d.domain], d.name) for d in prog.decls if low[d.name]
+                           and getattr(final[0], sides[d.domain])[d.name]
+                           != getattr(final[1], sides[d.domain])[d.name]), None)
+    return distinguishing, initial, final
+
+
 def reference_ni_suite(decls, conn, programs: int, max_len: int, seed: int,
                        draws: int = 3):
     """The suite loop as first written: the public `ni_trial` for every

@@ -312,6 +312,44 @@ def test_hierarchy_rows_match_warshall_on_random_cyclic_hierarchies(seed):
         assert [h._col[p] for p in h.principals] == cols
 
 
+def _assert_rows_match_brute_closure(names, edges):
+    """Rows and columns against acts-for by DFS over the edges plus every
+    implicit TOP and BOT pair."""
+    h = PrincipalsHierarchy(names, edges)
+    acts = BruteLabels(names, edges).acts
+    bit = {p: 1 << i for i, p in enumerate(h.principals)}
+    assert [h._row[p] for p in h.principals] == \
+        [sum(bit[q] for q in acts[p]) for p in h.principals], edges
+    assert [h._col[p] for p in h.principals] == \
+        [sum(bit[q] for q in h.principals if p in acts[q]) for p in h.principals], edges
+
+
+def test_hierarchy_rows_match_brute_closure_on_every_small_edge_set():
+    # Every edge set over at most two named principals plus TOP and BOT,
+    # edges into TOP and out of BOT among them (4 + 64 + 4,096 sets).
+    checked = 0
+    for k in range(3):
+        names = [f"p{i}" for i in range(k)]
+        pool = names + ["TOP", "BOT"]
+        pairs = [(p, q) for p in pool for q in pool if p != q]
+        for mask in range(1 << len(pairs)):
+            _assert_rows_match_brute_closure(
+                names, [pair for i, pair in enumerate(pairs) if mask >> i & 1])
+            checked += 1
+    assert checked == 4 + 64 + 4096
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_hierarchy_rows_match_brute_closure_on_random_edge_sets(seed):
+    rng = random.Random(1900 + seed)
+    for k in range(3, 7):
+        names = [f"p{i}" for i in range(k)]
+        pool = names + ["TOP", "BOT"]
+        for _ in range(150):
+            edges = [(rng.choice(pool), rng.choice(pool)) for _ in range(rng.randint(0, 3 * k))]
+            _assert_rows_match_brute_closure(names, edges)
+
+
 @pytest.mark.parametrize("top_first", [False, True])
 def test_hierarchy_of_a_3000_principal_chain(top_first):
     # No recursion limit on the closure, and acts-for still follows the chain:

@@ -26,7 +26,7 @@ from .errors import (AdjointError, CoarsenError, ComposeError, CorollaryViolatio
                      DlmError, FlowError, FlowTypeError, GenerationStall, IllTyped,
                      LatticeError, MapError, NotALattice, NotClosure, NotIso, NotLagois,
                      NotLagoisHierarchy, NotSemiInverse, ParseError)
-from .lattice import Lattice, Record, _check_document
+from .lattice import Lattice, Record, _check_document, _loads
 # flowlang and dlm are imported in the handlers that use them: start-up pays for what runs.
 
 PASS, FAIL, INPUT_ERROR, INTERNAL_ERROR = "pass", "fail", "input-error", "internal-error"
@@ -53,7 +53,7 @@ def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-        doc = json.loads(text)
+        doc = _loads(text)
     except (json.JSONDecodeError, UnicodeDecodeError):
         raise
     except (ValueError, RecursionError) as exc:  # NUL in a path, huge number, deep nesting
@@ -195,7 +195,7 @@ def _cmd_decompose(args) -> Verdict:
 def _cmd_coarsen(args) -> Verdict:
     conn = _load_verified_connection(args.file)
     table = _load_json(args.map)
-    if isinstance(table, dict) and "alpha2" in table:  # wrapped: {"alpha2": {...}}
+    if isinstance(table, dict) and isinstance(table.get("alpha2"), dict):  # {"alpha2": {...}}
         _check_document(table, ("alpha2",), (), LatticeError, args.map)
         table = table["alpha2"]
     alpha2 = MonotoneMap(conn.left, conn.right, _require_map(table, "alpha2", LatticeError),
@@ -410,10 +410,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_FAIL_ERRORS = (CycleError, NotALattice, NotLagois, AdjointError, NotClosure,
-                NotIso, ComposeError, CoarsenError, NotSemiInverse,
-                FlowTypeError, GenerationStall, NotLagoisHierarchy,
-                CorollaryViolation)
+# Each fail error, with the report fields it adds; a violation list also
+# gives the report's lines.
+_FAIL_FIELDS = {
+    **dict.fromkeys((CycleError, NotClosure, NotIso, NotSemiInverse, GenerationStall,
+                     CorollaryViolation), lambda exc: {}),
+    **dict.fromkeys((NotLagois, NotLagoisHierarchy),
+                    lambda exc: {"violations": len(exc.violations)}),
+    AdjointError: lambda exc: {"condition": exc.condition, "witness": list(exc.witness)},
+    ComposeError: lambda exc: {"side": exc.side, "witness": [exc.witness]},
+    CoarsenError: lambda exc: {"kind": exc.kind, "witness": list(exc.witness)},
+    NotALattice: lambda exc: {"pair": list(exc.pair), "bound": exc.kind},
+    FlowTypeError: lambda exc: {"rule": exc.rule, "classes": [exc.lower, exc.upper]} | (
+        {} if exc.index is None else {"phrase_index": exc.index}),
+}
 
 _INPUT_ERRORS = (OSError, UnicodeDecodeError, json.JSONDecodeError, LatticeError,
                  MapError, ParseError, FlowError, DlmError)
@@ -423,32 +433,6 @@ def _error_verdict(status: str, exc: Exception) -> Verdict:
     return Verdict({"status": status, "error": type(exc).__name__, "message": str(exc)})
 
 
-def _failure_verdict(exc: Exception) -> Verdict:
-    verdict = _error_verdict(FAIL, exc)
-    details = verdict.details
-    if isinstance(exc, (NotLagois, NotLagoisHierarchy)):
-        details["violations"] = len(exc.violations)
-        verdict.lines = [v.to_json() for v in exc.violations]
-    elif isinstance(exc, AdjointError):
-        details["condition"] = exc.condition
-        details["witness"] = list(exc.witness)
-    elif isinstance(exc, ComposeError):
-        details["side"] = exc.side
-        details["witness"] = [exc.witness]
-    elif isinstance(exc, CoarsenError):
-        details["kind"] = exc.kind
-        details["witness"] = list(exc.witness)
-    elif isinstance(exc, NotALattice):
-        details["pair"] = list(exc.pair)
-        details["bound"] = exc.kind
-    elif isinstance(exc, FlowTypeError):
-        details["rule"] = exc.rule
-        details["classes"] = [exc.lower, exc.upper]
-        if exc.index is not None:
-            details["phrase_index"] = exc.index
-    return verdict
-
-
 def dispatch_args(args) -> Verdict:
     """Run the handler; any exception other than a fail or input error is a
     bug in sifc and propagates."""
@@ -456,8 +440,12 @@ def dispatch_args(args) -> Verdict:
         return args.handler(args)
     except IllTyped:  # from run_ni_suite's re-check of its own program: a bug in sifc
         raise
-    except _FAIL_ERRORS as exc:
-        return _failure_verdict(exc)
+    except tuple(_FAIL_FIELDS) as exc:
+        verdict = _error_verdict(FAIL, exc)  # with the fields of its nearest listed class
+        fields = next(_FAIL_FIELDS[c] for c in type(exc).__mro__ if c in _FAIL_FIELDS)
+        verdict.details |= fields(exc)
+        verdict.lines = [v.to_json() for v in getattr(exc, "violations", ())]
+        return verdict
     except _INPUT_ERRORS as exc:
         return _error_verdict(INPUT_ERROR, exc)
 

@@ -29,7 +29,7 @@ from typing import Container, Iterable, Mapping, Sequence
 
 from .errors import (AdjointError, CoarsenError, ComposeError, LatticeMismatch, MapError,
                      NotClosure, NotIso, NotLagois, NotMonotone, NotSemiInverse, PartialMap)
-from .lattice import Lattice, Record, UnknownClass, _extrema, _members, _restriction
+from .lattice import Lattice, Record, UnknownClass, _extrema, _members
 
 VIOLATION_CONDITIONS = ("Monotone-alpha", "Monotone-gamma",
                         "LC1", "LC2", "LC3", "LC4")
@@ -174,12 +174,12 @@ def _require_total(source: Container[str], target: Container[str],
             raise unknown(value, f"{where} range")
 
 
-def _kernel_blocks(lat: Lattice, table: Mapping[str, str]) -> tuple[tuple[str, ...], ...]:
-    """Classes grouped by image, blocks in order of their first member."""
+def _preimages(lat: Lattice, table: Mapping[str, str]) -> dict[str, tuple[str, ...]]:
+    """Each image of table to its block of lat's classes, in order of first members."""
     blocks: dict[str, list[str]] = {}
     for c in lat.classes:
         blocks.setdefault(table[c], []).append(c)
-    return tuple(map(tuple, blocks.values()))
+    return {m: tuple(block) for m, block in blocks.items()}
 
 
 def check_connection(left: Lattice, right: Lattice,
@@ -197,12 +197,13 @@ def _assemble(left: Lattice, right: Lattice, alpha: Mapping[str, str],
               gamma: Mapping[str, str]) -> LagoisConnection:
     """The connection over maps already proven total, in range, monotone and
     LC1-LC4, by connection_violations or by the caller's own preconditions."""
+    by_alpha, by_gamma = _preimages(left, alpha), _preimages(right, gamma)
     return LagoisConnection(
         left, right, _proven_map(left, right, alpha), _proven_map(right, left, gamma),
-        budpoints_left=left.sorted_by_index(set(gamma.values())),
-        budpoints_right=right.sorted_by_index(set(alpha.values())),
-        kernel_left=_kernel_blocks(left, alpha),
-        kernel_right=_kernel_blocks(right, gamma),
+        budpoints_left=left.sorted_by_index(by_gamma),
+        budpoints_right=right.sorted_by_index(by_alpha),
+        kernel_left=tuple(by_alpha.values()),
+        kernel_right=tuple(by_gamma.values()),
     )
 
 
@@ -295,7 +296,7 @@ def find_adjoint(alpha: MonotoneMap) -> MonotoneMap:
     above m (LC2, LC4), gamma(alpha(l)) the largest preimage of alpha(l) (LC1, LC3).
     """
     left, right = alpha.source, alpha.target
-    preimage = {alpha(block[0]): block for block in _kernel_blocks(left, alpha._table)}
+    preimage = _preimages(left, alpha._table)
     image = right.sorted_by_index(preimage)
 
     largest: dict[str, str] = {}
@@ -305,7 +306,7 @@ def find_adjoint(alpha: MonotoneMap) -> MonotoneMap:
         if largest[m] not in members:
             raise AdjointError(1, (m,), f"preimage {list(members)} has no largest member")
 
-    least_above: dict[str, str] = {}
+    gamma: dict[str, str] = {}
     for m in right.classes:
         above = [t for t in image if right.leq(m, t)]
         if not above:
@@ -314,7 +315,7 @@ def find_adjoint(alpha: MonotoneMap) -> MonotoneMap:
         if inf not in above:
             raise AdjointError(2, (m,), f"image classes above it have no smallest member "
                                         f"(minimal ones: {_extrema(above, right.leq)})")
-        least_above[m] = inf
+        gamma[m] = largest[inf]
 
     for m1 in image:
         for m2 in image:
@@ -322,7 +323,7 @@ def find_adjoint(alpha: MonotoneMap) -> MonotoneMap:
                 raise AdjointError(3, (m1, m2),
                                    "largest-preimage elements do not mirror the image order")
 
-    return _proven_map(right, left, {m: largest[least_above[m]] for m in right.classes})
+    return _proven_map(right, left, gamma)
 
 
 # -- ab-initio construction -------------------------------------------------
@@ -388,12 +389,11 @@ def compose(ab: LagoisConnection, bc: LagoisConnection) -> Composition:
     if ab.right != bc.left:
         raise LatticeMismatch("middle lattices differ; cannot compose")
 
-    image_a = set(ab.alpha.image())
-    image_g = set(bc.gamma.image())
-    for x in ab.right.sorted_by_index(image_a):
+    image_a, image_g = set(ab.budpoints_right), set(bc.budpoints_left)
+    for x in ab.budpoints_right:
         if bc.round_trip_left(x) not in image_a:
             raise ComposeError("left", x)
-    for y in ab.right.sorted_by_index(image_g):
+    for y in bc.budpoints_left:
         if ab.round_trip_right(y) not in image_g:
             raise ComposeError("right", y)
 
@@ -423,8 +423,14 @@ class Decomposition(Record):
 
 
 def sublattice(lat: Lattice, subset: Iterable[str], name: str) -> Lattice:
-    """The restriction of lat to subset, with the inherited order."""
-    return _restriction(lat, lat.sorted_by_index(set(subset)), name)
+    """lat restricted to subset, each row the subset's digits of its parent row, so
+    still closed and antisymmetric; every strict order pair is a cover."""
+    subset, n = lat.sorted_by_index(set(subset)), len(lat.classes)
+    at = [n - 1 - lat.index(c) for c in reversed(subset)]  # digits, most significant first
+    up_rows, down_rows = ([int("0" + "".join(map(format(rows[c], f"0{n}b").__getitem__, at)), 2)
+                           for c in subset] for rows in (lat._up, lat._down))
+    covers = tuple((a, b) for a, u in zip(subset, up_rows) for b in _members(u, subset) if b != a)
+    return Lattice(name, subset, covers, up_rows, down_rows)
 
 
 def decompose(conn: LagoisConnection) -> Decomposition:
@@ -472,10 +478,10 @@ def coarsen(conn: LagoisConnection, alpha2: MonotoneMap) -> LagoisConnection:
                                f"{a!r} and {b!r} shared an image before but not after")
 
     left = conn.left
-    for block in _kernel_blocks(left, alpha2.mapping()):
+    for block in _preimages(left, alpha2._table).values():
         rep = left.join_all(block)
         if rep not in block:
-            raise CoarsenError("no-largest-element", tuple(block),
+            raise CoarsenError("no-largest-element", block,
                                f"merged class {list(block)} has no largest member")
         if alpha2(rep) != conn.alpha(rep):
             raise CoarsenError("representative-mismatch", (rep,),

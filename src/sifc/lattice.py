@@ -223,18 +223,6 @@ def build_lattice(name: str, classes: Sequence[str],
     return Lattice(name, classes, cover_list, up_rows, down_rows)
 
 
-def _restriction(lat: Lattice, subset: Sequence[str], name: str) -> Lattice:
-    """lat restricted to subset (in lat's order), covered by every strict order
-    pair.  Each row keeps the subset's digits of the parent's row: the order
-    stays closed and antisymmetric, so only lattice-ness is left to prove."""
-    n = len(lat.classes)
-    at = [n - 1 - lat.index(c) for c in reversed(subset)]  # digits, most significant first
-    up_rows, down_rows = ([int("0" + "".join(map(format(rows[c], f"0{n}b").__getitem__, at)), 2)
-                           for c in subset] for rows in (lat._up, lat._down))
-    covers = tuple((a, b) for a, u in zip(subset, up_rows) for b in _members(u, subset) if b != a)
-    return Lattice(name, tuple(subset), covers, up_rows, down_rows)
-
-
 def _raise_missing_bound(classes: Sequence[str], up_rows: Sequence[int], down_rows: Sequence[int],
                          by_up: Container[int], by_down: Container[int]) -> NoReturn:
     """Raise NotALattice for the first pair (i <= j) in declaration order,
@@ -358,4 +346,23 @@ class Record:
 
 def load_lattice(path: str) -> Lattice:
     with open(path, "r", encoding="utf-8") as fh:
-        return Lattice.from_dict(json.load(fh))
+        return Lattice.from_dict(_loads(fh.read()))
+
+
+def _loads(text: str):
+    """json.loads, but a key given twice in one object is a JSONDecodeError at the first
+    repeat, found by a scan of braces and strings (a key where a colon follows: group 2)."""
+    def unique(pairs: list) -> dict:
+        if len(obj := dict(pairs)) < len(pairs):
+            seen: list[set] = []  # the keys of each open object
+            for token in re.finditer(r'("(?:[^"\\]|\\.)*")(\s*:)?|[{}]', text):
+                if token[0] == "{":
+                    seen.append(set())
+                elif token[0] == "}":
+                    seen.pop()
+                elif token[2]:
+                    if (key := json.loads(token[1])) in seen[-1]:
+                        raise json.JSONDecodeError(f"repeated key {key!r}", text, token.start())
+                    seen[-1].add(key)
+        return obj
+    return json.loads(text, object_pairs_hook=unique)

@@ -7,12 +7,14 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import sifc.cli as cli
 from sifc.cli import cli_dispatch, main, render
 from sifc.connection import find_adjoint, MonotoneMap
+from sifc.errors import AdjointError
 from sifc.flowlang import parse_program, typecheck
 
 import fixtures as fx
@@ -452,6 +454,12 @@ def fixture_doc(name: str, keys: tuple = (), value=None, delete: bool = False):
     return doc
 
 
+def with_repeated_key(name: str, key: str) -> bytes:
+    """A fixture document as JSON text whose first `key` entry is given twice,
+    first with the value 0; a parser where the last one wins reads the fixture."""
+    return json.dumps(fixture_doc(name)).replace(f'"{key}": ', f'"{key}": 0, "{key}": ', 1).encode()
+
+
 def run_with(tmp_path, argv: list[str], content) -> "cli.Verdict":
     """cli_dispatch with DOC in argv replaced by a file holding `content`
     (bytes as they are, anything else as JSON)."""
@@ -492,6 +500,30 @@ def test_surrogate_pairs_and_escaped_backslashes_load(tmp_path, capsys, fmt):
     name = json.loads(out)["name"] if fmt == "json" else out.splitlines()[1]
     assert name.endswith("\U0001F600 \\ud800")
 
+
+@pytest.mark.parametrize("text,key", [
+    ('{"left": {"name": "L", "classes": ["lo", "hi"], "covers": [["lo", "hi"]]}, '
+     '"right": {"name": "M", "classes": ["lo2", "hi2"], "covers": [["lo2", "hi2"]]}, '
+     '"alpha": {"lo": "hi2", "lo": "lo2", "hi": "hi2"}, "gamma": {"lo2": "lo", "hi2": "hi"}}',
+     "lo"),
+    ('{"name": "A", "classes": ["a"], "covers": [], "name": "B"}', "name"),
+    ('{"left": {"name": "L", "classes": ["a"], "covers": []}, '
+     '"right": {"name": "M", "classes": ["b"], "covers": [], "name": "N"}, '
+     '"alpha": {"a": "b"}, "gamma": {"b": "a"}}', "name"),
+], ids=["connection-alpha", "lattice-name", "second-lattice-name"])
+def test_a_key_given_twice_is_an_input_error_at_the_repeat(tmp_path, capsys, text, key):
+    # where the last key won, the first document verified lo -> lo2 and the
+    # second read the name "B"; the error points at the key's second spelling
+    doc = tmp_path / "doc.json"
+    doc.write_text(text)
+    command = "check-lattice" if text.startswith('{"name"') else "check-connection"
+    assert main([command, str(doc)]) == 2
+    at = text.rindex(f'"{key}":')
+    assert json.loads(capsys.readouterr().out) == {
+        "status": "input-error", "error": "JSONDecodeError",
+        "message": f"repeated key {key!r}: line 1 column {at + 1} (char {at})"}
+
+
 def test_input_errors_are_typed():
     assert not {KeyError, TypeError, ValueError} & set(cli._INPUT_ERRORS)
 
@@ -529,12 +561,23 @@ BINARY = bytes(range(128, 256))
      "NotMonotone"),
     (["dlm", "check-hierarchy", DOC], {"principals": ["stu", "a-b"]}, {}, "DlmError"),
     (["dlm", "check-hierarchy", DOC], {"principals": ["stu", "fac", "stu"]}, {}, "DlmError"),
+    *((argv, with_repeated_key(name, key), {}, "JSONDecodeError") for argv, name, key in (
+        (["check-lattice", DOC], "college.json", "name"),
+        (["dlm", "check-hierarchy", DOC], "left-hierarchy.json", "principals"),
+        (["check-connection", DOC], "college-univ.json", "Student"),
+        (["dlm", "lift", DOC, "{stu: fac}"], "hierarchy-pm.json", "stu"),
+        (["build-from-closures", DOC], "dorm-college-closures.json", "h"),
+        (["coarsen", path("college-univ.json"), DOC], "coarse-alpha.json", "alpha2"),
+        (["run", path("pipeline.sif"), "--store", DOC], "pipeline-store.json", "lz1"))),
 ], ids=["unhashable-cover", "non-string-principal", "unhashable-edge",
         "unhashable-connection-alpha", "unhashable-principal-alpha", "closures-without-i",
         "closures-list", "nul-in-file-reference", "number-too-long", "nesting-too-deep",
         "binary-lattice", "binary-program",
         "negative-len", "bad-seed-env",
-        "non-monotone-alpha", "invalid-principal-name", "duplicate-principal"])
+        "non-monotone-alpha", "invalid-principal-name", "duplicate-principal",
+        "repeated-lattice-key", "repeated-hierarchy-key", "repeated-connection-key",
+        "repeated-principal-map-key", "repeated-closures-key", "repeated-coarsen-key",
+        "repeated-store-key"])
 def test_malformed_inputs_are_typed_input_errors(tmp_path, monkeypatch, argv, content, env,
                                                  error):
     for key, value in env.items():
@@ -659,6 +702,36 @@ def test_coarsen_failure_names_kind_and_witness(tmp_path):
     assert v.details["error"] == "CoarsenError"
     assert v.details["kind"] == "not-refinement"
     assert v.details["witness"] == ["Student", "Faculty"]
+
+
+def test_coarsen_reads_a_bare_map_over_a_class_named_alpha2(tmp_path):
+    # a document is the wrapped form only when its "alpha2" value is an object
+    conn = tmp_path / "conn.json"
+    conn.write_text(json.dumps({
+        "left": {"name": "L", "classes": ["lo", "alpha2"], "covers": [["lo", "alpha2"]]},
+        "right": {"name": "M", "classes": ["lo2", "hi2"], "covers": [["lo2", "hi2"]]},
+        "alpha": {"lo": "lo2", "alpha2": "hi2"}, "gamma": {"lo2": "lo", "hi2": "alpha2"}}))
+    for table in ({"lo": "lo2", "alpha2": "hi2"}, {"alpha2": {"lo": "lo2", "alpha2": "hi2"}}):
+        v = run_with(tmp_path, ["coarsen", str(conn), DOC], table)
+        assert v.exit_code == 0
+        assert v.details["alpha"] == {"lo": "lo2", "alpha2": "hi2"}
+    v = run_with(tmp_path, ["coarsen", path("college-univ.json"), DOC], {"alpha2": "x"})
+    assert v.exit_code == 2
+    assert v.details["error"] == "PartialMap"
+
+
+def test_a_fail_error_subclass_reports_the_fields_of_its_class():
+    class Narrower(AdjointError):
+        pass
+
+    def handler(args):
+        raise Narrower(2, ("m",), "detail")
+
+    v = cli.dispatch_args(SimpleNamespace(handler=handler))
+    assert v.exit_code == 1
+    assert v.details == {"status": "fail", "error": "Narrower",
+                         "message": "no adjoint: condition (2) fails at m: detail",
+                         "condition": 2, "witness": ["m"]}
 
 
 def test_check_connection_reads_the_connection_document_it_writes(tmp_path):

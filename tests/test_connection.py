@@ -15,6 +15,7 @@ from sifc.connection import (AdjointError, CoarsenError, ComposeError,
                              compose, connection_violations, decompose,
                              budpoint_representative, find_adjoint,
                              identity_connection, semi_inverse_connection, sublattice)
+from sifc.flowlang import adversary_pairs
 from sifc.lattice import NotALattice, UnknownClass, build_lattice
 
 import fixtures as fx
@@ -325,18 +326,34 @@ def _monotone_maps(source, target):
 
 
 @pytest.fixture(scope="module")
-def small_pairs():
-    """Bounded-exhaustive instances: every monotone (left, right, alpha, gamma)
-    between the chains of 1-4 classes and the diamond."""
+def small_lattices():
+    """The chains of 1-4 classes and the diamond."""
     lattices = [build_lattice(f"chain{n}", [f"c{i}" for i in range(n)],
                               [(f"c{i}", f"c{i + 1}") for i in range(n - 1)]) for n in range(1, 5)]
     lattices.append(build_lattice("diamond", ["bot", "x", "y", "top"],
                                   [("bot", "x"), ("bot", "y"), ("x", "top"), ("y", "top")]))
-    pairs = [(left, right, alpha, gamma) for left, right in itertools.product(lattices, repeat=2)
+    return lattices
+
+
+@pytest.fixture(scope="module")
+def small_pairs(small_lattices):
+    """Bounded-exhaustive instances: every monotone (left, right, alpha, gamma)
+    between the small lattices."""
+    pairs = [(left, right, alpha, gamma)
+             for left, right in itertools.product(small_lattices, repeat=2)
              for alpha, gamma in itertools.product(_monotone_maps(left, right),
                                                    list(_monotone_maps(right, left)))]
     assert len(pairs) == 6653
     return pairs
+
+
+@pytest.fixture(scope="module")
+def small_connections(small_pairs):
+    """The connections among the small pairs, as check_connection builds them."""
+    connections = [check_connection(*pair) for pair in small_pairs
+                   if not connection_violations(*pair)]
+    assert len(connections) == 145
+    return connections
 
 
 def test_tightness_agrees_with_brute_force_on_every_small_monotone_pair(small_pairs):
@@ -380,16 +397,16 @@ def test_violations_match_brute_force_on_every_small_monotone_pair(small_pairs):
     assert connections == 145
 
 
-def test_every_small_connection_synthesises_decomposes_and_composes(small_pairs):
+def test_every_small_connection_synthesises_decomposes_and_composes(small_connections):
     # On each connection among the small pairs: find_adjoint recovers gamma,
-    # decompose recomposes both maps, and composing with the transpose gives
-    # the directly checked round trip gamma . alpha in both directions.
-    connections = [check_connection(*pair) for pair in small_pairs
-                   if not connection_violations(*pair)]
-    assert len(connections) == 145
-    for conn in connections:
+    # decompose recomposes both maps, composing with the transpose gives the
+    # directly checked round trip gamma . alpha in both directions, and the
+    # adversary pairs are the levels that the round trip fixes.
+    for conn in small_connections:
         left, alpha, gamma = conn.left, conn.alpha.mapping(), conn.gamma.mapping()
         assert find_adjoint(conn.alpha) == conn.gamma
+        assert adversary_pairs(conn) == [(l, alpha[l]) for l in left.classes
+                                         if gamma[alpha[l]] == l]
         dec = decompose(conn)
         assert {l: dec.recomposed_alpha(l) for l in left.classes} == alpha
         assert {m: dec.recomposed_gamma(m) for m in conn.right.classes} == gamma
@@ -1057,6 +1074,83 @@ def test_coarsen_output_passes_the_full_check():
         outcomes["ok"] += 1
     assert set(outcomes) == {"ok", "not-refinement", "no-largest-element",
                              "representative-mismatch"}, outcomes
+
+
+# -- bounded-exhaustive: every small instance of each constructor -------------------
+#
+# Over the small lattices, each constructor either returns what the direct
+# check builds or raises the error its preconditions, evaluated here over
+# brute-force orders, name.
+
+def test_find_adjoint_on_every_small_monotone_alpha(small_lattices, small_connections):
+    # an alpha with an adjoint belongs to exactly one small connection
+    gammas = {conn.alpha: conn.gamma for conn in small_connections}
+    posets = {lat: _poset(lat) for lat in small_lattices}
+    outcomes = Counter()
+    for left, right in itertools.product(small_lattices, repeat=2):
+        for alpha in _monotone_maps(left, right):
+            amap = MonotoneMap(left, right, alpha)
+            expected = _planted_adjoint_error(posets[left], posets[right], alpha)
+            if expected is None:
+                assert find_adjoint(amap) == gammas.pop(amap)
+            else:
+                _assert_raises_as(expected, lambda: find_adjoint(amap))
+            outcomes[expected is None] += 1
+    assert (outcomes, gammas) == (Counter({True: 145, False: 143}), {})
+
+
+def test_compose_on_every_small_pair_sharing_a_middle_lattice(small_connections):
+    # compose returns the chained maps, proven, exactly when they form a
+    # connection; otherwise it fails the closure check that the oracle names
+    outcomes = Counter()
+    for ab, bc in itertools.product(small_connections, repeat=2):
+        if ab.right is not bc.left:
+            continue
+        alpha = {l: bc.alpha(ab.alpha(l)) for l in ab.left.classes}
+        gamma = {q: ab.gamma(bc.gamma(q)) for q in bc.right.classes}
+        expected = _planted_compose_error(ab, bc)
+        if expected is None:
+            result = compose(ab, bc)
+            image_a, image_g = set(ab.alpha.mapping().values()), set(bc.gamma.mapping().values())
+            assert result.admitted_by == ("image-subset" if image_a <= image_g or image_g <= image_a
+                                          else "containment-conditions")
+            assert (result.connection.alpha.mapping(), result.connection.gamma.mapping()) == \
+                (alpha, gamma)
+            _assert_proven(result.connection)
+        else:
+            _assert_raises_as(expected, lambda: compose(ab, bc))
+            assert connection_violations(ab.left, bc.right, alpha, gamma) != []
+        outcomes[expected is None] += 1
+    assert outcomes == Counter({True: 4123, False: 1656})
+
+
+def test_coarsen_on_every_small_map_that_merges_whole_kernel_blocks(small_connections):
+    outcomes = Counter()
+    for conn in small_connections:
+        blocks = _brute_blocks(conn.left.classes, conn.alpha.mapping())
+        for alpha2 in _monotone_maps(conn.left, conn.right):
+            if any(alpha2[c] != alpha2[block[0]] for block in blocks for c in block):
+                continue
+            amap = MonotoneMap(conn.left, conn.right, alpha2)
+            expected = _planted_coarsen_error(conn, alpha2)
+            if expected is None:
+                out = coarsen(conn, amap)
+                gamma2 = {m: conn.gamma(alpha2[conn.gamma(m)]) for m in conn.right.classes}
+                assert (out.alpha.mapping(), out.gamma.mapping()) == (alpha2, gamma2)
+                _assert_proven(out)
+            else:
+                _assert_raises_as(expected, lambda: coarsen(conn, amap))
+            outcomes[expected is None] += 1
+    assert outcomes == Counter({True: 353, False: 1084})
+
+
+def test_sublattice_on_every_nonempty_subset_of_the_small_lattices(small_lattices):
+    # each subset is given in reverse declaration order; the three that are no
+    # lattice are the diamond's {x, y}, alone or with bot or top
+    outcomes = Counter(_assert_sublattice_matches_reference(lat, subset[::-1])
+                       for lat in small_lattices for k in range(1, len(lat) + 1)
+                       for subset in itertools.combinations(lat.classes, k))
+    assert outcomes == Counter(lattice=38, join=2, meet=1)
 
 
 # -- input checks of maps and constructors ---------------------------------------

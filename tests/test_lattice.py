@@ -1,6 +1,7 @@
 """Lattice construction, queries, and algebraic laws."""
 
 import itertools
+import json
 import random
 from collections import Counter
 from pathlib import Path
@@ -179,6 +180,19 @@ def test_load_lattice_reads_the_fixture_file():
     lat = load_lattice(str(Path(__file__).resolve().parent.parent / "fixtures" / "college.json"))
     assert lat == college()
     assert lat.classes == college().classes
+
+
+@pytest.mark.parametrize("text,key,repeat", [
+    ('{"name": "A", "classes": ["a"], "covers": [], "name": "B"}', "name", '"name": "B"'),
+    ('{"name": "A", "classes": ["a"], "covers": [], "na\\u006de": "B"}', "name", '"na\\u'),
+    ('{"name": "A", "classes": ["a"], "covers": [{"b": 1}, {"b": 2, "b": 3}]}', "b", '"b": 3'),
+], ids=["plain", "escaped", "nested"])
+def test_load_lattice_rejects_a_key_given_twice(tmp_path, text, key, repeat):
+    doc = tmp_path / "lattice.json"
+    doc.write_text(text)
+    with pytest.raises(json.JSONDecodeError) as exc:
+        load_lattice(str(doc))
+    assert (exc.value.msg, exc.value.pos) == (f"repeated key {key!r}", text.index(repeat))
 
 
 @pytest.mark.parametrize("doc", [

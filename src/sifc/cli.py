@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 from pathlib import Path
 
@@ -26,7 +25,7 @@ from .errors import (AdjointError, CoarsenError, ComposeError, CorollaryViolatio
                      DlmError, FlowError, FlowTypeError, GenerationStall, IllTyped,
                      LatticeError, MapError, NotALattice, NotClosure, NotIso, NotLagois,
                      NotLagoisHierarchy, NotSemiInverse, ParseError)
-from .lattice import Lattice, Record, _check_document, _loads
+from .lattice import Lattice, Record, _check_document, _read_json as _load_json
 # flowlang and dlm are imported in the handlers that use them: start-up pays for what runs.
 
 PASS, FAIL, INPUT_ERROR, INTERNAL_ERROR = "pass", "fail", "input-error", "internal-error"
@@ -48,34 +47,6 @@ class Verdict(Record, frozen=False):
 
 
 # -- file plumbing: each document is checked here, and trusted after ---------
-
-def _load_json(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        doc = _loads(text)
-    except (json.JSONDecodeError, UnicodeDecodeError):
-        raise
-    except (ValueError, RecursionError) as exc:  # NUL in a path, huge number, deep nesting
-        raise OSError(f"cannot read {path!r}: {exc}") from None
-    _reject_lone_surrogates(text)
-    return doc
-
-
-# One escape in a JSON string: a surrogate pair, a lone surrogate (group 1),
-# any other \uXXXX, or a backslash and one character.
-_ESCAPE_RE = re.compile(r"\\(?:u[dD][89abAB][0-9a-fA-F]{2}\\u[dD][c-fC-F][0-9a-fA-F]{2}"
-                        r"|u([dD][89a-fA-F][0-9a-fA-F]{2})|u[0-9a-fA-F]{4}|.)")
-
-
-def _reject_lone_surrogates(text: str) -> None:
-    """A lone surrogate escape decodes to a string that no UTF-8 output can
-    print: reject the document where the escape stands."""
-    lone = next((m for m in _ESCAPE_RE.finditer(text) if m[1]), None)
-    if lone is not None:
-        raise json.JSONDecodeError(f"lone surrogate \\u{lone[1]} is not a character",
-                                   text, lone.start())
-
 
 def _load_program(path: str) -> Program:
     from .flowlang import parse_program
@@ -108,7 +79,7 @@ def _load_sides(path: str, kind, maps: tuple[str, ...], optional: tuple[str, ...
             *(doc.get(key) for key in (*maps, *optional)))
 
 
-# bench/cli_child.py looks these names up to time the CLI's load phase.
+# bench/cli_child.py looks these names and _load_json up to time the CLI's load phase.
 _load_connection_doc = _load_pm_doc = _load_sides
 _lattice_ref = _hierarchy_ref = _side_ref
 

@@ -45,7 +45,7 @@ from typing import Iterable, Mapping, Sequence
 from .connection import Violation, _law_violations, _require_total
 from .errors import (AuthorityMismatch, CorollaryViolation, DlmError, LabelSyntaxError,
                      NotLagoisHierarchy, UnknownPrincipal)
-from .lattice import Record, _check_document, _closure_rows, _is_names
+from .lattice import Record, _check_document, _is_names, _order_rows
 
 TOP = "TOP"
 BOT = "BOT"
@@ -69,30 +69,22 @@ class PrincipalsHierarchy:
                 names.append(required)
         seen = set()
         for p in names:
-            if not PRINCIPAL_RE.match(p or ""):
+            if not isinstance(p, str) or not PRINCIPAL_RE.match(p):
                 raise DlmError(f"invalid principal name {p!r}")
             if p in seen:
                 raise DlmError(f"duplicate principal {p!r}")
             seen.add(p)
-        edges = []
-        for p, q in acts_for_edges:
-            if p not in seen:
-                raise UnknownPrincipal(p)
-            if q not in seen:
-                raise UnknownPrincipal(q)
-            edges.append((p, q))
 
         # Close the declared edges (p acts for q) only: a row gains BOT's row, and
         # is everyone if it then holds TOP; a column gains TOP's, likewise with BOT.
-        index, n = {p: i for i, p in enumerate(names)}, len(names)
-        rows = _closure_rows(n, [(index[p], index[q]) for p, q in edges])
-        cols = _closure_rows(n, [(index[q], index[p]) for p, q in edges])
+        edges, n = list(acts_for_edges), len(names)
+        rows, cols = _order_rows(names, edges, UnknownPrincipal)
         for closed, via, absorbing in ((rows, BOT, TOP), (cols, TOP, BOT)):
-            base, bit = closed[index[via]], 1 << index[absorbing]
+            base, bit = closed[names.index(via)], 1 << names.index(absorbing)
             closed[:] = [(1 << n) - 1 if (r | base) & bit else r | base for r in closed]
 
         self.principals = tuple(names)
-        self.edges = tuple(edges)
+        self.edges = tuple((p, q) for p, q in edges)
         self._bit = {p: 1 << i for i, p in enumerate(names)}
         self._row = dict(zip(names, rows))
         self._col = dict(zip(names, cols))

@@ -239,12 +239,14 @@ def exec_program(prog: Program, init: StorePair) -> StorePair:
 
     Transactions apply their assignments in listed order, each reading the
     store as left by the previous assignment; every other phrase updates
-    exactly one variable.
+    exactly one variable.  Store values are checked as `store_pair_from_dict`
+    checks them.
     """
+    stores = _store_side(init.left, "left"), _store_side(init.right, "right")
     if [set(init.left), set(init.right)] != [{d.name for d in prog.decls if d.domain == side}
                                              for side in DOMAINS]:
         raise StoreDomainError("initial stores must cover exactly the declared variables")
-    stores = tuple({k: v % VALUE_MODULUS for k, v in st.items()} for st in (init.left, init.right))
+    stores = tuple({k: v % VALUE_MODULUS for k, v in st.items()} for st in stores)
     _run(_compile(prog), stores, 1, VALUE_MODULUS - 1)
     return StorePair(*stores)
 
@@ -632,11 +634,10 @@ def _parse_expr(src: str) -> Expr:
 def store_pair_from_dict(data: Mapping) -> StorePair:
     if not isinstance(data, Mapping) or set(data) != {"left", "right"}:
         raise StoreDomainError('store document must be {"left": {...}, "right": {...}}')
-    return StorePair(_store_side(data, "left"), _store_side(data, "right"))
+    return StorePair(_store_side(data["left"], "left"), _store_side(data["right"], "right"))
 
 
-def _store_side(data: Mapping, side: str) -> dict[str, int]:
-    values = data[side]
+def _store_side(values, side: str) -> dict[str, int]:
     if not isinstance(values, Mapping):
         raise StoreDomainError(f"store side {side!r} must be an object of integers")
     for name, value in values.items():

@@ -10,10 +10,12 @@ in O(classes + pairs) ORs.  leq is one mask test; join(a, b) is the class
 whose up-set is up(a) & up(b), meets alike.  A finite poset with a top and
 every pairwise meet is a lattice (Davey & Priestley, Introduction to Lattices
 and Order, 2002, ch. 2).  A comparable pair meets at its lower member, so the
-top and one meet lookup per incomparable pair prove it.
+top and one meet lookup per incomparable pair prove it.  `_order_rows`
+closes a pair set so, for lattices and acts-for hierarchies alike.
 
-`Record`, the base of every immutable record of sifc, lives here too, as
-each command loads this module anyway.
+`Record`, the base of every immutable record of sifc, and `_read_json`, the
+one reader of JSON documents (`load_lattice`'s and the CLI's), live here
+too, as each command loads this module anyway.
 """
 
 from __future__ import annotations
@@ -203,17 +205,10 @@ def build_lattice(name: str, classes: Sequence[str],
             raise DuplicateClass(c)
         seen.add(c)
 
-    pairs = []
-    for lo, hi in covers:
-        for c in (lo, hi):
-            if c not in seen:
-                raise UnknownClass(c, f"covers of lattice {name!r}")
-        pairs.append((lo, hi))
-    cover_list = tuple(dict.fromkeys(pairs))  # first occurrences, in order
-
-    n, index = len(classes), {c: i for i, c in enumerate(classes)}
-    edges = [(index[lo], index[hi]) for lo, hi in cover_list]
-    up_rows, down_rows = _closure_rows(n, edges), _closure_rows(n, [(j, i) for i, j in edges])
+    pairs = list(covers)
+    up_rows, down_rows = _order_rows(
+        classes, pairs, lambda c: UnknownClass(c, f"covers of lattice {name!r}"))
+    cover_list = tuple(dict.fromkeys((lo, hi) for lo, hi in pairs))  # first occurrences, in order
 
     # The lowest mutual bit above i names the first cyclic (i < j) pair in declaration order.
     for i, (u, d) in enumerate(zip(up_rows, down_rows)):
@@ -239,6 +234,20 @@ def _raise_missing_bound(classes: Sequence[str], up_rows: Sequence[int], down_ro
                     raise NotALattice(kind, (a, classes[j]),
                                       tuple(sorted(classes[k] for k in extrema)))
     raise LatticeError("a lattice needs at least one class")  # no pair lacks a bound, no top
+
+
+def _order_rows(names: Sequence[str], pairs: Iterable[tuple[str, str]],
+                unknown: Callable[[str], Exception]) -> tuple[list[int], list[int]]:
+    """The `_closure_rows` of the (lower, upper) pairs over `names` and of
+    their converse.  The first end of a pair, lower before upper, that names
+    no member raises unknown(end)."""
+    index = {c: i for i, c in enumerate(names)}
+    try:
+        edges = [(index[lo], index[hi]) for lo, hi in pairs]
+    except KeyError as exc:
+        raise unknown(exc.args[0]) from None
+    n = len(names)
+    return _closure_rows(n, edges), _closure_rows(n, [(j, i) for i, j in edges])
 
 
 def _closure_rows(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
@@ -345,13 +354,32 @@ class Record:
 
 
 def load_lattice(path: str) -> Lattice:
-    with open(path, "r", encoding="utf-8") as fh:
-        return Lattice.from_dict(_loads(fh.read()))
+    return Lattice.from_dict(_read_json(path))
+
+
+def _read_json(path: str):
+    """`_loads` of the file's UTF-8 text.  A NUL in the path, a number too long
+    to convert or nesting too deep to parse is an OSError naming the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return _loads(fh.read())
+    except (json.JSONDecodeError, UnicodeDecodeError):
+        raise
+    except (ValueError, RecursionError) as exc:
+        raise OSError(f"cannot read {path!r}: {exc}") from None
+
+
+# One escape in a JSON string: a surrogate pair, a lone surrogate (group 1),
+# any other \uXXXX, or a backslash and one character.
+_ESCAPE_RE = re.compile(r"\\(?:u[dD][89abAB][0-9a-fA-F]{2}\\u[dD][c-fC-F][0-9a-fA-F]{2}"
+                        r"|u([dD][89a-fA-F][0-9a-fA-F]{2})|u[0-9a-fA-F]{4}|.)")
 
 
 def _loads(text: str):
     """json.loads, but a key given twice in one object is a JSONDecodeError at the first
-    repeat, found by a scan of braces and strings (a key where a colon follows: group 2)."""
+    repeat, found by a scan of braces and strings (a key where a colon follows: group 2).
+    Then a lone surrogate escape, which decodes to a string that no UTF-8 output can
+    print, is a JSONDecodeError where the escape stands."""
     def unique(pairs: list) -> dict:
         if len(obj := dict(pairs)) < len(pairs):
             seen: list[set] = []  # the keys of each open object
@@ -365,4 +393,8 @@ def _loads(text: str):
                         raise json.JSONDecodeError(f"repeated key {key!r}", text, token.start())
                     seen[-1].add(key)
         return obj
-    return json.loads(text, object_pairs_hook=unique)
+    doc = json.loads(text, object_pairs_hook=unique)
+    if lone := next((m for m in _ESCAPE_RE.finditer(text) if m[1]), None):
+        raise json.JSONDecodeError(f"lone surrogate \\u{lone[1]} is not a character",
+                                   text, lone.start())
+    return doc

@@ -110,6 +110,10 @@ def test_unknown_principal():
         h.acts_for("a", "zz")
     with pytest.raises(UnknownPrincipal):
         PrincipalsHierarchy(["a"], [("a", "zz")])
+    for edges, name in (([("y", "z")], "y"), ([("a", "z"), ("y", "a")], "z")):
+        with pytest.raises(UnknownPrincipal) as exc:
+            PrincipalsHierarchy(["a"], edges)
+        assert exc.value.name == name
 
 
 def test_hierarchy_round_trip():
@@ -215,7 +219,8 @@ def test_label_order_laws(data):
 @pytest.mark.parametrize("principals,message", [
     (["a", "b c"], "invalid principal name 'b c'"),
     (["a", "b", "a"], "duplicate principal 'a'"),
-], ids=["invalid-name", "duplicate-name"])
+    ([5], "invalid principal name 5"),  # build_lattice raises BadClassName here
+], ids=["invalid-name", "duplicate-name", "non-string-name"])
 def test_hierarchy_rejects_bad_principal_lists(principals, message):
     with pytest.raises(DlmError) as exc:
         PrincipalsHierarchy(principals, [])

@@ -14,8 +14,8 @@ from sifc.flowlang import (Add, Const, DuplicateVariable, FlowError,
                            adversary_pairs, draw_store_pairs, exec_program,
                            gen_well_typed, lint_transfer_classes,
                            low_variables, ni_trial, parse_program,
-                           run_ni_suite, store_pair_from_dict, typecheck,
-                           typecheck_phrase)
+                           run_ni_suite, store_pair_from_dict, store_pair_to_dict,
+                           typecheck, typecheck_phrase)
 from sifc import flowlang
 from sifc.lattice import UnknownClass
 
@@ -206,6 +206,23 @@ def test_exec_rejects_bad_store():
 def test_store_document_rejects_non_integers(doc):
     with pytest.raises(StoreDomainError):
         store_pair_from_dict(doc)
+
+
+@pytest.mark.parametrize("side,name,value", [
+    ("left", "lz1", 7.9), ("right", "mz1", "3"), ("left", "lz2", True),
+], ids=["float", "string", "bool"])
+def test_exec_program_rejects_what_the_store_document_rejects(side, name, value):
+    # the library boundary checks values as `sifc run` does: a float or a
+    # string would crash the engine and True would run as 1
+    prog = Program(DECLS, (Tlr("my1", "lx1"),))
+    stores = store_pair_to_dict(zero_store(prog))
+    stores[side][name] = value
+    with pytest.raises(StoreDomainError) as document:
+        store_pair_from_dict(stores)
+    with pytest.raises(StoreDomainError) as library:
+        exec_program(prog, StorePair(stores["left"], stores["right"]))
+    assert str(library.value) == str(document.value) == (
+        f"store value {side}.{name} must be an integer, got {value!r}")
 
 
 # -- typing ----------------------------------------------------------------------

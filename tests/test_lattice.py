@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sifc.cli import main
 from sifc.lattice import (BadClassName, CycleError, DuplicateClass, Lattice, LatticeError,
                           NotALattice, UnknownClass, _closure_rows, build_lattice,
                           load_lattice)
@@ -59,11 +60,23 @@ def test_bad_name_rejected():
         build_lattice("bad", ["a b"], [])
     with pytest.raises(BadClassName):
         build_lattice("bad", [""], [])
+    with pytest.raises(BadClassName):
+        build_lattice("bad", [5], [])
 
 
 def test_unknown_cover_endpoint_rejected():
     with pytest.raises(UnknownClass):
         build_lattice("u", ["a"], [("a", "z")])
+    # the first offender: pairs in order, each lower end before its upper end
+    for covers, name in (([("y", "z")], "y"), ([("a", "z"), ("y", "a")], "z")):
+        with pytest.raises(UnknownClass) as exc:
+            build_lattice("u", ["a"], covers)
+        assert str(exc.value) == f"unknown class {name!r} in covers of lattice 'u'"
+
+
+def test_covers_keep_each_pair_once_in_first_order():
+    lat = build_lattice("d", ["a", "b", "c"], [["b", "c"], ("a", "b"), ("b", "c"), ["a", "b"]])
+    assert lat.covers == (("b", "c"), ("a", "b"))
 
 
 def test_cycle_rejected():
@@ -193,6 +206,27 @@ def test_load_lattice_rejects_a_key_given_twice(tmp_path, text, key, repeat):
     with pytest.raises(json.JSONDecodeError) as exc:
         load_lattice(str(doc))
     assert (exc.value.msg, exc.value.pos) == (f"repeated key {key!r}", text.index(repeat))
+
+
+@pytest.mark.parametrize("name,content", [
+    ("lattice.json", r'{"name": "\ud800", "classes": ["a"], "covers": []}'.encode()),
+    ("lattice.json", b"[" * 100_000 + b"]" * 100_000),
+    ("lattice.json", b'{"name": 1' + b"0" * 5000 + b', "classes": ["a"], "covers": []}'),
+    ("lattice.json", b'{"name": "A", "classes": ["a"], "covers": [], "name": "B"}'),
+    ("lattice.json", bytes(range(128, 256))),
+    ("lattice\0.json", None),  # no file: the path cannot name one
+], ids=["lone-surrogate", "nesting-too-deep", "number-too-long", "repeated-key",
+        "invalid-utf8", "nul-in-path"])
+def test_load_lattice_rejects_what_check_lattice_rejects(tmp_path, capsys, name, content):
+    # one reader behind both: the library raises the error the CLI reports
+    doc = tmp_path / name
+    if content is not None:
+        doc.write_bytes(content)
+    assert main(["check-lattice", str(doc)]) == 2
+    report = json.loads(capsys.readouterr().out)
+    with pytest.raises(Exception) as exc:
+        load_lattice(str(doc))
+    assert (type(exc.value).__name__, str(exc.value)) == (report["error"], report["message"])
 
 
 @pytest.mark.parametrize("doc", [

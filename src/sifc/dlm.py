@@ -63,7 +63,9 @@ class PrincipalsHierarchy:
     __slots__ = ("principals", "edges", "_bit", "_row", "_col")
 
     def __init__(self, principals: Sequence[str], acts_for_edges: Iterable[tuple[str, str]]):
-        names = list(principals)
+        names, edges = list(principals), list(acts_for_edges)
+        if not _is_names(edges, pairs=True):
+            raise DlmError("acts_for must be pairs [principal, principal]")
         for required in (TOP, BOT):
             if required not in names:
                 names.append(required)
@@ -77,7 +79,7 @@ class PrincipalsHierarchy:
 
         # Close the declared edges (p acts for q) only: a row gains BOT's row, and
         # is everyone if it then holds TOP; a column gains TOP's, likewise with BOT.
-        edges, n = list(acts_for_edges), len(names)
+        n = len(names)
         rows, cols = _order_rows(names, edges, UnknownPrincipal)
         for closed, via, absorbing in ((rows, BOT, TOP), (cols, TOP, BOT)):
             base, bit = closed[names.index(via)], 1 << names.index(absorbing)
@@ -112,8 +114,6 @@ class PrincipalsHierarchy:
         principals, edges = data["principals"], data.get("acts_for", [])
         if not _is_names(principals):
             raise DlmError("principals must be a list of principal names")
-        if not _is_names(edges, pairs=True):
-            raise DlmError("acts_for must be pairs [principal, principal]")
         return PrincipalsHierarchy(principals, edges)
 
     def __repr__(self) -> str:

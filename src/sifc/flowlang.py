@@ -12,15 +12,17 @@ copies flow:
     tlr y x                right import := left export
     trl y x                left import := right export
 
-The four copies are declared once, in the table `_MOVES` that the checker,
-compiler, typer, generator and parser read.  Typing checks every phrase
-against the two lattices and the connection maps; the non-interference
+The four copies are declared once, in the table `_MOVES` that `_read`, the
+generator and the parser read.  `_read` alone knows a phrase's shape, and its
+reading feeds the checker, the typer and the compiler.  Typing checks every
+phrase against the two lattices and the connection maps; the non-interference
 harness then runs well-typed programs from pairs of stores that agree below
 an adversary's level and checks the final stores still agree there.
 
 Execution runs a compiled body: a flat list of steps, one per variable
 update, each a copy or a sum of a constant and variables mod 2^16.  The
-suite pays per program for one typecheck, one compilation, one low/high
+suite pays per program for one reading of each phrase, made as the generator
+accepts it, one typecheck and one flattening of those readings, one low/high
 split per adversary pair and one pass over all its trials: that pass draws
 every store from SplitMix64 at once, packs both runs of every trial into
 lanes of one int per variable, runs the steps once over them and compares
@@ -44,6 +46,8 @@ from .lattice import Record, UnknownClass
 VALUE_MODULUS = 2 ** 16  # stores hold wrap-around integers
 
 DOMAINS = ("L", "M")
+_SIDE = {"L": 0, "M": 1}
+_SIDE_NAMES = ("left", "right")
 KINDS = ("internal", "export", "import")
 
 
@@ -100,22 +104,42 @@ _MOVES = {"rd": (Rd, (None, "internal"), (None, "import")),
           "wr": (Wr, (None, "export"), (None, "internal")),
           "trl": (Trl, ("L", "import"), ("M", "export")),
           "tlr": (Tlr, ("M", "import"), ("L", "export"))}
-_MOVE_OF = {cls: (word, *target, *source, attrgetter(*cls.__match_args__[-2:]))
-            for word, (cls, target, source) in _MOVES.items()}
 PHRASE_KINDS = ("txn", *_MOVES)
 
+# A phrase's reading: its word, the side (0 L, 1 M) and kind of its target and
+# of its source, and its updates in order, each (target, source), whose source
+# is a variable name or a transaction's (const, names), const plus those
+# variables mod 2^16.  `_SHAPES` gives a phrase class's word, the side (None:
+# the phrase's own) and kind of each end, and a copy's getter of its ends.
+Source = str | tuple[int, tuple[str, ...]]
+Reading = tuple[str, int, str, int, str, tuple[tuple[str, Source], ...]]
+_SHAPES = {Txn: ("txn", None, "internal", None, "internal", None)} | {
+    cls: (word, _SIDE.get(tdom), tkind, _SIDE.get(sdom), skind,
+          attrgetter(*cls.__match_args__[-2:]))
+    for word, (cls, (tdom, tkind), (sdom, skind)) in _MOVES.items()}
 
-def _move(p: Phrase) -> tuple[str, str, str, str, str, str, str] | None:
-    """A copy phrase read through `_MOVES`: its word, then the domain, kind
-    and name of its target and of its source.  None for any other phrase."""
-    entry = _MOVE_OF.get(p.__class__)
-    if entry is None:
-        return None
-    word, tdom, tkind, sdom, skind, ends = entry
-    target, source = ends(p)
-    if tdom is None:
-        tdom = sdom = p.domain
-    return word, tdom, tkind, target, sdom, skind, source
+
+def _read(p: Phrase, at: str = "") -> Reading:
+    """The reading of `p`: a transaction's right-hand side is its `_linear`,
+    or a copy if it is one variable alone (stored values are reduced).  A
+    FlowError prefixed `at` if `p` is no phrase or its domain is not L or M."""
+    shape = _SHAPES.get(p.__class__)
+    if shape is None:
+        raise FlowError(f"{at}unknown phrase {p!r}")
+    word, tside, tkind, sside, skind, ends = shape
+    if tside is None:
+        if p.domain not in DOMAINS:
+            raise FlowError(f"{at}bad domain {p.domain!r}")
+        tside = sside = _SIDE[p.domain]
+    updates = (ends(p),) if ends else tuple([
+        (target, names[0] if const == 0 and len(names) == 1 else (const, names))
+        for target, e in p.assigns for const, names in (_linear(e),)])
+    return word, tside, tkind, sside, skind, updates
+
+
+def _names(source: Source) -> tuple[str, ...]:
+    """The variables a source reads, in order."""
+    return (source,) if source.__class__ is str else source[1]
 
 
 class PhraseType(Record):
@@ -142,13 +166,10 @@ def _linear(e: Expr) -> tuple[int, tuple[str, ...]]:
     return const % VALUE_MODULUS, tuple(names)
 
 
-def expr_vars(e: Expr) -> set[str]:
-    return set(_linear(e)[1])
-
-
 class Program(Record):
-    """env maps each declared name to its declaration; it is no field."""
-    __slots__ = ("decls", "body", "env")
+    """env maps each declared name to its declaration and readings holds each
+    phrase's `_read`; neither is a field."""
+    __slots__ = ("decls", "body", "env", "readings")
     __match_args__ = ("decls", "body")
 
     def __init__(self, decls: tuple[VarDecl, ...], body: tuple[Phrase, ...]):
@@ -161,63 +182,40 @@ class Program(Record):
             if d.name in env:
                 raise DuplicateVariable(f"variable {d.name!r} declared twice")
             env[d.name] = d
-        for name, value in (("decls", decls), ("body", body), ("env", env)):
+        readings = tuple(_check_phrase(env, p, idx) for idx, p in enumerate(body))
+        for name, value in zip(self.__slots__, (decls, body, env, readings)):
             object.__setattr__(self, name, value)
-        for idx, p in enumerate(body):
-            _check_phrase(env, p, idx)
 
 
-def _check_phrase(env: Mapping[str, VarDecl], p: Phrase, idx: int | None) -> None:
-    """Raise a FlowError unless `p` is a phrase of domain L or M whose every
-    variable `env` declares with the domain and kind its place needs; the
-    message names phrase `idx`, if given."""
+def _check_phrase(env: Mapping[str, VarDecl], p: Phrase, idx: int | None) -> Reading:
+    """The `_read` of `p`, once `env` declares each of its variables, every
+    update's target and then its sources, with the domain and kind its place
+    needs; else a FlowError naming phrase `idx`, if given."""
     at = "" if idx is None else f"phrase {idx}: "
-    if isinstance(p, Txn):
-        domain = p.domain
-        needs = [(v, domain, "internal") for target, e in p.assigns
-                 for v in (target, *_linear(e)[1])]  # in source order
-    else:
-        move = _move(p)
-        if move is None:
-            raise FlowError(f"{at}unknown phrase {p!r}")
-        _, domain, tkind, target, sdom, skind, source = move
-        needs = [(target, domain, tkind), (source, sdom, skind)]
-    if domain not in DOMAINS:
-        raise FlowError(f"{at}bad domain {domain!r}")
-    for name, side, kind in needs:
-        d = env.get(name)
-        if d is None:
-            raise UndeclaredVariable(f"{at}variable {name!r} is not declared")
-        if d.domain != side or d.kind != kind:
-            raise KindMismatch(f"{at}{name!r} is a {d.domain} {d.kind} variable, "
-                               f"needs a {side} {kind} one")
+    reading = _, tside, tkind, sside, skind, updates = _read(p, at)
+    for target, source in updates:
+        needs = [(target, tside, tkind), *((v, sside, skind) for v in _names(source))]
+        for name, side, kind in needs:
+            d = env.get(name)
+            if d is None:
+                raise UndeclaredVariable(f"{at}variable {name!r} is not declared")
+            if d.domain != DOMAINS[side] or d.kind != kind:
+                raise KindMismatch(f"{at}{name!r} is a {d.domain} {d.kind} variable, "
+                                   f"needs a {DOMAINS[side]} {kind} one")
+    return reading
 
 
 # -- execution ----------------------------------------------------------------
 
 # A compiled body is a flat list of steps (dst, target, src, source): store
-# `dst` (0 left, 1 right) gets `target` := `source` read in store `src`.  The
-# source is a variable name for a copy, or (const, names) for a transaction
-# right-hand side, whose value is const plus those variables mod 2^16.
-Step = tuple[int, str, int, "str | tuple[int, tuple[str, ...]]"]
-
-_SIDE = {"L": 0, "M": 1}
-_SIDE_NAMES = ("left", "right")
+# `dst` (0 left, 1 right) gets `target` := `source` read in store `src`.
+Step = tuple[int, str, int, Source]
 
 
 def _compile(prog: Program) -> list[Step]:
-    steps: list[Step] = []
-    for p in prog.body:
-        if isinstance(p, Txn):
-            side = _SIDE[p.domain]
-            for target, e in p.assigns:
-                const, names = _linear(e)
-                copy = const == 0 and len(names) == 1  # stored values are reduced
-                steps.append((side, target, side, names[0] if copy else (const, names)))
-        else:  # a copy phrase, the only kind left that Program admits
-            _, tdom, _, target, sdom, _, source = _move(p)
-            steps.append((_SIDE[tdom], target, _SIDE[sdom], source))
-    return steps
+    """The program's readings flattened into steps, one per update."""
+    return [(tside, target, sside, source) for _, tside, _, sside, _, updates in prog.readings
+            for target, source in updates]
 
 
 def _run(steps: list[Step], stores: tuple[dict[str, int], dict[str, int]],
@@ -274,39 +272,35 @@ def typecheck_phrase(env: Mapping[str, VarDecl], conn: LagoisConnection,
     identity of the sequence meet).  No premise reads a phrase type.  The
     phrase is first checked against `env` as `Program` checks its body, with
     the same errors."""
-    _check_phrase(env, p, index)
-    return _type_phrase(env, conn, p, index)
+    return _type(env, conn, _check_phrase(env, p, index), index)
 
 
-def _type_phrase(env: Mapping[str, VarDecl], conn: LagoisConnection,
-                 p: Phrase, index: int | None) -> PhraseType:
-    """`typecheck_phrase` of a phrase that `_check_phrase` has passed."""
-    left, right = conn.left, conn.right
-    if isinstance(p, Txn):
-        lat = left if p.domain == "L" else right
-        read = lat.join_all(env[v].cls for _, e in p.assigns for v in expr_vars(e))
-        written = lat.meet_all(env[t].cls for t, _ in p.assigns)
-        if not lat.leq(read, written):
-            raise FlowTypeError("txn", read, written, index)
-        return PhraseType(read, right.top) if p.domain == "L" else \
-            PhraseType(left.top, read)
-    word, tdom, _, target, sdom, _, source = _move(p)
-    moved, upper = env[source].cls, env[target].cls
-    lat, carry = (left, conn.gamma) if tdom == "L" else (right, conn.alpha)
-    lower = moved if sdom == tdom else carry(moved)
+def _type(env: Mapping[str, VarDecl], conn: LagoisConnection,
+          reading: Reading, index: int | None) -> PhraseType:
+    """`typecheck_phrase` of a reading whose variables `env` declares in place."""
+    word, tside, _, sside, _, updates = reading
+    lat = conn.right if tside else conn.left
+    if word == "txn":
+        read = lower = report = lat.join_all({env[v].cls for _, s in updates for v in _names(s)})
+        upper = lat.meet_all(env[t].cls for t, _ in updates)
+    else:
+        [(target, source)] = updates
+        read, upper = env[source].cls, env[target].cls
+        lower = read if sside == tside else (conn.alpha if tside else conn.gamma)(read)
+        report = upper
     if not lat.leq(lower, upper):
         raise FlowTypeError(word, lower, upper, index)
-    if tdom == "L":
-        return PhraseType(upper, right.top if sdom == "L" else moved)
-    return PhraseType(moved if sdom == "L" else left.top, upper)
+    if tside:
+        return PhraseType(conn.left.top if sside else read, report)
+    return PhraseType(report, read if sside else conn.right.top)
 
 
 def typecheck(prog: Program, conn: LagoisConnection) -> PhraseType:
     """Meet-fold of the phrase types; the empty program types at the tops."""
     _classes(prog.env, conn)
     l, m = conn.left.top, conn.right.top
-    for idx, p in enumerate(prog.body):
-        t = _type_phrase(prog.env, conn, p, idx)
+    for idx, reading in enumerate(prog.readings):
+        t = _type(prog.env, conn, reading, idx)
         l = conn.left.meet(l, t.left)
         m = conn.right.meet(m, t.right)
     return PhraseType(l, m)
@@ -459,7 +453,8 @@ def gen_well_typed(decls: Sequence[VarDecl], conn: LagoisConnection,
     hold, until the body reaches `length`.  Deterministic for a given seed:
     each choice takes one float r() of `random.Random(seed)`, and a pick among
     n items, seq[int(r() * n)], is uniform up to a bias of at most n * 2^-53.
-    Raises GenerationStall after `stall_limit` consecutive rejections."""
+    Raises ValueError, before any draw, if `kinds` is empty or holds an unknown
+    kind, and GenerationStall after `stall_limit` consecutive rejections."""
     prog = Program(tuple(decls), ())
     _classes(prog.env, conn)
     pools = {(d, k): [v.name for v in decls if v.domain == d and v.kind == k]
@@ -469,12 +464,16 @@ def gen_well_typed(decls: Sequence[VarDecl], conn: LagoisConnection,
             raise FlowError(f"need at least one {kind} variable in domain {domain}")
 
     r, kinds = random.Random(seed).random, tuple(kinds)
-    body: list[Phrase] = []
-    rejections = 0
+    if not kinds:
+        raise ValueError("gen_well_typed needs at least one phrase kind")
+    if unknown := [kind for kind in kinds if kind not in PHRASE_KINDS]:
+        raise ValueError(f"unknown phrase kind {unknown[0]!r}")
+    body, readings, rejections = [], [], 0
     while len(body) < length:
         p = _random_phrase(r, kinds[int(r() * len(kinds))], pools)
+        reading = _read(p)
         try:
-            _type_phrase(prog.env, conn, p, None)  # its variables come from the pools
+            _type(prog.env, conn, reading, None)  # its variables come from the pools
         except FlowTypeError:
             rejections += 1
             if rejections >= stall_limit:
@@ -483,8 +482,10 @@ def gen_well_typed(decls: Sequence[VarDecl], conn: LagoisConnection,
                     f"classes cannot satisfy the requested phrase kinds")
             continue
         body.append(p)
+        readings.append(reading)
         rejections = 0
     object.__setattr__(prog, "body", tuple(body))  # each phrase drawn from its kind's pool
+    object.__setattr__(prog, "readings", tuple(readings))
     return prog
 
 
@@ -505,8 +506,6 @@ def _random_phrase(r, kind: str, pools) -> Phrase:
             (internal[int(r() * len(internal))], _random_expr(r, internal, 2))
             for _ in range(1 + (r() < 0.5)))
         return Txn(domain, assigns)
-    if kind not in _MOVES:
-        raise ValueError(f"unknown phrase kind {kind!r}")
     cls, (tdom, tkind), (sdom, skind) = _MOVES[kind]
     own = () if tdom else (DOMAINS[int(r() * 2)],)
     tdom, sdom = (tdom, sdom) if tdom else own * 2

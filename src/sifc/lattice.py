@@ -161,8 +161,6 @@ class Lattice:
             raise LatticeError("lattice name must be a string")
         if not _is_names(classes):
             raise LatticeError("classes must be a list of class names")
-        if not _is_names(covers, pairs=True):
-            raise LatticeError("covers must be pairs [lower, upper] of class names")
         return build_lattice(name, classes, covers)
 
 
@@ -190,11 +188,14 @@ def build_lattice(name: str, classes: Sequence[str],
                   covers: Iterable[tuple[str, str]]) -> Lattice:
     """Validate and build a lattice from classes and a (lower, upper) pair set.
 
-    Raises DuplicateClass, BadClassName, UnknownClass on malformed input;
-    CycleError when the closure is not antisymmetric; NotALattice when some
-    pair of classes lacks a unique join or meet.
+    Raises LatticeError for a cover that is not two names, DuplicateClass,
+    BadClassName, UnknownClass on malformed input; CycleError when the closure
+    is not antisymmetric; NotALattice when some pair of classes lacks a unique
+    join or meet.
     """
-    classes = tuple(classes)
+    classes, pairs = tuple(classes), list(covers)
+    if not _is_names(pairs, pairs=True):
+        raise LatticeError("covers must be pairs [lower, upper] of class names")
     if not classes:
         raise LatticeError("a lattice needs at least one class")
     seen = set()
@@ -205,7 +206,6 @@ def build_lattice(name: str, classes: Sequence[str],
             raise DuplicateClass(c)
         seen.add(c)
 
-    pairs = list(covers)
     up_rows, down_rows = _order_rows(
         classes, pairs, lambda c: UnknownClass(c, f"covers of lattice {name!r}"))
     cover_list = tuple(dict.fromkeys((lo, hi) for lo, hi in pairs))  # first occurrences, in order

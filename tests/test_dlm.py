@@ -116,6 +116,18 @@ def test_unknown_principal():
         assert exc.value.name == name
 
 
+@pytest.mark.parametrize("edge", [("a", "b", "c"), ("a",), "ab", 5],
+                         ids=["three", "one", "string", "number"])
+def test_an_edge_that_is_not_two_names_is_rejected(edge):
+    # A string is not split into its letters, and the edges are checked
+    # before the principal names, as `PrincipalsHierarchy.from_dict` checks them.
+    for principals in (["a", "b", "c"], ["a b"]):
+        with pytest.raises(DlmError) as exc:
+            PrincipalsHierarchy(principals, [("a", "b"), edge])
+        assert type(exc.value) is DlmError
+        assert str(exc.value) == "acts_for must be pairs [principal, principal]"
+
+
 def test_hierarchy_round_trip():
     h = PrincipalsHierarchy(["a", "b"], [("a", "b")])
     again = PrincipalsHierarchy.from_dict(h.to_dict())

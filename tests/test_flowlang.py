@@ -77,6 +77,15 @@ def test_gen_well_typed_rejects_an_unknown_phrase_kind(cu):
     with pytest.raises(ValueError) as exc:
         gen_well_typed(DECLS, cu, 3, seed=0, kinds=("txm",))
     assert str(exc.value) == "unknown phrase kind 'txm'"
+    # A string is not split into kinds, the first unknown kind is named, and
+    # the kinds are checked before any phrase is drawn.
+    for kinds, message in (("txn", "unknown phrase kind 't'"),
+                           (("rd", "txm", "zz"), "unknown phrase kind 'txm'"),
+                           ((), "gen_well_typed needs at least one phrase kind")):
+        for length in (0, 3):
+            with pytest.raises(ValueError) as exc:
+                gen_well_typed(DECLS, cu, length, seed=0, kinds=kinds)
+            assert str(exc.value) == message
 
 
 def test_duplicate_variable():
@@ -595,12 +604,13 @@ def test_gen_deterministic(cu):
 @pytest.mark.parametrize("kinds", [flowlang.PHRASE_KINDS, ("rd", "wr"), ("trl", "tlr", "txn")],
                          ids=["all", "rd-wr", "transfers"])
 def test_gen_sets_the_body_program_would_check(cu, kinds):
-    # The generator sets its body on its own Program without re-checking the
-    # phrases; a Program built from scratch must accept them and be equal.
+    # The generator sets its body and readings on its own Program without
+    # re-checking the phrases; a Program built from scratch must accept them,
+    # be equal and read them alike.
     for seed in range(500):
         g = gen_well_typed(DECLS, cu, seed % 21, seed=seed, kinds=kinds)
         rebuilt = Program(DECLS, g.body)
-        assert rebuilt == g and rebuilt.env == g.env
+        assert rebuilt == g and rebuilt.env == g.env and rebuilt.readings == g.readings
 
 
 def test_gen_stalls_when_transfers_cannot_type(cu):

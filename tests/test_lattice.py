@@ -74,6 +74,18 @@ def test_unknown_cover_endpoint_rejected():
         assert str(exc.value) == f"unknown class {name!r} in covers of lattice 'u'"
 
 
+@pytest.mark.parametrize("pair", [("a", "b", "c"), ("a",), "ab", 5],
+                         ids=["three", "one", "string", "number"])
+def test_a_cover_that_is_not_two_names_is_rejected(pair):
+    # A string is not split into its letters, and the covers are checked
+    # before the class names, as `Lattice.from_dict` checks them.
+    for classes in (["a", "b", "c"], ["a b"]):
+        with pytest.raises(LatticeError) as exc:
+            build_lattice("p", classes, [("a", "b"), pair])
+        assert type(exc.value) is LatticeError
+        assert str(exc.value) == "covers must be pairs [lower, upper] of class names"
+
+
 def test_covers_keep_each_pair_once_in_first_order():
     lat = build_lattice("d", ["a", "b", "c"], [["b", "c"], ("a", "b"), ("b", "c"), ["a", "b"]])
     assert lat.covers == (("b", "c"), ("a", "b"))

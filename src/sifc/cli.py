@@ -25,7 +25,7 @@ from .errors import (AdjointError, CoarsenError, ComposeError, CorollaryViolatio
                      DlmError, FlowError, FlowTypeError, GenerationStall, IllTyped,
                      LatticeError, MapError, NotALattice, NotClosure, NotIso, NotLagois,
                      NotLagoisHierarchy, NotSemiInverse, ParseError)
-from .lattice import Lattice, Record, _check_document, _read_json as _load_json
+from .lattice import Lattice, Record, _check_document, _read_json as _load_json, _read_text
 # flowlang and dlm are imported in the handlers that use them: start-up pays for what runs.
 
 PASS, FAIL, INPUT_ERROR, INTERNAL_ERROR = "pass", "fail", "input-error", "internal-error"
@@ -47,12 +47,6 @@ class Verdict(Record, frozen=False):
 
 
 # -- file plumbing: each document is checked here, and trusted after ---------
-
-def _load_program(path: str) -> Program:
-    from .flowlang import parse_program
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_program(fh.read())
-
 
 def _require_map(value, key: str, error: type[Exception]) -> dict:
     # JSON object keys are always strings; the values must be strings too.
@@ -184,9 +178,9 @@ def _cmd_semi_inverse(args) -> Verdict:
 
 
 def _cmd_typecheck(args) -> Verdict:
-    from .flowlang import lint_transfer_classes, typecheck
+    from .flowlang import lint_transfer_classes, parse_program, typecheck
     conn = _load_verified_connection(args.connection)
-    prog = _load_program(args.program)
+    prog = _read_text(args.program, parse_program)
     t = typecheck(prog, conn)
     details = {"status": PASS, "type": {"left": t.left, "right": t.right}}
     if args.lint:
@@ -195,8 +189,9 @@ def _cmd_typecheck(args) -> Verdict:
 
 
 def _cmd_run(args) -> Verdict:
-    from .flowlang import exec_program, store_pair_from_dict, store_pair_to_dict, typecheck
-    prog = _load_program(args.program)
+    from .flowlang import (exec_program, parse_program, store_pair_from_dict,
+                           store_pair_to_dict, typecheck)
+    prog = _read_text(args.program, parse_program)
     if args.connection:
         conn = _load_verified_connection(args.connection)
         typecheck(prog, conn)  # refuse to run ill-typed programs when asked
@@ -206,9 +201,9 @@ def _cmd_run(args) -> Verdict:
 
 
 def _cmd_ni_suite(args) -> Verdict:
-    from .flowlang import run_ni_suite
+    from .flowlang import parse_program, run_ni_suite
     conn = _load_verified_connection(args.connection)
-    prog = _load_program(args.program)
+    prog = _read_text(args.program, parse_program)
     report = run_ni_suite(prog.decls, conn, programs=args.trials,
                           max_len=args.len, seed=args.seed, draws=args.draws)
     return Verdict({

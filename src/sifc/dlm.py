@@ -63,27 +63,18 @@ class PrincipalsHierarchy:
     __slots__ = ("principals", "edges", "_bit", "_row", "_col")
 
     def __init__(self, principals: Sequence[str], acts_for_edges: Iterable[tuple[str, str]]):
-        names, edges = list(principals), list(acts_for_edges)
-        if not _is_names(edges, pairs=True):
-            raise DlmError("acts_for must be pairs [principal, principal]")
-        for required in (TOP, BOT):
-            if required not in names:
-                names.append(required)
-        seen = set()
-        for p in names:
-            if not isinstance(p, str) or not PRINCIPAL_RE.match(p):
-                raise DlmError(f"invalid principal name {p!r}")
-            if p in seen:
-                raise DlmError(f"duplicate principal {p!r}")
-            seen.add(p)
+        names = list(principals)
+        names += [required for required in (TOP, BOT) if required not in names]
+        rows, cols, edges = _order_rows(names, acts_for_edges, PRINCIPAL_RE, (
+            lambda: DlmError("acts_for must be pairs [principal, principal]"),
+            lambda p: DlmError(f"invalid principal name {p!r}"),
+            lambda p: DlmError(f"duplicate principal {p!r}"), UnknownPrincipal))
 
         # Close the declared edges (p acts for q) only: a row gains BOT's row, and
         # is everyone if it then holds TOP; a column gains TOP's, likewise with BOT.
-        n = len(names)
-        rows, cols = _order_rows(names, edges, UnknownPrincipal)
         for closed, via, absorbing in ((rows, BOT, TOP), (cols, TOP, BOT)):
             base, bit = closed[names.index(via)], 1 << names.index(absorbing)
-            closed[:] = [(1 << n) - 1 if (r | base) & bit else r | base for r in closed]
+            closed[:] = [(1 << len(names)) - 1 if (r | base) & bit else r | base for r in closed]
 
         self.principals = tuple(names)
         self.edges = tuple((p, q) for p, q in edges)

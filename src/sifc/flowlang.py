@@ -449,12 +449,14 @@ def gen_well_typed(decls: Sequence[VarDecl], conn: LagoisConnection,
                    length: int, seed: int,
                    kinds: Sequence[str] = PHRASE_KINDS,
                    stall_limit: int = 10_000) -> Program:
-    """Rejection-sample random phrases, keeping those whose typing premises
-    hold, until the body reaches `length`.  Deterministic for a given seed:
-    each choice takes one float r() of `random.Random(seed)`, and a pick among
-    n items, seq[int(r() * n)], is uniform up to a bias of at most n * 2^-53.
-    Raises ValueError, before any draw, if `kinds` is empty or holds an unknown
-    kind, and GenerationStall after `stall_limit` consecutive rejections."""
+    """Rejection-sample random phrases, keeping those whose typing premises hold, until the
+    body reaches `length`.  Deterministic for a given seed: each choice takes one float r() of
+    `random.Random(seed)`, and a pick among n items, seq[int(r() * n)], is uniform up to a bias
+    of at most n * 2^-53.  Raises FlowError unless `length` >= 0 and `stall_limit` >= 1 are
+    ints, ValueError if `kinds` is empty or holds an unknown kind, both before any draw, and
+    GenerationStall after `stall_limit` consecutive rejections."""
+    _require_count("length", length)
+    _require_count("stall_limit", stall_limit, 1)
     prog = Program(tuple(decls), ())
     _classes(prog.env, conn)
     pools = {(d, k): [v.name for v in decls if v.domain == d and v.kind == k]
@@ -487,6 +489,14 @@ def gen_well_typed(decls: Sequence[VarDecl], conn: LagoisConnection,
     object.__setattr__(prog, "body", tuple(body))  # each phrase drawn from its kind's pool
     object.__setattr__(prog, "readings", tuple(readings))
     return prog
+
+
+def _require_count(name: str, count, least: int = 0) -> None:
+    """A count is an int, not a bool, of at least `least`; anything else is a FlowError."""
+    if not isinstance(count, int) or isinstance(count, bool):
+        raise FlowError(f"{name} must be an integer, got {count!r}")
+    if count < least:
+        raise FlowError(f"{name} must be at least {least}, got {count}")
 
 
 def _random_expr(r, names: list[str], depth: int) -> Expr:
@@ -532,8 +542,7 @@ def run_ni_suite(decls: Sequence[VarDecl], conn: LagoisConnection,
     deterministically seeded, so the aggregate does not depend on execution
     order."""
     for name, count in (("programs", programs), ("max_len", max_len), ("draws", draws)):
-        if count < 0:
-            raise FlowError(f"{name} must be at least 0, got {count}")
+        _require_count(name, count)
     pairs, base, failures = adversary_pairs(conn), random.Random(seed), []
     for p_idx in range(programs):
         length = base.randrange(max_len + 1)

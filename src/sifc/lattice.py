@@ -10,12 +10,12 @@ in O(classes + pairs) ORs.  leq is one mask test; join(a, b) is the class
 whose up-set is up(a) & up(b), meets alike.  A finite poset with a top and
 every pairwise meet is a lattice (Davey & Priestley, Introduction to Lattices
 and Order, 2002, ch. 2).  A comparable pair meets at its lower member, so the
-top and one meet lookup per incomparable pair prove it.  `_order_rows`
-closes a pair set so, for lattices and acts-for hierarchies alike.
+top and one meet lookup per incomparable pair prove it.  `_order_rows` checks,
+indexes and closes the names and pairs of lattices and hierarchies alike.
 
-`Record`, the base of every immutable record of sifc, and `_read_json`, the
-one reader of JSON documents (`load_lattice`'s and the CLI's), live here
-too, as each command loads this module anyway.
+`Record`, the base of every immutable record of sifc, and `_read_text`, the
+one reader of JSON documents (`load_lattice`'s and the CLI's) and programs,
+live here too, as each command loads this module anyway.
 """
 
 from __future__ import annotations
@@ -177,37 +177,23 @@ def _check_document(doc, required: Sequence[str], optional: Sequence[str],
             raise error(f"{what} has unknown key {key!r}")
 
 
-def _is_names(value, pairs: bool = False) -> bool:
-    """A JSON array of strings, or of two-string arrays if `pairs`.  A string
-    is iterable too, but splitting one would invent names."""
-    return isinstance(value, (list, tuple)) and all(
-        _is_names(v) and len(v) == 2 if pairs else isinstance(v, str) for v in value)
+def _is_names(value) -> bool:
+    """A JSON array of strings (a string is iterable, but splitting one would invent names)."""
+    return isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value)
 
 
 def build_lattice(name: str, classes: Sequence[str],
                   covers: Iterable[tuple[str, str]]) -> Lattice:
     """Validate and build a lattice from classes and a (lower, upper) pair set.
 
-    Raises LatticeError for a cover that is not two names, DuplicateClass,
-    BadClassName, UnknownClass on malformed input; CycleError when the closure
-    is not antisymmetric; NotALattice when some pair of classes lacks a unique
-    join or meet.
+    Raises LatticeError for covers that are not pairs of names or for no class at all,
+    BadClassName, DuplicateClass and UnknownClass (`_order_rows`) on malformed input, CycleError
+    if the closure is not antisymmetric and NotALattice if a pair lacks a unique join or meet.
     """
-    classes, pairs = tuple(classes), list(covers)
-    if not _is_names(pairs, pairs=True):
-        raise LatticeError("covers must be pairs [lower, upper] of class names")
-    if not classes:
-        raise LatticeError("a lattice needs at least one class")
-    seen = set()
-    for c in classes:
-        if not isinstance(c, str) or not CLASS_NAME_RE.match(c):
-            raise BadClassName(c)
-        if c in seen:
-            raise DuplicateClass(c)
-        seen.add(c)
-
-    up_rows, down_rows = _order_rows(
-        classes, pairs, lambda c: UnknownClass(c, f"covers of lattice {name!r}"))
+    classes = tuple(classes)
+    up_rows, down_rows, pairs = _order_rows(classes, covers, CLASS_NAME_RE, (
+        lambda: LatticeError("covers must be pairs [lower, upper] of class names"),
+        BadClassName, DuplicateClass, lambda c: UnknownClass(c, f"covers of lattice {name!r}")))
     cover_list = tuple(dict.fromkeys((lo, hi) for lo, hi in pairs))  # first occurrences, in order
 
     # The lowest mutual bit above i names the first cyclic (i < j) pair in declaration order.
@@ -233,21 +219,36 @@ def _raise_missing_bound(classes: Sequence[str], up_rows: Sequence[int], down_ro
                     extrema = _extrema([k for k in range(len(classes)) if common >> k & 1], below)
                     raise NotALattice(kind, (a, classes[j]),
                                       tuple(sorted(classes[k] for k in extrema)))
-    raise LatticeError("a lattice needs at least one class")  # no pair lacks a bound, no top
+    raise LatticeError("a lattice needs at least one class")  # no class, so no pair and no top
 
 
-def _order_rows(names: Sequence[str], pairs: Iterable[tuple[str, str]],
-                unknown: Callable[[str], Exception]) -> tuple[list[int], list[int]]:
-    """The `_closure_rows` of the (lower, upper) pairs over `names` and of
-    their converse.  The first end of a pair, lower before upper, that names
-    no member raises unknown(end)."""
-    index = {c: i for i, c in enumerate(names)}
+def _order_rows(names: Sequence[str], pairs: Iterable, pattern: re.Pattern,
+                errors: Sequence[Callable[..., Exception]]) -> tuple[list[int], list[int], list]:
+    """The `_closure_rows` of the (lower, upper) pairs over `names` and of their converse,
+    and the pairs as a list.  Of errors = (malformed, bad_name, duplicate, unknown), it
+    raises malformed() for pairs that are not an iterable of two-string arrays; then, name
+    by name, bad_name(c) if c is not a string `pattern` matches and duplicate(c) for a
+    repeat; then unknown(end) for the first pair end, lower end first, naming no member."""
+    malformed, bad_name, duplicate, unknown = errors
+    try:
+        pairs = list(pairs)
+    except TypeError:  # not iterable
+        raise malformed() from None
+    if not all(_is_names(p) and len(p) == 2 for p in pairs):
+        raise malformed()
+    index: dict[str, int] = {}
+    for c in names:
+        if not isinstance(c, str) or not pattern.match(c):
+            raise bad_name(c)
+        if c in index:
+            raise duplicate(c)
+        index[c] = len(index)
     try:
         edges = [(index[lo], index[hi]) for lo, hi in pairs]
     except KeyError as exc:
         raise unknown(exc.args[0]) from None
     n = len(names)
-    return _closure_rows(n, edges), _closure_rows(n, [(j, i) for i, j in edges])
+    return _closure_rows(n, edges), _closure_rows(n, [(j, i) for i, j in edges]), pairs
 
 
 def _closure_rows(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
@@ -358,11 +359,15 @@ def load_lattice(path: str) -> Lattice:
 
 
 def _read_json(path: str):
-    """`_loads` of the file's UTF-8 text.  A NUL in the path, a number too long
-    to convert or nesting too deep to parse is an OSError naming the path."""
+    return _read_text(path, _loads)
+
+
+def _read_text(path: str, parse: Callable[[str], object]):
+    """parse(the file's UTF-8 text), for documents and programs alike.  A NUL in the path,
+    a number too long to convert or nesting too deep to parse is an OSError naming it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return _loads(fh.read())
+            return parse(fh.read())
     except (json.JSONDecodeError, UnicodeDecodeError):
         raise
     except (ValueError, RecursionError) as exc:

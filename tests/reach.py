@@ -42,9 +42,6 @@ ALLOWED = {
         "the `python -m sifc.cli` entry point runs only in child processes, which are not traced",
     ("dlm.py", "cross_declassify_check", "raise"):
         "a KeyError that neither lifted label explains is a bug in sifc and must propagate",
-    ("lattice.py", "_raise_missing_bound",
-     'raise LatticeError("a lattice needs at least one class")  # no pair lacks a bound, no top'):
-        "unreachable: if every pair has a join, a finite poset has a top",
 }
 
 

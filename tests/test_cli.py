@@ -569,6 +569,15 @@ BINARY = bytes(range(128, 256))
         (["build-from-closures", DOC], "dorm-college-closures.json", "h"),
         (["coarsen", path("college-univ.json"), DOC], "coarse-alpha.json", "alpha2"),
         (["run", path("pipeline.sif"), "--store", DOC], "pipeline-store.json", "lz1"))),
+    *((argv, fixture_doc(name, (key,), value), {}, error)
+      for argv, name, key, error in (
+          (["check-lattice", DOC], "college.json", "covers", "LatticeError"),
+          (["dlm", "check-hierarchy", DOC], "left-hierarchy.json", "acts_for", "DlmError"))
+      for value in (None, 0, True)),
+    *(([command, path("pipe\0line.sif"), *rest], {}, {}, "OSError") for command, rest in (
+        ("typecheck", ["--connection", path("college-univ.json")]),
+        ("run", ["--store", path("pipeline-store.json")]),
+        ("ni-suite", ["--connection", path("college-univ.json"), "--trials", "2"]))),
 ], ids=["unhashable-cover", "non-string-principal", "unhashable-edge",
         "unhashable-connection-alpha", "unhashable-principal-alpha", "closures-without-i",
         "closures-list", "nul-in-file-reference", "number-too-long", "nesting-too-deep",
@@ -577,7 +586,9 @@ BINARY = bytes(range(128, 256))
         "non-monotone-alpha", "invalid-principal-name", "duplicate-principal",
         "repeated-lattice-key", "repeated-hierarchy-key", "repeated-connection-key",
         "repeated-principal-map-key", "repeated-closures-key", "repeated-coarsen-key",
-        "repeated-store-key"])
+        "repeated-store-key", "null-covers", "number-covers", "bool-covers", "null-acts-for",
+        "number-acts-for", "bool-acts-for", "nul-in-typecheck-program",
+        "nul-in-run-program", "nul-in-ni-suite-program"])
 def test_malformed_inputs_are_typed_input_errors(tmp_path, monkeypatch, argv, content, env,
                                                  error):
     for key, value in env.items():

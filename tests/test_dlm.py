@@ -128,6 +128,17 @@ def test_an_edge_that_is_not_two_names_is_rejected(edge):
         assert str(exc.value) == "acts_for must be pairs [principal, principal]"
 
 
+@pytest.mark.parametrize("edges", [None, 7, True], ids=["null", "number", "bool"])
+def test_edges_that_are_not_a_collection_are_rejected(edges):
+    for principals in (["a", "b"], ["a b"]):
+        with pytest.raises(DlmError) as exc:
+            PrincipalsHierarchy(principals, edges)
+        assert type(exc.value) is DlmError
+        assert str(exc.value) == "acts_for must be pairs [principal, principal]"
+    h = PrincipalsHierarchy(["a", "b"], (edge for edge in [("a", "b")]))
+    assert h.edges == (("a", "b"),) and h.acts_for("a", "b")
+
+
 def test_hierarchy_round_trip():
     h = PrincipalsHierarchy(["a", "b"], [("a", "b")])
     again = PrincipalsHierarchy.from_dict(h.to_dict())

@@ -590,6 +590,32 @@ def test_gen_length_zero_is_empty(cu):
     assert prog.body == ()
 
 
+@pytest.mark.parametrize("args,message", [
+    ((-5, 0), "length must be at least 0, got -5"),
+    ((2.5, 0), "length must be an integer, got 2.5"),
+    ((True, 0), "length must be an integer, got True"),
+    ((3, 0, flowlang.PHRASE_KINDS, 0), "stall_limit must be at least 1, got 0"),
+    ((3, 0, flowlang.PHRASE_KINDS, 1.0), "stall_limit must be an integer, got 1.0"),
+], ids=["negative-length", "float-length", "bool-length", "zero-stall", "float-stall"])
+def test_gen_rejects_bad_counts(cu, args, message):
+    with pytest.raises(FlowError) as exc:
+        gen_well_typed(DECLS, cu, *args)
+    assert str(exc.value) == message
+
+
+def test_gen_stall_limit_one_stops_at_the_first_rejection(cu):
+    # The least limit: each seed keeps its first `wr` candidate or stalls on it.
+    outcomes = set()
+    for seed in range(40):
+        try:
+            outcomes.add(len(gen_well_typed(DECLS, cu, 1, seed, kinds=("wr",),
+                                            stall_limit=1).body))
+        except GenerationStall as exc:
+            assert str(exc).startswith("1 consecutive rejections;")
+            outcomes.add("stall")
+    assert outcomes == {1, "stall"}
+
+
 def test_gen_always_typechecks(cu):
     for seed in range(10):
         prog = gen_well_typed(DECLS, cu, 20, seed=seed)
@@ -947,6 +973,11 @@ def test_run_ni_suite_rejects_negative_counts(cu, arg):
     counts = {"programs": 2, "max_len": 3, "draws": 1, arg: -1}
     with pytest.raises(FlowError, match=f"^{arg} must be at least 0, got -1$"):
         run_ni_suite(DECLS, cu, seed=0, **counts)
+    for bad in (2.5, True, "3", None):  # a count is an int, and a bool is not one
+        counts[arg] = bad
+        with pytest.raises(FlowError) as exc:
+            run_ni_suite(DECLS, cu, seed=0, **counts)
+        assert str(exc.value) == f"{arg} must be an integer, got {bad!r}"
     counts[arg] = 0  # zero stays allowed
     report = run_ni_suite(DECLS, cu, seed=0, **counts)
     assert report.passed and report.trials == (0 if arg != "max_len" else 2 * 4)

@@ -86,6 +86,34 @@ def test_a_cover_that_is_not_two_names_is_rejected(pair):
         assert str(exc.value) == "covers must be pairs [lower, upper] of class names"
 
 
+@pytest.mark.parametrize("covers", [None, 7, True], ids=["null", "number", "bool"])
+def test_covers_that_are_not_a_collection_are_rejected(covers):
+    # Checked before the class names, as a cover that is not two names is.
+    for classes in (["a", "b"], ["a b"]):
+        with pytest.raises(LatticeError) as exc:
+            build_lattice("p", classes, covers)
+        assert type(exc.value) is LatticeError
+        assert str(exc.value) == "covers must be pairs [lower, upper] of class names"
+
+
+def test_covers_may_be_any_iterable():
+    lat = build_lattice("g", ["a", "b"], (pair for pair in [("a", "b")]))
+    assert lat.covers == (("a", "b"),) and lat.leq("a", "b")
+
+
+def test_an_empty_class_list_is_rejected():
+    with pytest.raises(LatticeError) as exc:
+        build_lattice("e", [], [])
+    assert type(exc.value) is LatticeError
+    assert str(exc.value) == "a lattice needs at least one class"
+    # With covers, their first end is the first offender: it names no class.
+    with pytest.raises(UnknownClass) as exc:
+        build_lattice("e", [], [("a", "b")])
+    assert str(exc.value) == "unknown class 'a' in covers of lattice 'e'"
+    with pytest.raises(LatticeError, match="^a lattice needs at least one class$"):
+        Lattice.from_dict({"name": "e", "classes": [], "covers": []})
+
+
 def test_covers_keep_each_pair_once_in_first_order():
     lat = build_lattice("d", ["a", "b", "c"], [["b", "c"], ("a", "b"), ("b", "c"), ["a", "b"]])
     assert lat.covers == (("b", "c"), ("a", "b"))

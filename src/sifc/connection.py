@@ -163,6 +163,8 @@ def _require_total(source: Container[str], target: Container[str],
                    names: Sequence[str] | None = None, unknown=UnknownClass) -> None:
     """Require `table` to map exactly `names` (default: the classes of `source`)
     into `target`: PartialMap lists the unmapped names in order, `unknown` a stray one."""
+    if not isinstance(table, Mapping):
+        raise MapError(f"{where} must be a mapping from names to names")
     missing = tuple(c for c in (source.classes if names is None else names)
                     if c not in table)
     if missing:
@@ -170,7 +172,7 @@ def _require_total(source: Container[str], target: Container[str],
     for key, value in table.items():
         if key not in source:
             raise unknown(key, f"{where} domain")
-        if value not in target:
+        if not isinstance(value, str) or value not in target:
             raise unknown(value, f"{where} range")
 
 
@@ -423,12 +425,12 @@ class Decomposition(Record):
 
 
 def sublattice(lat: Lattice, subset: Iterable[str], name: str) -> Lattice:
-    """lat restricted to subset, each row the subset's digits of its parent row, so
+    """lat restricted to subset, each row the subset's bits of its parent row, so
     still closed and antisymmetric; every strict order pair is a cover."""
-    subset, n = lat.sorted_by_index(set(subset)), len(lat.classes)
-    at = [n - 1 - lat.index(c) for c in reversed(subset)]  # digits, most significant first
-    up_rows, down_rows = ([int("0" + "".join(map(format(rows[c], f"0{n}b").__getitem__, at)), 2)
-                           for c in subset] for rows in (lat._up, lat._down))
+    subset = lat.sorted_by_index(set(subset))
+    pos = [(lat._bit[b], 1 << k) for k, b in enumerate(subset)]  # (parent bit, own bit)
+    up_rows, down_rows = ([sum(new for old, new in pos if rows[c] & old) for c in subset]
+                          for rows in (lat._up, lat._down))
     covers = tuple((a, b) for a, u in zip(subset, up_rows) for b in _members(u, subset) if b != a)
     return Lattice(name, subset, covers, up_rows, down_rows)
 

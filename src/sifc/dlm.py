@@ -45,7 +45,7 @@ from typing import Iterable, Mapping, Sequence
 from .connection import Violation, _law_violations, _require_total
 from .errors import (AuthorityMismatch, CorollaryViolation, DlmError, LabelSyntaxError,
                      NotLagoisHierarchy, UnknownPrincipal)
-from .lattice import Record, _check_document, _is_names, _order_rows
+from .lattice import Record, _check_document, _order_rows
 
 TOP = "TOP"
 BOT = "BOT"
@@ -63,8 +63,9 @@ class PrincipalsHierarchy:
     __slots__ = ("principals", "edges", "_bit", "_row", "_col")
 
     def __init__(self, principals: Sequence[str], acts_for_edges: Iterable[tuple[str, str]]):
-        names = list(principals)
-        names += [required for required in (TOP, BOT) if required not in names]
+        if not isinstance(principals, (list, tuple)):  # a string would split into letters
+            raise DlmError("principals must be a list of principal names")
+        names = [*principals, *(p for p in (TOP, BOT) if p not in principals)]
         rows, cols, edges = _order_rows(names, acts_for_edges, PRINCIPAL_RE, (
             lambda: DlmError("acts_for must be pairs [principal, principal]"),
             lambda p: DlmError(f"invalid principal name {p!r}"),
@@ -102,10 +103,7 @@ class PrincipalsHierarchy:
     @staticmethod
     def from_dict(data: Mapping) -> "PrincipalsHierarchy":
         _check_document(data, ("principals",), ("acts_for",), DlmError, "hierarchy")
-        principals, edges = data["principals"], data.get("acts_for", [])
-        if not _is_names(principals):
-            raise DlmError("principals must be a list of principal names")
-        return PrincipalsHierarchy(principals, edges)
+        return PrincipalsHierarchy(data["principals"], data.get("acts_for", []))
 
     def __repr__(self) -> str:
         return f"PrincipalsHierarchy({len(self.principals)} principals)"

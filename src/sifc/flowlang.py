@@ -41,7 +41,7 @@ from typing import Mapping, Sequence
 from .connection import LagoisConnection
 from .errors import (DuplicateVariable, FlowError, FlowTypeError, GenerationStall, IllTyped,
                      KindMismatch, ParseError, StoreDomainError, UndeclaredVariable)
-from .lattice import Record, UnknownClass
+from .lattice import Record, UnknownClass, _check_document
 
 VALUE_MODULUS = 2 ** 16  # stores hold wrap-around integers
 
@@ -640,8 +640,7 @@ def _parse_expr(src: str) -> Expr:
 
 
 def store_pair_from_dict(data: Mapping) -> StorePair:
-    if not isinstance(data, Mapping) or set(data) != {"left", "right"}:
-        raise StoreDomainError('store document must be {"left": {...}, "right": {...}}')
+    _check_document(data, ("left", "right"), (), StoreDomainError, "store")
     return StorePair(_store_side(data["left"], "left"), _store_side(data["right"], "right"))
 
 

@@ -12,10 +12,11 @@ every pairwise meet is a lattice (Davey & Priestley, Introduction to Lattices
 and Order, 2002, ch. 2).  A comparable pair meets at its lower member, so the
 top and one meet lookup per incomparable pair prove it.  `_order_rows` checks,
 indexes and closes the names and pairs of lattices and hierarchies alike.
+Constructors check their arguments, and a document reader only its keys.
 
-`Record`, the base of every immutable record of sifc, and `_read_text`, the
-one reader of JSON documents (`load_lattice`'s and the CLI's) and programs,
-live here too, as each command loads this module anyway.
+`Record`, the base of every immutable record of sifc, `_check_document`, the
+key check of every document, and `_read_text`, the one reader of documents and
+programs, live here too, as each command loads this module anyway.
 """
 
 from __future__ import annotations
@@ -156,12 +157,7 @@ class Lattice:
     @staticmethod
     def from_dict(data: Mapping) -> "Lattice":
         _check_document(data, ("name", "classes", "covers"), (), LatticeError, "lattice")
-        name, classes, covers = data["name"], data["classes"], data["covers"]
-        if not isinstance(name, str):
-            raise LatticeError("lattice name must be a string")
-        if not _is_names(classes):
-            raise LatticeError("classes must be a list of class names")
-        return build_lattice(name, classes, covers)
+        return build_lattice(data["name"], data["classes"], data["covers"])
 
 
 def _check_document(doc, required: Sequence[str], optional: Sequence[str],
@@ -177,19 +173,19 @@ def _check_document(doc, required: Sequence[str], optional: Sequence[str],
             raise error(f"{what} has unknown key {key!r}")
 
 
-def _is_names(value) -> bool:
-    """A JSON array of strings (a string is iterable, but splitting one would invent names)."""
-    return isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value)
-
-
 def build_lattice(name: str, classes: Sequence[str],
                   covers: Iterable[tuple[str, str]]) -> Lattice:
     """Validate and build a lattice from classes and a (lower, upper) pair set.
 
-    Raises LatticeError for covers that are not pairs of names or for no class at all,
-    BadClassName, DuplicateClass and UnknownClass (`_order_rows`) on malformed input, CycleError
-    if the closure is not antisymmetric and NotALattice if a pair lacks a unique join or meet.
+    Raises LatticeError for a name that is not a string, classes not in a list or tuple,
+    covers that are not pairs of names or no class at all, BadClassName, DuplicateClass and
+    UnknownClass (`_order_rows`) on malformed input, CycleError if the closure is not
+    antisymmetric and NotALattice if a pair lacks a unique join or meet.
     """
+    if not isinstance(name, str):
+        raise LatticeError("lattice name must be a string")
+    if not isinstance(classes, (list, tuple)):
+        raise LatticeError("classes must be a list of class names")
     classes = tuple(classes)
     up_rows, down_rows, pairs = _order_rows(classes, covers, CLASS_NAME_RE, (
         lambda: LatticeError("covers must be pairs [lower, upper] of class names"),
@@ -234,7 +230,8 @@ def _order_rows(names: Sequence[str], pairs: Iterable, pattern: re.Pattern,
         pairs = list(pairs)
     except TypeError:  # not iterable
         raise malformed() from None
-    if not all(_is_names(p) and len(p) == 2 for p in pairs):
+    if not all(isinstance(p, (list, tuple)) and len(p) == 2 and isinstance(p[0], str)
+               and isinstance(p[1], str) for p in pairs):
         raise malformed()
     index: dict[str, int] = {}
     for c in names:

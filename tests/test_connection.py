@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 from sifc.connection import (AdjointError, CoarsenError, ComposeError,
-                             LagoisConnection, LatticeMismatch, MonotoneMap,
+                             LagoisConnection, LatticeMismatch, MapError, MonotoneMap,
                              NotClosure, NotIso, NotLagois, NotMonotone, NotSemiInverse,
                              PartialMap,
                              build_from_closures, check_connection, check_tightness, coarsen,
@@ -91,6 +91,40 @@ def test_partial_map_rejected():
     del alpha["Student"]
     with pytest.raises(PartialMap):
         connection_violations(fx.college(), fx.university(), alpha, fx.CU_GAMMA)
+
+
+@pytest.mark.parametrize("side", ["alpha", "gamma"])
+def test_maps_that_are_not_maps_of_names_are_rejected(side):
+    maps = {"alpha": fx.CU_ALPHA, "gamma": fx.CU_GAMMA}
+    top = {"alpha": "top1", "gamma": "top2"}[side]
+    not_a_map = f"{side} must be a mapping from names to names"
+    for table, error, message in (
+            (None, MapError, not_a_map), (["x"], MapError, not_a_map),
+            (dict(maps[side], **{top: ["x"]}), UnknownClass,
+             f"unknown class ['x'] in {side} range"),
+            (dict(maps[side], **{top: None}), UnknownClass,
+             f"unknown class None in {side} range")):
+        with pytest.raises(error) as exc:
+            check_connection(fx.college(), fx.university(), **(maps | {side: table}))
+        assert str(exc.value) == message
+        if side == "alpha":
+            with pytest.raises(error) as exc:
+                MonotoneMap(fx.college(), fx.university(), table, "alpha")
+            assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("name", ["c", "i"])
+def test_closures_that_are_not_maps_of_names_are_rejected(name):
+    closures = {"c": fx.DC_CLOSURE_LEFT, "i": fx.DC_CLOSURE_RIGHT}
+    top = {"c": "top0", "i": "top1"}[name]
+    for table, error, message in (
+            (None, MapError, f"{name} must be a mapping from names to names"),
+            (dict(closures[name], **{top: ["x"]}), UnknownClass,
+             f"unknown class ['x'] in {name} range")):
+        with pytest.raises(error) as exc:
+            build_from_closures(fx.dorm(), fx.college(), **(closures | {name: table}),
+                                h=fx.DC_ISO)
+        assert str(exc.value) == message
 
 
 def test_all_violations_collected():

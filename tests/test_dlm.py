@@ -18,7 +18,7 @@ from sifc.dlm import (AuthorityMismatch, CorollaryViolation, DlmError, Label,
                       label_leq, lift_label, parse_label, policy, policy_leq,
                       random_label)
 
-from sifc.connection import PartialMap
+from sifc.connection import MapError, PartialMap
 
 from fixtures import principal_map_pair, wide_principal_map_pair
 from oracles import (BruteLabels, BrutePoset, brute_lagois_violations, brute_lift,
@@ -137,6 +137,22 @@ def test_edges_that_are_not_a_collection_are_rejected(edges):
         assert str(exc.value) == "acts_for must be pairs [principal, principal]"
     h = PrincipalsHierarchy(["a", "b"], (edge for edge in [("a", "b")]))
     assert h.edges == (("a", "b"),) and h.acts_for("a", "b")
+
+
+@pytest.mark.parametrize("principals", ["ab", None], ids=["string", "null"])
+def test_principals_that_are_not_a_list_are_rejected(principals):
+    with pytest.raises(DlmError) as exc:
+        PrincipalsHierarchy(principals, [])
+    assert type(exc.value) is DlmError
+    assert str(exc.value) == "principals must be a list of principal names"
+
+
+def test_a_hierarchy_document_gets_the_constructor_checks_in_its_order():
+    # A non-string principal is an invalid name, and malformed edges come before it.
+    with pytest.raises(DlmError, match=r"^invalid principal name 5$"):
+        PrincipalsHierarchy.from_dict({"principals": ["a", 5]})
+    with pytest.raises(DlmError, match=r"^acts_for must be pairs \[principal, principal\]$"):
+        PrincipalsHierarchy.from_dict({"principals": ["a", 5], "acts_for": "ab"})
 
 
 def test_hierarchy_round_trip():
@@ -319,6 +335,21 @@ def test_unmapped_principals_raise_partial_map(side):
     assert exc.value.missing == tuple(missing)
     with pytest.raises(PartialMap):
         PrincipalMapPair.check(LEFT_H, RIGHT_H, alpha, gamma)
+
+
+@pytest.mark.parametrize("side", ["alpha", "gamma"])
+def test_principal_maps_that_are_not_maps_of_names_are_rejected(side):
+    maps = {"alpha": PM_ALPHA, "gamma": PM_GAMMA}
+    not_a_map = f"{side} must be a mapping from names to names"
+    for table, error, message in (
+            (None, MapError, not_a_map), (["BOT"], MapError, not_a_map),
+            (dict(maps[side], BOT=["BOT"]), UnknownPrincipal,
+             f"unknown principal ['BOT'] in {side} range"),
+            (dict(maps[side], BOT=None), UnknownPrincipal,
+             f"unknown principal None in {side} range")):
+        with pytest.raises(error) as exc:
+            PrincipalMapPair.check(LEFT_H, RIGHT_H, **(maps | {side: table}))
+        assert str(exc.value) == message
 
 
 def _warshall_rows(h):

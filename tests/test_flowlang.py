@@ -217,6 +217,17 @@ def test_store_document_rejects_non_integers(doc):
         store_pair_from_dict(doc)
 
 
+@pytest.mark.parametrize("doc,message", [
+    ([{"left": {}}, {"right": {}}], "store must be a JSON object"),
+    ({"left": {}}, "store missing 'right'"),
+    ({"left": {}, "right": {}, "extra": {}}, "store has unknown key 'extra'"),
+], ids=["list", "no-right", "extra-key"])
+def test_store_document_keys_are_checked_as_every_document_keys_are(doc, message):
+    with pytest.raises(StoreDomainError) as exc:
+        store_pair_from_dict(doc)
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("side,name,value", [
     ("left", "lz1", 7.9), ("right", "mz1", "3"), ("left", "lz2", True),
 ], ids=["float", "string", "bool"])

@@ -114,6 +114,34 @@ def test_an_empty_class_list_is_rejected():
         Lattice.from_dict({"name": "e", "classes": [], "covers": []})
 
 
+@pytest.mark.parametrize("classes", ["ab", None, 0, True],
+                         ids=["string", "null", "zero", "bool"])
+def test_classes_that_are_not_a_list_are_rejected(classes):
+    # A string is not split into one-letter classes, and nothing else escapes as TypeError.
+    with pytest.raises(LatticeError) as exc:
+        build_lattice("L", classes, [("a", "b")])
+    assert type(exc.value) is LatticeError
+    assert str(exc.value) == "classes must be a list of class names"
+
+
+@pytest.mark.parametrize("name", [5, None])
+def test_a_lattice_name_that_is_not_a_string_is_rejected(name):
+    with pytest.raises(LatticeError) as exc:
+        build_lattice(name, ["a"], [])
+    assert type(exc.value) is LatticeError
+    assert str(exc.value) == "lattice name must be a string"
+
+
+def test_a_document_gets_the_constructor_checks_in_its_order():
+    # A non-string class is a BadClassName, and malformed covers come before it.
+    with pytest.raises(BadClassName) as exc:
+        Lattice.from_dict({"name": "L", "classes": ["a", 5], "covers": []})
+    assert str(exc.value) == "invalid class name 5 (must match [A-Za-z0-9_()+-]+)"
+    with pytest.raises(LatticeError) as exc:
+        Lattice.from_dict({"name": "L", "classes": ["a", 5], "covers": "ab"})
+    assert str(exc.value) == "covers must be pairs [lower, upper] of class names"
+
+
 def test_covers_keep_each_pair_once_in_first_order():
     lat = build_lattice("d", ["a", "b", "c"], [["b", "c"], ("a", "b"), ("b", "c"), ["a", "b"]])
     assert lat.covers == (("b", "c"), ("a", "b"))

@@ -137,9 +137,7 @@ def _cmd_build_from_closures(args) -> Verdict:
 
 
 def _cmd_compose(args) -> Verdict:
-    ab = _load_verified_connection(args.first)
-    bc = _load_verified_connection(args.second)
-    result = compose(ab, bc)
+    result = compose(_load_verified_connection(args.first), _load_verified_connection(args.second))
     return Verdict(_conn_report(result.connection, {"admitted_by": result.admitted_by}))
 
 
@@ -165,15 +163,13 @@ def _cmd_coarsen(args) -> Verdict:
         table = table["alpha2"]
     alpha2 = MonotoneMap(conn.left, conn.right, _require_map(table, "alpha2", LatticeError),
                          "alpha2")
-    out = conn_mod.coarsen(conn, alpha2)
-    return Verdict(_conn_report(out))
+    return Verdict(_conn_report(conn_mod.coarsen(conn, alpha2)))
 
 
 def _cmd_semi_inverse(args) -> Verdict:
     left, right, alpha, gamma = _load_sides(args.file, Lattice, ("alpha", "gamma"))
-    amap = MonotoneMap(left, right, alpha, "alpha")
-    gmap = MonotoneMap(right, left, gamma, "gamma")
-    out = conn_mod.semi_inverse_connection(amap, gmap)
+    out = conn_mod.semi_inverse_connection(MonotoneMap(left, right, alpha, "alpha"),
+                                           MonotoneMap(right, left, gamma, "gamma"))
     return Verdict(_conn_report(out))
 
 

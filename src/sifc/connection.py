@@ -54,9 +54,7 @@ class MonotoneMap:
         for lo, hi in source.covers:
             if not target.leq(table[lo], table[hi]):
                 raise NotMonotone((lo, hi), where)
-        self.source = source
-        self.target = target
-        self._table = dict(table)
+        self.source, self.target, self._table = source, target, dict(table)
 
     def __call__(self, c: str) -> str:
         try:
@@ -341,7 +339,12 @@ def build_from_closures(left: Lattice, right: Lattice,
     _require_closure(right, i, "i")
     image_c = left.sorted_by_index(set(c[x] for x in left.classes))
     image_i = right.sorted_by_index(set(i[x] for x in right.classes))
-
+    if not isinstance(h, Mapping):
+        raise MapError("h must be a mapping from names to names")
+    for key, value in h.items():
+        for name, where in ((key, "h domain"), (value, "h range")):
+            if not isinstance(name, str):
+                raise UnknownClass(name, where)
     if set(h.keys()) != set(image_c):
         raise NotIso("h must be defined exactly on the image of c",
                      tuple(sorted(set(h.keys()) ^ set(image_c))))
@@ -445,14 +448,12 @@ def decompose(conn: LagoisConnection) -> Decomposition:
     mstar = sublattice(conn.right, conn.budpoints_right, f"{conn.right.name}*")
 
     r1 = {l: conn.round_trip_left(l) for l in conn.left.classes}
-    e1 = {b: b for b in lstar.classes}
-    insertion_left = _assemble(conn.left, lstar, r1, e1)
+    insertion_left = _assemble(conn.left, lstar, r1, {b: b for b in lstar.classes})
 
     i1 = _proven_map(lstar, mstar, {b: conn.alpha(b) for b in lstar.classes})
     i2 = _proven_map(mstar, lstar, {b: conn.gamma(b) for b in mstar.classes})
-    e2 = {b: b for b in mstar.classes}
     r2 = {m: conn.round_trip_right(m) for m in conn.right.classes}
-    insertion_right = _assemble(mstar, conn.right, e2, r2)
+    insertion_right = _assemble(mstar, conn.right, {b: b for b in mstar.classes}, r2)
 
     return Decomposition(insertion_left, (i1, i2), insertion_right)
 

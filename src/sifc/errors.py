@@ -41,9 +41,7 @@ class NotALattice(LatticeError):
         else:
             detail = "no common bound at all"
         super().__init__(f"pair ({pair[0]!r}, {pair[1]!r}) has no unique {bound}: {detail}")
-        self.kind = kind
-        self.pair = pair
-        self.candidates = candidates
+        self.kind, self.pair, self.candidates = kind, pair, candidates
 
 
 class MapError(Exception):
@@ -81,17 +79,14 @@ class AdjointError(Exception):
     def __init__(self, condition: int, witness: tuple[str, ...], detail: str):
         super().__init__(f"no adjoint: condition ({condition}) fails at "
                          f"{'/'.join(witness)}: {detail}")
-        self.condition = condition
-        self.witness = witness
+        self.condition, self.witness = condition, witness
 
 
 class NotClosure(Exception):
     def __init__(self, operator: str, law: str, witness: str):
         super().__init__(f"{operator} is not a closure operator: "
                          f"{law} fails at {witness!r}")
-        self.operator = operator
-        self.law = law
-        self.witness = witness
+        self.operator, self.law, self.witness = operator, law, witness
 
 
 class NotIso(Exception):
@@ -108,8 +103,7 @@ class ComposeError(Exception):
                  else "image of the right connection's gamma")
         super().__init__(f"composition rejected: the {which} is not closed "
                          f"under the middle round trip (witness {witness!r})")
-        self.side = side
-        self.witness = witness
+        self.side, self.witness = side, witness
 
 
 class CoarsenError(Exception):
@@ -117,8 +111,7 @@ class CoarsenError(Exception):
 
     def __init__(self, kind: str, witness: tuple[str, ...], detail: str):
         super().__init__(f"coarsening rejected ({kind}): {detail}")
-        self.kind = kind
-        self.witness = witness
+        self.kind, self.witness = kind, witness
 
 
 class NotSemiInverse(Exception):
@@ -158,10 +151,7 @@ class FlowTypeError(FlowError):
     def __init__(self, rule: str, lower: str, upper: str, index: int | None = None):
         at = f" (phrase {index})" if index is not None else ""
         super().__init__(f"rule {rule}{at}: {lower!r} must flow to {upper!r}")
-        self.rule = rule
-        self.lower = lower
-        self.upper = upper
-        self.index = index
+        self.rule, self.lower, self.upper, self.index = rule, lower, upper, index
 
 
 class IllTyped(FlowError):
@@ -204,6 +194,3 @@ class AuthorityMismatch(DlmError):
 
 class CorollaryViolation(DlmError):
     """The two sides of the cross-domain declassification test disagreed."""
-
-    def __init__(self, detail: str):
-        super().__init__(detail)

@@ -14,20 +14,21 @@ copies flow:
 
 The four copies are declared once, in the table `_MOVES` that `_read`, the
 generator and the parser read.  `_read` alone knows a phrase's shape, and its
-reading feeds the checker, the typer and the compiler.  Typing checks every
-phrase against the two lattices and the connection maps; the non-interference
-harness then runs well-typed programs from pairs of stores that agree below
-an adversary's level and checks the final stores still agree there.
+reading feeds the checker, the typer and the compiler.  Typing decides each
+premise by one mask test on the lattices' bit rows (`_rows`); the
+non-interference harness then runs well-typed programs from pairs of stores
+that agree below an adversary's level and checks the final stores still
+agree there.
 
 Execution runs a compiled body: a flat list of steps, one per variable
 update, each a copy or a sum of a constant and variables mod 2^16.  The
 suite pays per program for one reading of each phrase, made as the generator
 accepts it, one typecheck and one flattening of those readings, one low/high
-split per adversary pair and one pass over all its trials: that pass draws
-every store from SplitMix64 at once, packs both runs of every trial into
-lanes of one int per variable, runs the steps once over them and compares
-the runs with one XOR and one mask.  The generator draws each choice of a
-phrase from one float of a seeded `random.Random`.
+split per adversary pair (a bit test per declaration) and one pass over all
+its trials: that pass draws every store from SplitMix64 at once, packs both
+runs of every trial into lanes of one int per variable, runs the steps once
+over them and compares the runs with one XOR and one mask.  The generator
+draws each choice of a phrase from one float of a seeded `random.Random`.
 """
 
 from __future__ import annotations
@@ -35,8 +36,9 @@ from __future__ import annotations
 import random
 import re
 from functools import lru_cache
+from itertools import count
 from operator import attrgetter
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .connection import LagoisConnection
 from .errors import (DuplicateVariable, FlowError, FlowTypeError, GenerationStall, IllTyped,
@@ -251,11 +253,49 @@ def exec_program(prog: Program, init: StorePair) -> StorePair:
 
 # -- typing ---------------------------------------------------------------------
 
-def _classes(prog_env: Mapping[str, VarDecl], conn: LagoisConnection) -> None:
-    for d in prog_env.values():
-        lat = conn.left if d.domain == "L" else conn.right
-        if d.cls not in lat:
+def _rows(env: Mapping[str, VarDecl], conn: LagoisConnection, names: Iterable[str]) -> dict:
+    """Each of `names`, declared in `env`, to the up and down rows of its class and
+    the up row of the class that a crossing copy carries it to; the one check that
+    a declared class is in its side's lattice (UnknownClass, the first in order)."""
+    sides = [(lat._up, lat._down, there._up, carry._table) for lat, there, carry
+             in ((conn.left, conn.right, conn.alpha), (conn.right, conn.left, conn.gamma))]
+    rows = {}
+    for name in names:
+        d = env[name]
+        up, down, carried, carry = sides[_SIDE[d.domain]]
+        if d.cls not in up:
             raise UnknownClass(d.cls, f"declaration of {d.name!r}")
+        rows[name] = up[d.cls], down[d.cls], carried[carry[d.cls]]
+    return rows
+
+
+def _premise(rows: dict, reading: Reading) -> tuple[int, int]:
+    """The up row of the join of what a phrase reads, carried if it crosses,
+    and the down row of the meet of what it writes, each an AND of rows (-1
+    for none), on its target side; its premise holds iff they share a class."""
+    _, tside, _, sside, _, updates = reading
+    up = down = -1
+    for target, source in updates:
+        down &= rows[target][1]
+        for v in _names(source):
+            up &= rows[v][0 if sside == tside else 2]
+    return up, down
+
+
+def _fold(rows: dict, conn: LagoisConnection, indices, readings: Iterable[Reading]) -> PhraseType:
+    """The meet of the readings' types, one AND of down rows per side and phrase, named
+    at the end; FlowTypeError, numbered by `indices`, for the first failing premise."""
+    lats = conn.left, conn.right
+    meets = [lat._down[lat.top] for lat in lats]
+    for index, reading in zip(indices, readings):
+        word, tside, _, sside, _, updates = reading
+        lat, (up, down) = lats[tside], _premise(rows, reading)
+        if not up & down:
+            raise FlowTypeError(word, lat._by_up[up], lat._by_down[down], index)
+        meets[tside] &= lat._down[lat._by_up.get(up, lat.bottom)] if word == "txn" else down
+        if sside != tside:  # a crossing copy reports its source's class on its side
+            meets[sside] &= rows[updates[0][1]][1]
+    return PhraseType(*(lat._by_down[meet] for lat, meet in zip(lats, meets)))
 
 
 def typecheck_phrase(env: Mapping[str, VarDecl], conn: LagoisConnection,
@@ -271,46 +311,23 @@ def typecheck_phrase(env: Mapping[str, VarDecl], conn: LagoisConnection,
     where they share one, and the lattice's top on a side it leaves free (the
     identity of the sequence meet).  No premise reads a phrase type.  The
     phrase is first checked against `env` as `Program` checks its body, with
-    the same errors."""
-    return _type(env, conn, _check_phrase(env, p, index), index)
-
-
-def _type(env: Mapping[str, VarDecl], conn: LagoisConnection,
-          reading: Reading, index: int | None) -> PhraseType:
-    """`typecheck_phrase` of a reading whose variables `env` declares in place."""
-    word, tside, _, sside, _, updates = reading
-    lat = conn.right if tside else conn.left
-    if word == "txn":
-        read = lower = report = lat.join_all({env[v].cls for _, s in updates for v in _names(s)})
-        upper = lat.meet_all(env[t].cls for t, _ in updates)
-    else:
-        [(target, source)] = updates
-        read, upper = env[source].cls, env[target].cls
-        lower = read if sside == tside else (conn.alpha if tside else conn.gamma)(read)
-        report = upper
-    if not lat.leq(lower, upper):
-        raise FlowTypeError(word, lower, upper, index)
-    if tside:
-        return PhraseType(conn.left.top if sside else read, report)
-    return PhraseType(report, read if sside else conn.right.top)
+    the same errors, then the classes of the declarations it touches (`_rows`)."""
+    reading = _check_phrase(env, p, index)
+    names = [v for target, source in reading[5] for v in (target, *_names(source))]
+    return _fold(_rows(env, conn, names), conn, (index,), (reading,))
 
 
 def typecheck(prog: Program, conn: LagoisConnection) -> PhraseType:
-    """Meet-fold of the phrase types; the empty program types at the tops."""
-    _classes(prog.env, conn)
-    l, m = conn.left.top, conn.right.top
-    for idx, reading in enumerate(prog.readings):
-        t = _type(prog.env, conn, reading, idx)
-        l = conn.left.meet(l, t.left)
-        m = conn.right.meet(m, t.right)
-    return PhraseType(l, m)
+    """Meet-fold of the phrase types; the empty program types at the tops.  One
+    `_rows` table checks every declared class and decides every premise."""
+    return _fold(_rows(prog.env, conn, prog.env), conn, count(), prog.readings)
 
 
 def lint_transfer_classes(prog: Program, conn: LagoisConnection) -> list[str]:
     """Flag export/import variables whose class is not a budpoint.  Such
     classes still typecheck (the maps are total), but they sit outside the
     negotiated transfer structure."""
-    _classes(prog.env, conn)
+    _rows(prog.env, conn, prog.env)
     buds = {"L": conn.budpoints_left, "M": conn.budpoints_right}
     return [f"{d.name}: transfer class {d.cls!r} is not a budpoint" for d in prog.decls
             if d.kind != "internal" and d.cls not in buds[d.domain]]
@@ -332,11 +349,15 @@ class NiTrialResult(Record, defaults=(None, None)):
 
 
 def _lows(prog: Program, conn: LagoisConnection, pair: tuple[str, str]) -> bytes:
-    """Per declaration, in order: 255 if it is at or below the adversary
-    pair (low), else 0 (high)."""
-    at = {"L": (conn.left.leq, pair[0]), "M": (conn.right.leq, pair[1])}
-    return bytes([255 if leq(d.cls, level) else 0
-                  for d in prog.decls for leq, level in (at[d.domain],)])
+    """Per declaration, in order: 255 if it is at or below the adversary pair
+    (low), else 0 (high): one bit test in its side's level's down row."""
+    lats = conn.left, conn.right
+    try:
+        at = [(lat._bit, lat._down[level]) for lat, level in zip(lats, pair)]
+        return bytes([255 if bit[d.cls] & down else 0
+                      for d in prog.decls for bit, down in (at[_SIDE[d.domain]],)])
+    except KeyError as exc:
+        raise UnknownClass(exc.args[0], f"{lats[0].name} or {lats[1].name}") from None
 
 
 _PASS = 64  # trials per pass of `_trials`, so its ints stay O(declarations)
@@ -449,16 +470,16 @@ def gen_well_typed(decls: Sequence[VarDecl], conn: LagoisConnection,
                    length: int, seed: int,
                    kinds: Sequence[str] = PHRASE_KINDS,
                    stall_limit: int = 10_000) -> Program:
-    """Rejection-sample random phrases, keeping those whose typing premises hold, until the
-    body reaches `length`.  Deterministic for a given seed: each choice takes one float r() of
-    `random.Random(seed)`, and a pick among n items, seq[int(r() * n)], is uniform up to a bias
-    of at most n * 2^-53.  Raises FlowError unless `length` >= 0 and `stall_limit` >= 1 are
-    ints, ValueError if `kinds` is empty or holds an unknown kind, both before any draw, and
-    GenerationStall after `stall_limit` consecutive rejections."""
+    """Rejection-sample random phrases until the body reaches `length`, keeping each whose
+    premise holds: a mask test on one `_rows` table, which checks every declared class.  Each
+    choice takes one float r() of `random.Random(seed)`; a pick among n items, seq[int(r() * n)],
+    is uniform up to a bias of at most n * 2^-53.  Raises FlowError unless `length` >= 0 and
+    `stall_limit` >= 1 are ints, ValueError if `kinds` is empty or holds an unknown kind, both
+    before any draw, and GenerationStall after `stall_limit` consecutive rejections."""
     _require_count("length", length)
     _require_count("stall_limit", stall_limit, 1)
     prog = Program(tuple(decls), ())
-    _classes(prog.env, conn)
+    rows = _rows(prog.env, conn, prog.env)
     pools = {(d, k): [v.name for v in decls if v.domain == d and v.kind == k]
              for d in DOMAINS for k in KINDS}
     for (domain, kind), pool in pools.items():
@@ -473,19 +494,14 @@ def gen_well_typed(decls: Sequence[VarDecl], conn: LagoisConnection,
     body, readings, rejections = [], [], 0
     while len(body) < length:
         p = _random_phrase(r, kinds[int(r() * len(kinds))], pools)
-        reading = _read(p)
-        try:
-            _type(prog.env, conn, reading, None)  # its variables come from the pools
-        except FlowTypeError:
-            rejections += 1
-            if rejections >= stall_limit:
-                raise GenerationStall(
-                    f"{stall_limit} consecutive rejections; the declared "
-                    f"classes cannot satisfy the requested phrase kinds")
-            continue
-        body.append(p)
-        readings.append(reading)
-        rejections = 0
+        up, down = _premise(rows, reading := _read(p))  # its variables come from the pools
+        if up & down:
+            body.append(p)
+            readings.append(reading)
+            rejections = 0
+        elif (rejections := rejections + 1) >= stall_limit:
+            raise GenerationStall(f"{stall_limit} consecutive rejections; the declared "
+                                  f"classes cannot satisfy the requested phrase kinds")
     object.__setattr__(prog, "body", tuple(body))  # each phrase drawn from its kind's pool
     object.__setattr__(prog, "readings", tuple(readings))
     return prog

@@ -324,6 +324,53 @@ def brute_adjoints_monotone(lposet: BrutePoset, rposet: BrutePoset,
 VALUE_MODULUS = 2 ** 16
 
 
+def brute_phrase_type(env, lposet: BrutePoset, rposet: BrutePoset, alpha, gamma, p):
+    """The typing rules of one phrase as written, over reach sets and the map
+    tables: its premise (rule, lower, upper), whether lower <= upper holds,
+    and the (left, right) type it reports.  A transaction's premise is the
+    join of the classes it reads against the meet of those it writes, and it
+    reports that join; a copy's is its source's class, through gamma into L
+    or alpha into M if it crosses, against its target's, and it reports each
+    moved variable's class on its side.  A side a phrase leaves free reports
+    the top."""
+    def reads(e):
+        if isinstance(e, Var):
+            return [e.name]
+        return reads(e.lhs) + reads(e.rhs) if isinstance(e, Add) else []
+
+    cls = {name: d.cls for name, d in env.items()}
+    posets = {"L": lposet, "M": rposet}
+    if isinstance(p, Txn):
+        poset = posets[p.domain]
+        lower = poset.join([cls[v] for _, e in p.assigns for v in reads(e)])
+        rule, upper = "txn", poset.meet([cls[t] for t, _ in p.assigns])
+        ends = {p.domain: lower}
+    elif isinstance(p, (Rd, Wr)):
+        target, source = (p.z, p.y) if isinstance(p, Rd) else (p.x, p.z)
+        poset, rule = posets[p.domain], type(p).__name__.lower()
+        lower, upper = cls[source], cls[target]
+        ends = {p.domain: upper}
+    else:  # Trl into L through gamma, Tlr into M through alpha
+        into, carry, rule = ("L", gamma, "trl") if isinstance(p, Trl) else ("M", alpha, "tlr")
+        poset, lower, upper = posets[into], carry[cls[p.x]], cls[p.y]
+        ends = {into: upper, "LM".replace(into, ""): cls[p.x]}
+    reported = tuple(ends.get(side, posets[side].meet([])) for side in "LM")
+    return (rule, lower, upper), poset.leq(lower, upper), reported
+
+
+def brute_typecheck(prog, lposet: BrutePoset, rposet: BrutePoset, alpha, gamma):
+    """The meet, side by side, of the types of a program's phrases (the tops
+    for none), or ("ill-typed", rule, lower, upper, index) for the first
+    phrase whose premise fails."""
+    left, right = lposet.meet([]), rposet.meet([])
+    for index, p in enumerate(prog.body):
+        premise, holds, (l, r) = brute_phrase_type(prog.env, lposet, rposet, alpha, gamma, p)
+        if not holds:
+            return ("ill-typed", *premise, index)
+        left, right = lposet.meet([left, l]), rposet.meet([right, r])
+    return left, right
+
+
 def interpret(prog, init):
     """Run a program phrase by phrase on reduced copies of the initial
     stores, evaluating each right-hand side as a tree."""

@@ -127,6 +127,22 @@ def test_closures_that_are_not_maps_of_names_are_rejected(name):
         assert str(exc.value) == message
 
 
+def test_an_iso_that_is_not_a_map_of_names_is_rejected():
+    # Checked before the NotIso checks: {5: "top1"} also leaves out the image of c.
+    not_a_map = "h must be a mapping from names to names"
+    top_c = fx.DC_CLOSURE_LEFT["top0"]
+    for h, error, message in (
+            (None, MapError, not_a_map), (["x"], MapError, not_a_map), ("ab", MapError, not_a_map),
+            (dict(fx.DC_ISO, **{top_c: ["x"]}), UnknownClass, "unknown class ['x'] in h range"),
+            (dict(fx.DC_ISO, **{top_c: None}), UnknownClass, "unknown class None in h range"),
+            ({5: "top1"}, UnknownClass, "unknown class 5 in h domain"),
+            ({None: "top1", **fx.DC_ISO}, UnknownClass, "unknown class None in h domain")):
+        with pytest.raises(error) as exc:
+            build_from_closures(fx.dorm(), fx.college(), fx.DC_CLOSURE_LEFT,
+                                fx.DC_CLOSURE_RIGHT, h)
+        assert type(exc.value) is error and str(exc.value) == message
+
+
 def test_all_violations_collected():
     # Swap gamma into nonsense: monotonicity and several laws break at once.
     lat = build_lattice("c3", ["a", "b", "c"], [("a", "b"), ("b", "c")])

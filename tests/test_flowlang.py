@@ -356,6 +356,28 @@ def test_unknown_class_in_decl(cu):
         typecheck(prog, cu)
 
 
+def test_typecheck_phrase_checks_the_classes_of_the_declarations_it_touches(cu):
+    # The one declared-class check, applied to the phrase's variables only:
+    # a phrase that reads or writes a class its lattice lacks is an input
+    # error, in or across a domain, and any other phrase types as without it.
+    wizards = (VarDecl("lz0", "L", "internal", "Wizard"), VarDecl("mx0", "M", "export", "Wizard"))
+    env, plain = Program(wizards + DECLS, ()).env, Program(DECLS, ()).env
+    for p, name in ((Txn("L", (("lz0", Const(1)),)), "lz0"),
+                    (Txn("L", (("lz1", Var("lz0")),)), "lz0"),
+                    (Wr("L", "lx1", "lz0"), "lz0"), (Trl("ly2", "mx0"), "mx0")):
+        with pytest.raises(UnknownClass) as exc:
+            typecheck_phrase(env, cu, p, 0)
+        assert str(exc.value) == f"unknown class 'Wizard' in declaration of {name!r}", p
+        with pytest.raises(UnknownClass) as exc:
+            typecheck(Program(wizards + DECLS, (p,)), cu)
+        assert str(exc.value) == "unknown class 'Wizard' in declaration of 'lz0'", p
+    for p in (Wr("L", "lx1", "lz1"), Trl("ly2", "mx1"),
+              Txn("L", (("lz3", Add(Var("lz1"), Var("lz2"))),))):
+        assert typecheck_phrase(env, cu, p) == typecheck_phrase(plain, cu, p), p
+    with pytest.raises(FlowTypeError):
+        typecheck_phrase(env, cu, Trl("ly1", "mx2"))
+
+
 def test_typing_deterministic(cu):
     prog = Program(DECLS, (Wr("L", "lx1", "lz1"), Tlr("my1", "lx1")))
     assert typecheck(prog, cu) == typecheck(prog, cu)
@@ -549,6 +571,21 @@ def test_store_draws_split_low_and_high_and_replay(cu):
                     assert 0 <= v < 2 ** 16 and 0 <= sb[name] < 2 ** 16
                     assert (v == sb[name]) == ((side, name) in low), (pair, seed, name)
             assert ni_trial(prog, cu, pair, seed, keep_stores=True).initial == (a, b)
+
+
+def test_a_split_names_a_class_that_its_lattice_lacks(cu):
+    # An adversary level, or the class of an unchecked declaration, that is
+    # not in its side's lattice is an input error, not a KeyError.
+    plain, wizard = Program(DECLS, ()), Program((VarDecl("lz0", "L", "internal", "Wizard"),), ())
+    for prog, pair in ((plain, ("Wizard", "UnivFac")), (plain, ("Faculty", "Wizard")),
+                       (wizard, ("Faculty", "UnivFac"))):
+        for split in (low_variables, lambda *args: draw_store_pairs(*args, seed=0)):
+            with pytest.raises(UnknownClass) as exc:
+                split(prog, cu, pair)
+            assert str(exc.value) == "unknown class 'Wizard' in College or University"
+    with pytest.raises(UnknownClass) as exc:  # well-typed, so the split names the level
+        ni_trial(plain, cu, ("Faculty", "Wizard"), 0)
+    assert str(exc.value) == "unknown class 'Wizard' in College or University"
 
 
 def test_forged_suite_failures_replay_by_seed():
@@ -1104,3 +1141,75 @@ def test_every_copy_phrase_types_and_runs_by_its_premise(cu):
     assert len(cases) == 32
     assert verdicts == {(rule, holds) for rule in ("rd", "wr", "trl", "tlr")
                         for holds in (True, False)}
+
+
+# -- typing against the rules as written ---------------------------------------------
+
+def every_phrase(decls):
+    """Every copy phrase over `decls`, then every transaction of one or two
+    assignments whose right-hand sides each read up to two variables."""
+    def names(domain, kind):
+        return [d.name for d in decls if d.domain == domain and d.kind == kind]
+
+    for dom in "LM":
+        for z in names(dom, "internal"):
+            yield from (Rd(dom, z, y) for y in names(dom, "import"))
+            yield from (Wr(dom, x, z) for x in names(dom, "export"))
+    yield from (Trl(y, x) for y in names("L", "import") for x in names("M", "export"))
+    yield from (Tlr(y, x) for y in names("M", "import") for x in names("L", "export"))
+    for dom in "LM":
+        internal = names(dom, "internal")
+        pairs = itertools.combinations_with_replacement(internal, 2)
+        sums = [Const(3), *map(Var, internal), *(Add(Var(a), Var(b)) for a, b in pairs)]
+        assigns = [(t, e) for t in internal for e in sums]
+        yield from (Txn(dom, (a,)) for a in assigns)
+        yield from (Txn(dom, (a, b)) for a in assigns for b in assigns)
+
+
+def random_decls(rng, conn):
+    """Two internals and one or two exports and imports per side, of random classes."""
+    return tuple(VarDecl(f"{dom}{kind[:3]}{i}", dom, kind, rng.choice(lat.classes))
+                 for dom, lat in (("L", conn.left), ("M", conn.right))
+                 for kind in flowlang.KINDS
+                 for i in range(2 if kind == "internal" else rng.randint(1, 2)))
+
+
+def test_typing_matches_the_rules_as_written():
+    # Bounded-exhaustive: every phrase of `every_phrase` on the fixture
+    # connection, the forged one and small random ones, against the oracle
+    # over reach sets and map tables; then seeded programs of those phrases
+    # against the oracle's meet fold.
+    from gen import random_connection
+    from oracles import brute_phrase_type, brute_typecheck
+    rng = random.Random(25)
+    cu = fx.college_university()  # an import at the bottom of M makes tlr fail too
+    cases = [(cu, DECLS + (VarDecl("my0", "M", "import", cu.right.bottom),)),
+             (fx.forged_two_point(), FORGED_DECLS)]
+    while len(cases) < 8:  # most random connections have a one-class side
+        conn = random_connection(rng, max_classes=6)
+        if min(len(conn.left), len(conn.right)) >= 3:
+            cases.append((conn, random_decls(rng, conn)))
+    outcomes = set()
+    for conn, decls in cases:
+        brute = (*posets(conn), conn.alpha.mapping(), conn.gamma.mapping())
+        env, phrases = Program(decls, ()).env, list(every_phrase(decls))
+        for p in phrases:
+            (rule, lower, upper), holds, reported = brute_phrase_type(env, *brute, p)
+            outcomes.add((rule, holds))
+            if holds:
+                assert typecheck_phrase(env, conn, p, 7) == PhraseType(*reported), p
+            else:
+                with pytest.raises(FlowTypeError) as exc:
+                    typecheck_phrase(env, conn, p, 7)
+                got = exc.value
+                assert (got.rule, got.lower, got.upper, got.index) == (rule, lower, upper, 7), p
+        for length in [0, 1, 1, 1, *range(2, 9)] * 8:
+            prog = Program(decls, tuple(rng.choice(phrases) for _ in range(length)))
+            want = brute_typecheck(prog, *brute)
+            try:
+                got = typecheck(prog, conn)
+                got = got.left, got.right
+            except FlowTypeError as exc:
+                got = ("ill-typed", exc.rule, exc.lower, exc.upper, exc.index)
+            assert got == want, prog.body
+    assert outcomes == {(rule, holds) for rule in flowlang.PHRASE_KINDS for holds in (True, False)}

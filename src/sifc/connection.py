@@ -23,6 +23,7 @@ coarsening of the left map.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import combinations
 from operator import eq
 from typing import Container, Iterable, Mapping, Sequence
@@ -83,25 +84,30 @@ class MonotoneMap:
 
 
 class LagoisConnection(Record):
-    """A verified connection with its budpoint sets and kernel partitions.
+    """A verified connection: the quadruple (L, alpha, gamma, M).
 
     budpoints_left is gamma[M] in left declaration order, budpoints_right is
-    alpha[L]; kernels group classes that share an image.  Only
-    :func:`check_connection` and the constructors in this module build these,
-    each having proved the laws, so the constructors trust the ones they take.
+    alpha[L]; kernels group classes that share an image.  Each is read off
+    the maps when first asked for and kept, so the maps must not change.
+    Only :func:`check_connection` and the constructors in this module build
+    these, each having proved the laws, so the constructors trust the ones
+    they take.
     """
-    __slots__ = ("left", "right", "alpha", "gamma", "budpoints_left", "budpoints_right",
-                 "kernel_left", "kernel_right")
+    __slots__ = ("left", "right", "alpha", "gamma", "__dict__")  # derived fields in __dict__
+    __match_args__ = ("left", "right", "alpha", "gamma")
+
+    budpoints_left = cached_property(lambda self: self.gamma.image())
+    budpoints_right = cached_property(lambda self: self.alpha.image())
+    kernel_left = cached_property(lambda self: tuple(_preimages(self.alpha).values()))
+    kernel_right = cached_property(lambda self: tuple(_preimages(self.gamma).values()))
 
     def __repr__(self) -> str:
         return (f"LagoisConnection({self.left.name} <-> {self.right.name}, "
-                f"{len(self.budpoints_left)} budpoint pairs)")
+                f"{len(self.gamma.image())} budpoint pairs)")
 
     def transpose(self) -> "LagoisConnection":
         """The same agreement viewed from the other domain."""
-        return LagoisConnection(self.right, self.left, self.gamma, self.alpha,
-                                self.budpoints_right, self.budpoints_left,
-                                self.kernel_right, self.kernel_left)
+        return LagoisConnection(self.right, self.left, self.gamma, self.alpha)
 
     def round_trip_left(self, c: str) -> str:
         return self.gamma(self.alpha(c))
@@ -174,11 +180,11 @@ def _require_total(source: Container[str], target: Container[str],
             raise unknown(value, f"{where} range")
 
 
-def _preimages(lat: Lattice, table: Mapping[str, str]) -> dict[str, tuple[str, ...]]:
-    """Each image of table to its block of lat's classes, in order of first members."""
+def _preimages(f: MonotoneMap) -> dict[str, tuple[str, ...]]:
+    """Each image of f to its block of source classes, in order of first members."""
     blocks: dict[str, list[str]] = {}
-    for c in lat.classes:
-        blocks.setdefault(table[c], []).append(c)
+    for c in f.source.classes:
+        blocks.setdefault(f._table[c], []).append(c)
     return {m: tuple(block) for m, block in blocks.items()}
 
 
@@ -197,14 +203,8 @@ def _assemble(left: Lattice, right: Lattice, alpha: Mapping[str, str],
               gamma: Mapping[str, str]) -> LagoisConnection:
     """The connection over maps already proven total, in range, monotone and
     LC1-LC4, by connection_violations or by the caller's own preconditions."""
-    by_alpha, by_gamma = _preimages(left, alpha), _preimages(right, gamma)
-    return LagoisConnection(
-        left, right, _proven_map(left, right, alpha), _proven_map(right, left, gamma),
-        budpoints_left=left.sorted_by_index(by_gamma),
-        budpoints_right=right.sorted_by_index(by_alpha),
-        kernel_left=tuple(by_alpha.values()),
-        kernel_right=tuple(by_gamma.values()),
-    )
+    return LagoisConnection(left, right, _proven_map(left, right, alpha),
+                            _proven_map(right, left, gamma))
 
 
 def _proven_map(source: Lattice, target: Lattice, table: Mapping[str, str]) -> MonotoneMap:
@@ -255,19 +255,18 @@ def check_tightness(conn: LagoisConnection) -> TightnessReport:
     budpoint above c, and only a class that fails this mask test has the meet
     computed; (b) looks each pair's AND of down rows up among the budpoints'.
 
-    On every connection this module builds, the budpoints are the maps'
-    images, so (a) at the top and at each meet(x, y) of two budpoints implies
-    (b): each round trip is a budpoint, and (a) makes it equal to its
-    argument there.  (b) can fail alone only on a hand-built LagoisConnection
-    whose declared budpoints are not those images, as in the tests'
-    escaping-meet case.  `subsets_checked` counts the subsets whose meet was
-    checked: on each side the empty one and each pair.
+    The budpoints are always the maps' images, so (a) at every class implies
+    (b): each round trip is a budpoint, and (a) at the top and at each
+    meet(x, y) of two budpoints makes it equal to its argument there.  So a
+    line of (b) only ever accompanies a failure of (a), on a record built
+    over maps that break the laws.  `subsets_checked` counts the subsets
+    whose meet was checked: on each side the empty one and each pair.
     """
     failures: list[str] = []
     checked = 0
     for side, view in (("left", conn), ("right", conn.transpose())):
         lat, buds, up, down = view.left, view.budpoints_left, view.left._up, view.left._down
-        budmask = sum(1 << lat.index(b) for b in set(buds))
+        budmask = sum(map(lat._bit.__getitem__, buds))  # the image has no repeats
         for c in lat.classes:
             r, above = view.round_trip_left(c), up[c] & budmask
             if (not above & lat._bit[r] or above & ~up[r]) and r != lat.meet_all(
@@ -296,7 +295,7 @@ def find_adjoint(alpha: MonotoneMap) -> MonotoneMap:
     above m (LC2, LC4), gamma(alpha(l)) the largest preimage of alpha(l) (LC1, LC3).
     """
     left, right = alpha.source, alpha.target
-    preimage = _preimages(left, alpha._table)
+    preimage = _preimages(alpha)
     image = right.sorted_by_index(preimage)
 
     largest: dict[str, str] = {}
@@ -481,7 +480,7 @@ def coarsen(conn: LagoisConnection, alpha2: MonotoneMap) -> LagoisConnection:
                                f"{a!r} and {b!r} shared an image before but not after")
 
     left = conn.left
-    for block in _preimages(left, alpha2._table).values():
+    for block in _preimages(alpha2).values():
         rep = left.join_all(block)
         if rep not in block:
             raise CoarsenError("no-largest-element", block,

@@ -219,9 +219,7 @@ def forged_two_point():
     two_m = build_lattice("m2", ["lo2", "hi2"], [("lo2", "hi2")])
     alpha = MonotoneMap(two_l, two_m, {"lo": "lo2", "hi": "hi2"})
     forged_gamma = MonotoneMap(two_m, two_l, {"lo2": "lo", "hi2": "lo"})
-    return LagoisConnection(two_l, two_m, alpha, forged_gamma,
-                            ("lo",), ("lo2", "hi2"),
-                            (("lo",), ("hi",)), (("lo2", "hi2"),))
+    return LagoisConnection(two_l, two_m, alpha, forged_gamma)
 
 
 # Principals-hierarchy twin of the College/University agreement: four named

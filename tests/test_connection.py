@@ -7,13 +7,14 @@ from collections import Counter
 
 import pytest
 
+import sifc.connection as connection_module
 from sifc.connection import (AdjointError, CoarsenError, ComposeError,
                              LagoisConnection, LatticeMismatch, MapError, MonotoneMap,
                              NotClosure, NotIso, NotLagois, NotMonotone, NotSemiInverse,
                              PartialMap,
                              build_from_closures, check_connection, check_tightness, coarsen,
                              compose, connection_violations, decompose,
-                             budpoint_representative, find_adjoint,
+                             budpoint_representative, find_adjoint, _proven_map,
                              identity_connection, semi_inverse_connection, sublattice)
 from sifc.flowlang import adversary_pairs
 from sifc.lattice import NotALattice, UnknownClass, build_lattice
@@ -52,6 +53,37 @@ def test_connections_are_hashable():
     assert a is not b and a == b
     assert hash(a) == hash(b)
     assert len({a, b, a.transpose()}) == 2
+
+
+def test_budpoints_and_kernels_are_read_off_the_maps_when_first_asked_for(monkeypatch):
+    grouped = []
+    real = connection_module._preimages
+    monkeypatch.setattr(connection_module, "_preimages", lambda f: grouped.append(f) or real(f))
+    # One op of the construction benchmark groups three maps: find_adjoint's
+    # alpha, coarsen's replacement map and the kernel that coarsen reads.
+    conn = check_connection(fx.college(), fx.university(), fx.CU_ALPHA, fx.CU_GAMMA)
+    find_adjoint(conn.alpha)
+    parts = decompose(conn)
+    made = [compose(conn, conn.transpose()).connection, parts.insertion_left,
+            parts.insertion_right,
+            coarsen(conn, MonotoneMap(conn.left, conn.right, fx.CU_ALPHA_COARSE))]
+    assert check_tightness(conn).passed
+    assert len(grouped) == 3
+    # A constructed connection groups nothing until one of its kernels is read,
+    # and then only that map, once; equality and hash ignore what was read.
+    for out in made:
+        equal = LagoisConnection(out.left, out.right, out.alpha, out.gamma)
+        shown, hashed = repr(out), hash(out)
+        del grouped[:]
+        assert (out.budpoints_left, out.budpoints_right) == (out.gamma.image(), out.alpha.image())
+        assert grouped == []
+        kernel = out.kernel_left
+        assert grouped == [out.alpha] and out.kernel_left is kernel
+        assert out.kernel_right is out.kernel_right and grouped == [out.alpha, out.gamma]
+        assert (repr(out), out, hash(out)) == (shown, equal, hashed) and hash(equal) == hashed
+        assert set(vars(out)) == {"budpoints_left", "budpoints_right", "kernel_left",
+                                  "kernel_right"}
+        assert not vars(equal)
 
 
 def test_kernels_partition_classes(cu):
@@ -287,21 +319,16 @@ def test_tightness_random_connections():
         assert report.passed, report.failures
 
 
-def _unverified(left, right, alpha, gamma, buds_left=None, buds_right=None):
+def _unverified(left, right, alpha, gamma):
     """A LagoisConnection record over raw tables, built without verification;
-    the budpoints default to the images of the maps, as check_connection
-    sets them."""
-    if buds_left is None:
-        buds_left = left.sorted_by_index(set(gamma.values()))
-    if buds_right is None:
-        buds_right = right.sorted_by_index(set(alpha.values()))
-    return LagoisConnection(left, right, alpha.__getitem__, gamma.__getitem__,
-                            tuple(buds_left), tuple(buds_right), (), ())
+    its budpoints are the images of the maps, as on every record."""
+    return LagoisConnection(left, right, _proven_map(left, right, alpha),
+                            _proven_map(right, left, gamma))
 
 
 def test_tightness_agrees_with_brute_force_on_unverified_connections():
     rng = random.Random(31)
-    outcomes = {True: 0, False: 0}
+    outcomes, escapes = {True: 0, False: 0}, 0
     for i in range(300):
         left = random_lattice(rng, max_classes=7)
         right = random_lattice(rng, max_classes=7)
@@ -313,15 +340,17 @@ def test_tightness_agrees_with_brute_force_on_unverified_connections():
             gamma = {c: rng.choice(left.classes) for c in right.classes}
         conn = _unverified(left, right, alpha, gamma)
         report = check_tightness(conn)
-        expected = brute_tightness_passed(
-            BrutePoset(left.classes, left.covers), BrutePoset(right.classes, right.covers),
-            alpha, gamma, conn.budpoints_left, conn.budpoints_right)
-        assert report.passed == expected, (alpha, gamma, report.failures)
+        oracle = (BrutePoset(left.classes, left.covers), BrutePoset(right.classes, right.covers),
+                  alpha, gamma, conn.budpoints_left, conn.budpoints_right)
+        assert report.passed == brute_tightness_passed(*oracle), (alpha, gamma, report.failures)
+        assert report.failures == tuple(brute_tightness_failures(*oracle))
         assert report.passed == (not report.failures)
         k, j = len(conn.budpoints_left), len(conn.budpoints_right)
         assert report.subsets_checked == 2 + k * (k - 1) // 2 + j * (j - 1) // 2
         outcomes[report.passed] += 1
+        escapes += any(line.endswith("meet escapes the budpoint set") for line in report.failures)
     assert outcomes[True] > 0 and outcomes[False] > 0
+    assert escapes > 0
 
 
 def test_tightness_fails_when_round_trip_is_not_the_least_budpoint_above():
@@ -337,33 +366,6 @@ def test_tightness_fails_when_round_trip_is_not_the_least_budpoint_above():
     poset = BrutePoset(chain.classes, chain.covers)
     assert not brute_tightness_passed(poset, poset, alpha, gamma,
                                       conn.budpoints_left, conn.budpoints_right)
-
-
-def test_tightness_fails_when_budpoint_meets_escape():
-    # identity maps on a diamond whose declared budpoints omit the bottom:
-    # every round trip is still the meet of the budpoints above it, but the
-    # meet of x and y leaves the budpoint set.  When the budpoints are the
-    # image of gamma, (a) at meet(x, y) already forces it to be a budpoint,
-    # so only declared budpoints can fail (b) alone.
-    diamond = build_lattice("diamond", ["bot", "x", "y", "top"],
-                            [("bot", "x"), ("bot", "y"), ("x", "top"), ("y", "top")])
-    ident = {c: c for c in diamond.classes}
-    buds = ("x", "y", "top")
-    report = check_tightness(_unverified(diamond, diamond, ident, ident, buds, buds))
-    assert report.failures == ("left:('x', 'y'): meet escapes the budpoint set",
-                               "right:('x', 'y'): meet escapes the budpoint set")
-    assert not report.passed
-    assert report.subsets_checked == 8
-    poset = BrutePoset(diamond.classes, diamond.covers)
-    assert not brute_tightness_passed(poset, poset, ident, ident, buds, buds)
-    # the empty meet is the top, so a budpoint set without it escapes too
-    chain = build_lattice("chain", ["lo", "hi"], [("lo", "hi")])
-    ident = {c: c for c in chain.classes}
-    report = check_tightness(_unverified(chain, chain, ident, ident, ("lo",), ("lo",)))
-    assert report.failures == ("left:(): meet escapes the budpoint set",
-                               "right:(): meet escapes the budpoint set")
-    poset = BrutePoset(chain.classes, chain.covers)
-    assert not brute_tightness_passed(poset, poset, ident, ident, ("lo",), ("lo",))
 
 
 def _monotone_maps(source, target):
@@ -407,33 +409,20 @@ def small_connections(small_pairs):
 
 
 def test_tightness_agrees_with_brute_force_on_every_small_monotone_pair(small_pairs):
-    # Every small monotone pair, budpoints as check_connection sets them.
-    # Then each passing pair loses one declared budpoint at a time, so that
-    # the meet behind the mask test runs against the oracle; there the
-    # failure lines, not only the verdict, must match it.
+    # Every small monotone pair: the verdict and each failure line, those of
+    # the meets that escape the budpoints included, match the oracle.
     posets = {lat: _poset(lat) for lat in {left for left, *_ in small_pairs}}
-
-    def agrees(left, right, alpha, gamma, *buds) -> bool:
-        conn = _unverified(left, right, alpha, gamma, *buds)
+    passing = escapes = 0
+    for left, right, alpha, gamma in small_pairs:
+        conn = _unverified(left, right, alpha, gamma)
         report = check_tightness(conn)
         oracle = (posets[left], posets[right], alpha, gamma,
                   conn.budpoints_left, conn.budpoints_right)
         assert report.passed == brute_tightness_passed(*oracle)
-        if buds:
-            assert report.failures == tuple(brute_tightness_failures(*oracle))
-        return report.passed
-
-    passing = [pair for pair in small_pairs if agrees(*pair)]
-    assert len(passing) == 145
-    dropped = Counter()
-    for left, right, alpha, gamma in passing:
-        buds = _unverified(left, right, alpha, gamma).budpoints_left
-        for b in buds:
-            dropped[agrees(left, right, alpha, gamma, [x for x in buds if x != b])] += 1
-        buds = _unverified(left, right, alpha, gamma).budpoints_right
-        for b in buds:
-            dropped[agrees(left, right, alpha, gamma, None, [x for x in buds if x != b])] += 1
-    assert set(dropped) == {False}, dropped
+        assert report.failures == tuple(brute_tightness_failures(*oracle))
+        passing += report.passed
+        escapes += any(line.endswith("meet escapes the budpoint set") for line in report.failures)
+    assert (passing, escapes) == (145, 4077)
 
 
 def test_violations_match_brute_force_on_every_small_monotone_pair(small_pairs):
@@ -888,15 +877,18 @@ def _brute_blocks(classes, table):
 
 
 def _assert_proven(conn):
-    """conn passes the full checker and is the record check_connection builds:
-    budpoints are the images in declaration order, kernels the image blocks."""
-    alpha, gamma = conn.alpha.mapping(), conn.gamma.mapping()
-    assert connection_violations(conn.left, conn.right, alpha, gamma) == []
-    assert conn == check_connection(conn.left, conn.right, alpha, gamma)
-    assert conn.budpoints_left == tuple(c for c in conn.left.classes if c in gamma.values())
-    assert conn.budpoints_right == tuple(c for c in conn.right.classes if c in alpha.values())
-    assert conn.kernel_left == _brute_blocks(conn.left.classes, alpha)
-    assert conn.kernel_right == _brute_blocks(conn.right.classes, gamma)
+    """conn and its transpose pass the full checker and are the records
+    check_connection builds: budpoints are the images in declaration order,
+    kernels the image blocks."""
+    for view in (conn, conn.transpose()):
+        alpha, gamma = view.alpha.mapping(), view.gamma.mapping()
+        assert connection_violations(view.left, view.right, alpha, gamma) == []
+        assert view == check_connection(view.left, view.right, alpha, gamma)
+        assert view.budpoints_left == tuple(c for c in view.left.classes if c in gamma.values())
+        assert view.budpoints_right == tuple(c for c in view.right.classes
+                                             if c in alpha.values())
+        assert view.kernel_left == _brute_blocks(view.left.classes, alpha)
+        assert view.kernel_right == _brute_blocks(view.right.classes, gamma)
 
 
 def _assert_raises_as(expected, call):

@@ -23,6 +23,7 @@ coarsening of the left map.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from functools import cached_property
 from itertools import combinations
 from operator import eq
@@ -165,14 +166,17 @@ def _law_violations(left: tuple, right: tuple, alpha: Mapping[str, str],
 def _require_total(source: Container[str], target: Container[str],
                    table: Mapping[str, str], where: str,
                    names: Sequence[str] | None = None, unknown=UnknownClass) -> None:
-    """Require `table` to map exactly `names` (default: the classes of `source`)
-    into `target`: PartialMap lists the unmapped names in order, `unknown` a stray one."""
+    """Require `table` to map exactly `names` (default: the classes of `source`) into
+    `target`: PartialMap lists the unmapped names in order; then one key per name and only
+    `target._bit` names as values pass, or else `unknown` names the first stray in order."""
     if not isinstance(table, Mapping):
         raise MapError(f"{where} must be a mapping from names to names")
-    missing = tuple(c for c in (source.classes if names is None else names)
-                    if c not in table)
-    if missing:
+    names = source.classes if names is None else names
+    if missing := tuple(c for c in names if c not in table):
         raise PartialMap(missing, where)
+    with suppress(TypeError):  # an unhashable value is named below
+        if len(table) == len(names) and target._bit.keys() >= set(table.values()):
+            return
     for key, value in table.items():
         if key not in source:
             raise unknown(key, f"{where} domain")
@@ -265,10 +269,10 @@ def check_tightness(conn: LagoisConnection) -> TightnessReport:
     failures: list[str] = []
     checked = 0
     for side, view in (("left", conn), ("right", conn.transpose())):
-        lat, buds, up, down = view.left, view.budpoints_left, view.left._up, view.left._down
-        budmask = sum(map(lat._bit.__getitem__, buds))  # the image has no repeats
+        lat, a, g, buds = view.left, view.alpha._table, view.gamma._table, view.budpoints_left
+        up, down, budmask = lat._up, lat._down, sum(map(lat._bit.__getitem__, buds))  # distinct
         for c in lat.classes:
-            r, above = view.round_trip_left(c), up[c] & budmask
+            r, above = g[a[c]], up[c] & budmask
             if (not above & lat._bit[r] or above & ~up[r]) and r != lat.meet_all(
                     _members(above, lat.classes)):
                 failures.append(f"{side}:{c}: round trip is not the meet of dominating budpoints")
@@ -296,10 +300,10 @@ def find_adjoint(alpha: MonotoneMap) -> MonotoneMap:
     """
     left, right = alpha.source, alpha.target
     preimage = _preimages(alpha)
-    image = right.sorted_by_index(preimage)
+    image_mask = sum(map(right._bit.__getitem__, preimage))
 
     largest: dict[str, str] = {}
-    for m in image:
+    for m in _members(image_mask, right.classes):
         members = preimage[m]
         largest[m] = left.join_all(members)
         if largest[m] not in members:
@@ -307,7 +311,7 @@ def find_adjoint(alpha: MonotoneMap) -> MonotoneMap:
 
     gamma: dict[str, str] = {}
     for m in right.classes:
-        above = [t for t in image if right.leq(m, t)]
+        above = list(_members(right._up[m] & image_mask, right.classes))
         if not above:
             raise AdjointError(2, (m,), "no image class above it")
         inf = right.meet_all(above)
@@ -316,9 +320,9 @@ def find_adjoint(alpha: MonotoneMap) -> MonotoneMap:
                                         f"(minimal ones: {_extrema(above, right.leq)})")
         gamma[m] = largest[inf]
 
-    for m1 in image:
-        for m2 in image:
-            if right.leq(m1, m2) and not left.leq(largest[m1], largest[m2]):
+    for m1 in _members(image_mask, right.classes):
+        for m2 in _members(right._up[m1] & image_mask, right.classes):
+            if not left.leq(largest[m1], largest[m2]):
                 raise AdjointError(3, (m1, m2),
                                    "largest-preimage elements do not mirror the image order")
 
@@ -393,18 +397,19 @@ def compose(ab: LagoisConnection, bc: LagoisConnection) -> Composition:
     if ab.right != bc.left:
         raise LatticeMismatch("middle lattices differ; cannot compose")
 
+    a1, g1, a2, g2 = ab.alpha._table, ab.gamma._table, bc.alpha._table, bc.gamma._table
     image_a, image_g = set(ab.budpoints_right), set(bc.budpoints_left)
     for x in ab.budpoints_right:
-        if bc.round_trip_left(x) not in image_a:
+        if g2[a2[x]] not in image_a:
             raise ComposeError("left", x)
     for y in bc.budpoints_left:
-        if ab.round_trip_right(y) not in image_g:
+        if a1[g1[y]] not in image_g:
             raise ComposeError("right", y)
 
     admitted = ("image-subset" if image_g <= image_a or image_a <= image_g
                 else "containment-conditions")
-    alpha = {l: bc.alpha(ab.alpha(l)) for l in ab.left.classes}
-    gamma = {q: ab.gamma(bc.gamma(q)) for q in bc.right.classes}
+    alpha = {l: a2[a1[l]] for l in ab.left.classes}
+    gamma = {q: g1[g2[q]] for q in bc.right.classes}
     return Composition(_assemble(ab.left, bc.right, alpha, gamma), admitted)
 
 
@@ -446,12 +451,13 @@ def decompose(conn: LagoisConnection) -> Decomposition:
     lstar = sublattice(conn.left, conn.budpoints_left, f"{conn.left.name}*")
     mstar = sublattice(conn.right, conn.budpoints_right, f"{conn.right.name}*")
 
-    r1 = {l: conn.round_trip_left(l) for l in conn.left.classes}
+    a, g = conn.alpha._table, conn.gamma._table
+    r1 = {l: g[a[l]] for l in conn.left.classes}
     insertion_left = _assemble(conn.left, lstar, r1, {b: b for b in lstar.classes})
 
-    i1 = _proven_map(lstar, mstar, {b: conn.alpha(b) for b in lstar.classes})
-    i2 = _proven_map(mstar, lstar, {b: conn.gamma(b) for b in mstar.classes})
-    r2 = {m: conn.round_trip_right(m) for m in conn.right.classes}
+    i1 = _proven_map(lstar, mstar, {b: a[b] for b in lstar.classes})
+    i2 = _proven_map(mstar, lstar, {b: g[b] for b in mstar.classes})
+    r2 = {m: a[g[m]] for m in conn.right.classes}
     insertion_right = _assemble(mstar, conn.right, {b: b for b in mstar.classes}, r2)
 
     return Decomposition(insertion_left, (i1, i2), insertion_right)
@@ -472,9 +478,10 @@ def coarsen(conn: LagoisConnection, alpha2: MonotoneMap) -> LagoisConnection:
     if alpha2.source != conn.left or alpha2.target != conn.right:
         raise LatticeMismatch("replacement map must connect the same lattices")
 
+    new, old, g = alpha2._table, conn.alpha._table, conn.gamma._table
     for block in conn.kernel_left:
         a = block[0]
-        b = next((c for c in block if alpha2(c) != alpha2(a)), None)
+        b = next((c for c in block if new[c] != new[a]), None)
         if b is not None:
             raise CoarsenError("not-refinement", (a, b),
                                f"{a!r} and {b!r} shared an image before but not after")
@@ -485,12 +492,12 @@ def coarsen(conn: LagoisConnection, alpha2: MonotoneMap) -> LagoisConnection:
         if rep not in block:
             raise CoarsenError("no-largest-element", block,
                                f"merged class {list(block)} has no largest member")
-        if alpha2(rep) != conn.alpha(rep):
+        if new[rep] != old[rep]:
             raise CoarsenError("representative-mismatch", (rep,),
                                f"largest member {rep!r} must keep its old image "
-                               f"{conn.alpha(rep)!r}, got {alpha2(rep)!r}")
+                               f"{old[rep]!r}, got {new[rep]!r}")
 
-    gamma2 = {m: conn.gamma(alpha2(conn.gamma(m))) for m in conn.right.classes}
+    gamma2 = {m: g[new[g[m]]] for m in conn.right.classes}
     return _assemble(conn.left, conn.right, alpha2.mapping(), gamma2)
 
 
@@ -504,8 +511,9 @@ def semi_inverse_connection(alpha1: MonotoneMap, gamma1: MonotoneMap) -> LagoisC
     """
     if gamma1.source != alpha1.target or gamma1.target != alpha1.source:
         raise LatticeMismatch("gamma must run opposite to alpha")
+    a, g = alpha1._table, gamma1._table
     for l in alpha1.source.classes:
-        if alpha1(gamma1(alpha1(l))) != alpha1(l):
+        if a[g[a[l]]] != a[l]:
             raise NotSemiInverse(l)
-    gamma2 = {m: gamma1(alpha1(gamma1(m))) for m in gamma1.source.classes}
+    gamma2 = {m: g[a[g[m]]] for m in gamma1.source.classes}
     return check_connection(alpha1.source, alpha1.target, alpha1.mapping(), gamma2)

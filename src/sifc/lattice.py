@@ -4,13 +4,13 @@ A lattice is built from a class list and an arbitrary set of ordered pairs
 (lower, upper).  The pairs need not form a Hasse diagram; the reflexive-
 transitive closure is computed and redundant pairs are tolerated.
 
-Bit-vector encoding (Ait-Kaci et al., TOPLAS 1989): each class keeps its bit
-and its up-set and down-set as int masks, each closed by one Tarjan SCC pass
-in O(classes + pairs) ORs.  leq is one mask test; join(a, b) is the class
-whose up-set is up(a) & up(b), meets alike.  A finite poset with a top and
-every pairwise meet is a lattice (Davey & Priestley, Introduction to Lattices
-and Order, 2002, ch. 2).  A comparable pair meets at its lower member, so the
-top and one meet lookup per incomparable pair prove it.  `_order_rows` checks,
+Bit-vector encoding (Ait-Kaci et al., TOPLAS 1989): each class keeps its bit and
+its up-set and down-set as int masks, closed by one Tarjan SCC pass and one
+sweep in O(classes + pairs) ORs.  leq is one mask test; join(a, b) is the class
+whose up-set is up(a) & up(b), meets alike.  A finite poset with a top and every
+pairwise meet is a lattice (Davey & Priestley, Introduction to Lattices and
+Order, 2002, ch. 2).  A comparable pair meets at its lower member, so the top
+and one meet lookup per incomparable pair prove it.  `_order_rows` checks,
 indexes and closes the names and pairs of lattices and hierarchies alike.
 Constructors check their arguments, and a document reader only its keys.
 
@@ -220,10 +220,10 @@ def _raise_missing_bound(classes: Sequence[str], up_rows: Sequence[int], down_ro
 
 def _order_rows(names: Sequence[str], pairs: Iterable, pattern: re.Pattern,
                 errors: Sequence[Callable[..., Exception]]) -> tuple[list[int], list[int], list]:
-    """The `_closure_rows` of the (lower, upper) pairs over `names` and of their converse,
-    and the pairs as a list.  Of errors = (malformed, bad_name, duplicate, unknown), it
-    raises malformed() for pairs that are not an iterable of two-string arrays; then, name
-    by name, bad_name(c) if c is not a string `pattern` matches and duplicate(c) for a
+    """The up and down `_closure_rows` of the (lower, upper) pairs over `names`, and the
+    pairs as a list.  Of errors = (malformed, bad_name, duplicate, unknown), it raises
+    malformed() for pairs that are not an iterable of two-string arrays; then, name by
+    name, bad_name(c) if c is not a string `pattern` matches and duplicate(c) for a
     repeat; then unknown(end) for the first pair end, lower end first, naming no member."""
     malformed, bad_name, duplicate, unknown = errors
     try:
@@ -244,20 +244,19 @@ def _order_rows(names: Sequence[str], pairs: Iterable, pattern: re.Pattern,
         edges = [(index[lo], index[hi]) for lo, hi in pairs]
     except KeyError as exc:
         raise unknown(exc.args[0]) from None
-    n = len(names)
-    return _closure_rows(n, edges), _closure_rows(n, [(j, i) for i, j in edges]), pairs
+    return (*_closure_rows(len(names), edges), pairs)
 
 
-def _closure_rows(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
-    """Reflexive-transitive closure of a relation on range(n): bit j of row i
-    is set iff j is reachable from i.  Iterative Tarjan SCC pass (SIAM J.
-    Comput. 1, 1972): components finish in reverse topological order, so a
-    component's row is its members' bits OR their successors' rows (finished,
-    or 0 inside the component), O(V + E) ORs; a cycle shares one row."""
+def _closure_rows(n: int, edges: Iterable[tuple[int, int]]) -> tuple[list[int], list[int]]:
+    """Reflexive-transitive closure of a relation on range(n), bit j of up[i] and bit i of
+    down[j] set iff j is reachable from i.  One iterative Tarjan pass (SIAM J. Comput. 1,
+    1972) finishes components successors first, each up row its members' bits OR their
+    successors' rows (0 inside the component); one sweep in reverse, predecessors first,
+    ORs each down row onto the successors'.  O(V + E) ORs each; a cycle shares one row."""
     succ: list[list[int]] = [[] for _ in range(n)]
     for i, j in edges:
         succ[i].append(j)
-    order, low, rows = [0] * n, [0] * n, [0] * n
+    order, low, up, down, finished = [0] * n, [0] * n, [0] * n, [0] * n, []
     for root in range(n):
         if order[root]:
             continue
@@ -279,16 +278,24 @@ def _closure_rows(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
                     u = work[-1][0]
                     low[u] = min(low[u], low[v])
                     continue
-                members = stack[at:]
+                finished.append(members := stack[at:])
                 del stack[at:]
                 row = 0
                 for w in members:
                     row |= 1 << w
                     for x in succ[w]:
-                        row |= rows[x]
+                        row |= up[x]
                 for w in members:
-                    rows[w], order[w] = row, n + 1  # finished: above every open order
-    return rows
+                    up[w], order[w] = row, n + 1  # finished: above every open order
+    for members in reversed(finished):
+        row = 0
+        for w in members:
+            row |= 1 << w | down[w]
+        for w in members:
+            down[w] = row
+            for x in succ[w]:
+                down[x] |= row
+    return up, down
 
 
 def _members(mask: int, names: Sequence[str]) -> Iterator[str]:

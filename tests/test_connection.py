@@ -8,6 +8,7 @@ from collections import Counter
 import pytest
 
 import sifc.connection as connection_module
+import sifc.lattice as lattice_module
 from sifc.connection import (AdjointError, CoarsenError, ComposeError,
                              LagoisConnection, LatticeMismatch, MapError, MonotoneMap,
                              NotClosure, NotIso, NotLagois, NotMonotone, NotSemiInverse,
@@ -17,7 +18,7 @@ from sifc.connection import (AdjointError, CoarsenError, ComposeError,
                              budpoint_representative, find_adjoint, _proven_map,
                              identity_connection, semi_inverse_connection, sublattice)
 from sifc.flowlang import adversary_pairs
-from sifc.lattice import NotALattice, UnknownClass, build_lattice
+from sifc.lattice import Lattice, NotALattice, UnknownClass, build_lattice
 
 import fixtures as fx
 from gen import (find_order_iso, random_closure, random_connection,
@@ -86,6 +87,34 @@ def test_budpoints_and_kernels_are_read_off_the_maps_when_first_asked_for(monkey
         assert not vars(equal)
 
 
+def test_one_op_closes_each_lattice_once_and_calls_no_map(monkeypatch):
+    # One op of the construction benchmark: each lattice it builds is closed
+    # by one `_closure_rows` call, and the constructors read the map tables
+    # rather than calling the maps.
+    docs = fx.college().to_dict(), fx.university().to_dict()
+    closed, built, called = [], [], []
+    closure_rows, build = lattice_module._closure_rows, lattice_module.build_lattice
+    monkeypatch.setattr(lattice_module, "_closure_rows",
+                        lambda n, edges: closed.append(n) or closure_rows(n, edges))
+    monkeypatch.setattr(lattice_module, "build_lattice",
+                        lambda *args: built.append(args[0]) or build(*args))
+    monkeypatch.setattr(MonotoneMap, "__call__", lambda f, c: called.append(c))
+    left, right = map(Lattice.from_dict, docs)
+    conn = check_connection(left, right, fx.CU_ALPHA, fx.CU_GAMMA)
+    assert find_adjoint(conn.alpha).mapping() == fx.CU_GAMMA
+    composed = compose(conn, conn.transpose()).connection
+    parts = decompose(conn)
+    coarse = coarsen(conn, MonotoneMap(left, right, fx.CU_ALPHA_COARSE))
+    assert check_tightness(conn).passed and check_tightness(coarse).passed
+    semi = semi_inverse_connection(conn.alpha, conn.gamma)
+    assert (closed, built) == ([len(left), len(right)], [left.name, right.name])
+    assert called == []
+    monkeypatch.undo()
+    assert semi == conn and composed.alpha.mapping() == {
+        l: conn.round_trip_left(l) for l in left.classes}
+    assert all(parts.recomposed_alpha(l) == conn.alpha(l) for l in left.classes)
+
+
 def test_kernels_partition_classes(cu):
     flat = [c for block in cu.kernel_left for c in block]
     assert sorted(flat) == sorted(cu.left.classes)
@@ -143,6 +172,46 @@ def test_maps_that_are_not_maps_of_names_are_rejected(side):
             with pytest.raises(error) as exc:
                 MonotoneMap(fx.college(), fx.university(), table, "alpha")
             assert str(exc.value) == message
+
+
+def _first_offender_cases(table, valid, bad):
+    """Tables with a stray key "zz", a value `bad` out of range at the first key, or
+    both, each way round, and the offender each names first: (table, name, half).
+    `valid` is a target name, so a table whose only fault is the stray key has as many
+    values in range as a total map, and one key more."""
+    first = next(iter(table))
+    wrong, unhashable = dict(table, **{first: bad}), dict(table, **{first: [bad]})
+    return (({"zz": valid, **wrong}, "zz", "domain"), ({**wrong, "zz": valid}, bad, "range"),
+            ({"zz": valid, **unhashable}, "zz", "domain"),
+            ({**unhashable, "zz": valid}, [bad], "range"),
+            ({**table, "zz": valid}, "zz", "domain"), ({"zz": valid, **table}, "zz", "domain"),
+            (wrong, bad, "range"), (unhashable, [bad], "range"))
+
+
+@pytest.mark.parametrize("via", ["connection_violations", "MonotoneMap", "build_from_closures",
+                                 "PrincipalMapPair.check"])
+def test_a_map_check_names_its_first_offender_in_table_order(via):
+    # A total table with only target names as values is accepted at once; any
+    # other is read in table order, so a stray key and a value out of range
+    # name whichever comes first, and a stray key alone is caught by the count.
+    from sifc.dlm import PrincipalMapPair, UnknownPrincipal
+    pm = fx.principal_map_pair()
+    where, table, valid, call, error, noun = {
+        "connection_violations": ("alpha", fx.CU_ALPHA, "top2", lambda t: connection_violations(
+            fx.college(), fx.university(), t, fx.CU_GAMMA), UnknownClass, "class"),
+        "MonotoneMap": ("alpha", fx.CU_ALPHA, "top2", lambda t: MonotoneMap(
+            fx.college(), fx.university(), t, "alpha"), UnknownClass, "class"),
+        "build_from_closures": ("c", fx.DC_CLOSURE_LEFT, "top0", lambda t: build_from_closures(
+            fx.dorm(), fx.college(), t, fx.DC_CLOSURE_RIGHT, fx.DC_ISO), UnknownClass, "class"),
+        "PrincipalMapPair.check": ("gamma", fx.PM_GAMMA, "TOP", lambda t: PrincipalMapPair.check(
+            pm.left, pm.right, fx.PM_ALPHA, t), UnknownPrincipal, "principal"),
+    }[via]
+    call(dict(table))  # the table itself passes
+    for bad_table, name, half in _first_offender_cases(table, valid, "top9"):
+        with pytest.raises(error) as exc:
+            call(bad_table)
+        assert type(exc.value) is error and exc.value.name == name
+        assert str(exc.value) == f"unknown {noun} {name!r} in {where} {half}"
 
 
 @pytest.mark.parametrize("name", ["c", "i"])

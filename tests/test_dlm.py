@@ -68,6 +68,18 @@ def test_preorder_cycles_allowed():
     assert h.equiv("a", "b")
 
 
+def test_an_acts_for_cycle_gives_columns_that_are_the_converse_of_the_rows():
+    # a -> b -> c -> a is one component, d acts for it and it acts for e: the
+    # one sweep that closes the columns must give the cycle one shared column.
+    h = PrincipalsHierarchy(["a", "b", "c", "d", "e"],
+                            [("a", "b"), ("b", "c"), ("c", "a"), ("d", "a"), ("c", "e")])
+    rows = [h._row[p] for p in h.principals]
+    assert [h._col[p] for p in h.principals] == converse_rows(rows)
+    assert h._col["a"] == h._col["b"] == h._col["c"] != h._col["e"]
+    assert all(h.acts_for(p, q) for p in "abcd" for q in "abce")
+    assert not any(h.acts_for(p, "d") for p in "abce")
+
+
 def _assert_acts_for_matches_oracle(h):
     """acts_for against brute-force reachability over the edges plus the
     implicit TOP-acts-for-all and all-act-for-BOT pairs."""

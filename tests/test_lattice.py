@@ -559,8 +559,8 @@ def test_closure_rows_match_warshall_on_random_relations(seed):
         n = rng.randint(1, 64)
         edges = _random_relation(rng, n)
         up = closure_rows(n, edges)
-        assert _closure_rows(n, edges) == up
-        assert _closure_rows(n, [(j, i) for i, j in edges]) == converse_rows(up)
+        # One Tarjan pass gives the up rows; the sweep after it, the down rows.
+        assert _closure_rows(n, edges) == (up, converse_rows(up))
         cyclic += any(up[i] >> j & 1 and up[j] >> i & 1 for i, j in edges if i != j)
     assert cyclic > 20
 
@@ -601,9 +601,10 @@ def test_closure_of_a_3000_class_chain_needs_no_recursion(top_first):
     # test below builds the lattice over it.
     n = 3000
     order = list(range(n))[::-1] if top_first else list(range(n))
-    rows = _closure_rows(n, [(order[k], order[k + 1]) for k in range(n - 1)])
+    up, down = _closure_rows(n, [(order[k], order[k + 1]) for k in range(n - 1)])
     for k in (0, 1, n // 2, n - 2, n - 1):
-        assert rows[order[k]] == sum(1 << v for v in order[k:])
+        assert up[order[k]] == sum(1 << v for v in order[k:])
+        assert down[order[k]] == sum(1 << v for v in order[:k + 1])
 
 
 @pytest.mark.parametrize("top_first", [False, True])

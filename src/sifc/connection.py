@@ -12,7 +12,10 @@ Such a pair of maps lets data flow between the two lattices in both
 directions without ever widening what an observer inside either domain may
 learn.  The image classes gamma[M] and alpha[L] (the *budpoints*) are
 order-isomorphic and carry the whole inter-domain agreement; every other
-class is represented by the least budpoint above it.
+class is represented by the least budpoint above it.  The laws and every map
+check read the lattices' bit rows: x <= y is up[x] & bit[y], and LC3 and LC4
+compare up rows, equality by antisymmetry.  So the law checker takes a side as
+its rows, and serves two acts-for hierarchies (`sifc.dlm`) alike.
 
 Besides verification this module synthesises the right map from the left one
 when it exists, builds connections from closure-operator agreements, chains
@@ -26,8 +29,7 @@ from __future__ import annotations
 from contextlib import suppress
 from functools import cached_property
 from itertools import combinations
-from operator import eq
-from typing import Container, Iterable, Mapping, Sequence
+from typing import Container, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (AdjointError, CoarsenError, ComposeError, LatticeMismatch, MapError,
                      NotClosure, NotIso, NotLagois, NotMonotone, NotSemiInverse, PartialMap)
@@ -53,9 +55,8 @@ class MonotoneMap:
     def __init__(self, source: Lattice, target: Lattice, table: Mapping[str, str],
                  where: str = "map"):
         _require_total(source, target, table, where)
-        for lo, hi in source.covers:
-            if not target.leq(table[lo], table[hi]):
-                raise NotMonotone((lo, hi), where)
+        if broken := next(_unordered(source.covers, table, target._up, target._bit), None):
+            raise NotMonotone(broken, where)
         self.source, self.target, self._table = source, target, dict(table)
 
     def __call__(self, c: str) -> str:
@@ -136,31 +137,31 @@ def connection_violations(left: Lattice, right: Lattice,
     """
     _require_total(left, right, alpha, "alpha")
     _require_total(right, left, gamma, "gamma")
-    return _law_violations((left.classes, left.covers, left.leq, eq),
-                           (right.classes, right.covers, right.leq, eq), alpha, gamma)
+    return _law_violations((left.classes, left.covers, left._up, left._bit),
+                           (right.classes, right.covers, right._up, right._bit), alpha, gamma)
 
 
 def _law_violations(left: tuple, right: tuple, alpha: Mapping[str, str],
                     gamma: Mapping[str, str]) -> list[Violation]:
-    """Order preservation and LC1-LC4 for total maps between two ordered sides.
-
-    Each side is (classes, pairs, leq, same): preservation is checked on the
-    pairs (lo, hi) with lo <= hi, and the composition identities compare with
-    `same`, which is equality on a lattice and mutual order on a pre-order.
-    """
-    lclasses, lpairs, lleq, lsame = left
-    rclasses, rpairs, rleq, rsame = right
-    out = [Violation("Monotone-alpha", (lo, hi))
-           for lo, hi in lpairs if not rleq(alpha[lo], alpha[hi])]
-    out += [Violation("Monotone-gamma", (lo, hi))
-            for lo, hi in rpairs if not lleq(gamma[lo], gamma[hi])]
-    out += [Violation("LC1", (l,)) for l in lclasses if not lleq(l, gamma[alpha[l]])]
-    out += [Violation("LC2", (m,)) for m in rclasses if not rleq(m, alpha[gamma[m]])]
-    out += [Violation("LC3", (l,))
-            for l in lclasses if not rsame(alpha[gamma[alpha[l]]], alpha[l])]
-    out += [Violation("LC4", (m,))
-            for m in rclasses if not lsame(gamma[alpha[gamma[m]]], gamma[m])]
+    """Order preservation and LC1-LC4 for total maps between two sides, each
+    (names, pairs, up, bit) over closed bit rows, x <= y iff up[x] & bit[y]:
+    preservation is checked on the pairs (lo, hi) with lo <= hi, and LC3 and
+    LC4 compare up rows, equality on a lattice and mutual order on a pre-order."""
+    lnames, lpairs, lup, lbit = left
+    rnames, rpairs, rup, rbit = right
+    out = [Violation("Monotone-alpha", p) for p in _unordered(lpairs, alpha, rup, rbit)]
+    out += [Violation("Monotone-gamma", p) for p in _unordered(rpairs, gamma, lup, lbit)]
+    out += [Violation("LC1", (l,)) for l in lnames if not lup[l] & lbit[gamma[alpha[l]]]]
+    out += [Violation("LC2", (m,)) for m in rnames if not rup[m] & rbit[alpha[gamma[m]]]]
+    out += [Violation("LC3", (l,)) for l in lnames if rup[alpha[gamma[alpha[l]]]] != rup[alpha[l]]]
+    out += [Violation("LC4", (m,)) for m in rnames if lup[gamma[alpha[gamma[m]]]] != lup[gamma[m]]]
     return out
+
+
+def _unordered(pairs: Iterable[tuple[str, str]], table: Mapping[str, str],
+               up: Mapping[str, int], bit: Mapping[str, int]) -> Iterator[tuple[str, str]]:
+    """The pairs (lo, hi), lazily in order, with table[lo] <= table[hi] false on up and bit."""
+    return ((lo, hi) for lo, hi in pairs if not up[table[lo]] & bit[table[hi]])
 
 
 def _require_total(source: Container[str], target: Container[str],
@@ -268,8 +269,9 @@ def check_tightness(conn: LagoisConnection) -> TightnessReport:
     """
     failures: list[str] = []
     checked = 0
-    for side, view in (("left", conn), ("right", conn.transpose())):
-        lat, a, g, buds = view.left, view.alpha._table, view.gamma._table, view.budpoints_left
+    alpha, gamma = conn.alpha._table, conn.gamma._table
+    for side, lat, a, g, buds in (("left", conn.left, alpha, gamma, conn.budpoints_left),
+                                  ("right", conn.right, gamma, alpha, conn.budpoints_right)):
         up, down, budmask = lat._up, lat._down, sum(map(lat._bit.__getitem__, buds))  # distinct
         for c in lat.classes:
             r, above = g[a[c]], up[c] & budmask
@@ -322,7 +324,7 @@ def find_adjoint(alpha: MonotoneMap) -> MonotoneMap:
 
     for m1 in _members(image_mask, right.classes):
         for m2 in _members(right._up[m1] & image_mask, right.classes):
-            if not left.leq(largest[m1], largest[m2]):
+            if not left._up[largest[m1]] & left._bit[largest[m2]]:
                 raise AdjointError(3, (m1, m2),
                                    "largest-preimage elements do not mirror the image order")
 
@@ -356,7 +358,7 @@ def build_from_closures(left: Lattice, right: Lattice,
                      tuple(sorted(set(h.values()) ^ set(image_i))))
     for a in image_c:
         for b in image_c:
-            if left.leq(a, b) != right.leq(h[a], h[b]):
+            if bool(left._up[a] & left._bit[b]) != bool(right._up[h[a]] & right._bit[h[b]]):
                 raise NotIso("h does not preserve and reflect order", (a, b))
 
     h_inv = {v: k for k, v in h.items()}
@@ -367,15 +369,12 @@ def build_from_closures(left: Lattice, right: Lattice,
 
 def _require_closure(lat: Lattice, table: Mapping[str, str], name: str) -> None:
     _require_total(lat, lat, table, name)
-    for lo, hi in lat.covers:
-        if not lat.leq(table[lo], table[hi]):
-            raise NotClosure(name, "monotone", lo)
-    for x in lat.classes:
-        if not lat.leq(x, table[x]):
-            raise NotClosure(name, "increasing", x)
-    for x in lat.classes:
-        if table[table[x]] != table[x]:
-            raise NotClosure(name, "idempotent", x)
+    if broken := next(_unordered(lat.covers, table, lat._up, lat._bit), None):
+        raise NotClosure(name, "monotone", broken[0])
+    if x := next((x for x in lat.classes if not lat._up[x] & lat._bit[table[x]]), None):
+        raise NotClosure(name, "increasing", x)
+    if x := next((x for x in lat.classes if table[table[x]] != table[x]), None):
+        raise NotClosure(name, "idempotent", x)
 
 
 # -- composition -------------------------------------------------------------

@@ -22,9 +22,9 @@ column dicts keyed by the other side's principals through alpha or gamma,
 built once in O(principals), so lifting a policy costs the same dict reads
 as reading it at home and no lifted label is built.
 
-A connection between two hierarchies is checked by the same law evaluator as
-one between two lattices (`sifc.connection`), reading p <= q as "q acts for
-p" and comparing the composition identities up to mutual acts-for.  It lifts
+A connection between two hierarchies is checked on these masks by the law
+checker of `sifc.connection`: a principal's column is its up row, so p <= q
+reads "q acts for p", and equal columns mean mutual acts-for.  It lifts
 to labels pointwise: each policy's owner and readers are pushed through the
 principal maps.  Each lifted law holds for every label iff its principal law
 holds: subsumption compares owners and effective readers by acts-for and the
@@ -230,18 +230,15 @@ def format_label(label: Label) -> str:
 def hierarchy_violations(left: PrincipalsHierarchy, right: PrincipalsHierarchy,
                          alpha: Mapping[str, str],
                          gamma: Mapping[str, str]) -> list[Violation]:
-    """Connection laws over the acts-for pre-orders, by the lattice checker
-    with p <= q read as "q acts for p".  Monotonicity is checked on every
-    related pair and the two composition identities compare up to mutual
-    acts-for (plain equality on partial orders)."""
+    """Connection laws over the acts-for pre-orders by the lattice checker: the
+    column is the up row, so p <= q reads "q acts for p".  Monotonicity is checked
+    on every related pair, and equal columns mean mutual acts-for."""
     _require_total(left, right, alpha, "alpha", left.principals, UnknownPrincipal)
     _require_total(right, left, gamma, "gamma", right.principals, UnknownPrincipal)
 
     def side(h: PrincipalsHierarchy) -> tuple:
-        names, bit, row, col = h.principals, h._bit, h._row, h._col
-        return (names, [(p, q) for p in names for q in names if col[p] & bit[q]],
-                lambda p, q: col[p] & bit[q] != 0,
-                lambda p, q: row[p] & col[p] & bit[q] != 0)
+        names, bit, col = h.principals, h._bit, h._col
+        return names, [(p, q) for p in names for q in names if col[p] & bit[q]], col, bit
 
     return _law_violations(side(left), side(right), alpha, gamma)
 
@@ -356,6 +353,8 @@ def declassify_check(h: PrincipalsHierarchy, authority: Iterable[str],
                      l1: Label, l2: Label) -> bool:
     """May data labeled l1 be released at l2 by owners in `authority`?
     True iff l1 flows to l2 joined with the authority's owner-only label."""
+    if isinstance(authority, str):  # a string would split into letters
+        raise DlmError("authority must be principal names, not a string")
     authority = list(authority)
     try:
         return _subsumed(_masks(l1.policies, h._bit, h._col),
@@ -393,8 +392,9 @@ def cross_declassify_check(pm: PrincipalMapPair,
     maps by `PrincipalMapPair._through`, as `declassify_check` decides the
     labels `lift_label` builds; an unknown principal is named as they name it.
     """
-    a_left = sorted(set(authority_left))
-    a_right = sorted(set(authority_right))
+    if isinstance(authority_left, str) or isinstance(authority_right, str):
+        raise DlmError("authority must be principal names, not a string")
+    a_left, a_right = sorted(set(authority_left)), sorted(set(authority_right))
     for p in a_left:
         if p not in pm.left:
             raise UnknownPrincipal(p)

@@ -2,6 +2,7 @@
 connections between two lattices."""
 
 import itertools
+import json
 import random
 from collections import Counter
 
@@ -57,11 +58,14 @@ def test_connections_are_hashable():
 
 
 def test_budpoints_and_kernels_are_read_off_the_maps_when_first_asked_for(monkeypatch):
-    grouped = []
-    real = connection_module._preimages
+    grouped, imaged = [], []
+    real, image = connection_module._preimages, MonotoneMap.image
     monkeypatch.setattr(connection_module, "_preimages", lambda f: grouped.append(f) or real(f))
+    monkeypatch.setattr(MonotoneMap, "image", lambda f: imaged.append(f) or image(f))
     # One op of the construction benchmark groups three maps: find_adjoint's
-    # alpha, coarsen's replacement map and the kernel that coarsen reads.
+    # alpha, coarsen's replacement map and the kernel that coarsen reads.  It
+    # reads three images: both budpoint sets of the connection, kept for
+    # check_tightness, and the left budpoints of its transposed view.
     conn = check_connection(fx.college(), fx.university(), fx.CU_ALPHA, fx.CU_GAMMA)
     find_adjoint(conn.alpha)
     parts = decompose(conn)
@@ -70,6 +74,7 @@ def test_budpoints_and_kernels_are_read_off_the_maps_when_first_asked_for(monkey
             coarsen(conn, MonotoneMap(conn.left, conn.right, fx.CU_ALPHA_COARSE))]
     assert check_tightness(conn).passed
     assert len(grouped) == 3
+    assert imaged == [conn.gamma, conn.alpha, conn.alpha]
     # A constructed connection groups nothing until one of its kernels is read,
     # and then only that map, once; equality and hash ignore what was read.
     for out in made:
@@ -90,15 +95,17 @@ def test_budpoints_and_kernels_are_read_off_the_maps_when_first_asked_for(monkey
 def test_one_op_closes_each_lattice_once_and_calls_no_map(monkeypatch):
     # One op of the construction benchmark: each lattice it builds is closed
     # by one `_closure_rows` call, and the constructors read the map tables
-    # rather than calling the maps.
+    # rather than calling the maps.  They and the closure builder decide every
+    # order test on the bit rows, never by name through `Lattice.leq`.
     docs = fx.college().to_dict(), fx.university().to_dict()
-    closed, built, called = [], [], []
+    closed, built, called, compared = [], [], [], []
     closure_rows, build = lattice_module._closure_rows, lattice_module.build_lattice
     monkeypatch.setattr(lattice_module, "_closure_rows",
                         lambda n, edges: closed.append(n) or closure_rows(n, edges))
     monkeypatch.setattr(lattice_module, "build_lattice",
                         lambda *args: built.append(args[0]) or build(*args))
     monkeypatch.setattr(MonotoneMap, "__call__", lambda f, c: called.append(c))
+    monkeypatch.setattr(Lattice, "leq", lambda lat, a, b: compared.append((a, b)))
     left, right = map(Lattice.from_dict, docs)
     conn = check_connection(left, right, fx.CU_ALPHA, fx.CU_GAMMA)
     assert find_adjoint(conn.alpha).mapping() == fx.CU_GAMMA
@@ -108,8 +115,13 @@ def test_one_op_closes_each_lattice_once_and_calls_no_map(monkeypatch):
     assert check_tightness(conn).passed and check_tightness(coarse).passed
     semi = semi_inverse_connection(conn.alpha, conn.gamma)
     assert (closed, built) == ([len(left), len(right)], [left.name, right.name])
-    assert called == []
+    doc = json.loads((fx.ROOT / "fixtures" / "dorm-college-closures.json").read_text())
+    dorm, college = (lattice_module.load_lattice(str(fx.ROOT / "fixtures" / doc[side]))
+                     for side in ("left", "right"))
+    closures = build_from_closures(dorm, college, doc["c"], doc["i"], doc["h"])
+    assert called == [] and compared == []
     monkeypatch.undo()
+    assert closures == fx.dorm_college()
     assert semi == conn and composed.alpha.mapping() == {
         l: conn.round_trip_left(l) for l in left.classes}
     assert all(parts.recomposed_alpha(l) == conn.alpha(l) for l in left.classes)

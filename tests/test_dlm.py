@@ -576,6 +576,27 @@ def test_declassify_unrelated_owner_refused():
     assert not declassify_check(h, ["p"], Label.of(policy("q")), Label.empty())
 
 
+def test_a_string_authority_is_rejected_not_split_into_letters(pm):
+    # "ab" would read as ["a", "b"] and "zz" as an unknown principal 'z'; any
+    # other iterable of names is still an authority.
+    h = PrincipalsHierarchy(["a", "b", "ab"], [])
+    l1, l2 = Label.of(policy("a"), policy("b")), Label.empty()
+    assert declassify_check(h, ["a", "b"], l1, l2) and not declassify_check(h, ["ab"], l1, l2)
+    for authority in (iter(["a", "b"]), {"a", "b"}, ("a", "b")):
+        assert declassify_check(h, authority, l1, l2)
+    message = r"^authority must be principal names, not a string$"
+    for authority in ("ab", "zz", ""):
+        with pytest.raises(DlmError, match=message) as exc:
+            declassify_check(h, authority, l1, l2)
+        assert type(exc.value) is DlmError
+    for left, right in (("fac", ["uni_fac"]), (["fac"], "uni_fac"), ("zz", "zz")):
+        with pytest.raises(DlmError, match=message) as exc:
+            cross_declassify_check(pm, left, right, Label.of(policy("fac")), Label.empty())
+        assert type(exc.value) is DlmError
+    assert cross_declassify_check(pm, ("fac",), {"uni_fac"}, Label.of(policy("fac")),
+                                  Label.empty()).allowed
+
+
 def test_authority_label():
     assert authority_label(["p", "q"]) == Label.of(policy("p"), policy("q"))
 

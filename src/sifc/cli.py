@@ -32,14 +32,14 @@ PASS, FAIL, INPUT_ERROR, INTERNAL_ERROR = "pass", "fail", "input-error", "intern
 _EXIT = {PASS: 0, FAIL: 1, INPUT_ERROR: 2, INTERNAL_ERROR: 3}
 
 
-class Verdict(Record, frozen=False):
+class Verdict(Record):
     """details["status"] is PASS, FAIL, INPUT_ERROR or INTERNAL_ERROR; lines
     is the JSON-lines payload, a fresh list unless given."""
     __slots__ = ("details", "lines")
 
     def __init__(self, details: dict, lines: list[dict] | None = None):
-        self.details = details
-        self.lines = [] if lines is None else lines
+        object.__setattr__(self, "details", details)
+        object.__setattr__(self, "lines", [] if lines is None else lines)
 
     @property
     def exit_code(self) -> int:
@@ -391,8 +391,10 @@ _INPUT_ERRORS = (OSError, UnicodeDecodeError, json.JSONDecodeError, LatticeError
                  MapError, ParseError, FlowError, DlmError)
 
 
-def _error_verdict(status: str, exc: Exception) -> Verdict:
-    return Verdict({"status": status, "error": type(exc).__name__, "message": str(exc)})
+def _error_verdict(status: str, exc: Exception, fields: dict | None = None,
+                   lines: list[dict] | None = None) -> Verdict:
+    return Verdict({"status": status, "error": type(exc).__name__, "message": str(exc),
+                    **(fields or {})}, lines)
 
 
 def dispatch_args(args) -> Verdict:
@@ -403,11 +405,9 @@ def dispatch_args(args) -> Verdict:
     except IllTyped:  # from run_ni_suite's re-check of its own program: a bug in sifc
         raise
     except tuple(_FAIL_FIELDS) as exc:
-        verdict = _error_verdict(FAIL, exc)  # with the fields of its nearest listed class
         fields = next(_FAIL_FIELDS[c] for c in type(exc).__mro__ if c in _FAIL_FIELDS)
-        verdict.details |= fields(exc)
-        verdict.lines = [v.to_json() for v in getattr(exc, "violations", ())]
-        return verdict
+        return _error_verdict(FAIL, exc, fields(exc),  # the fields of its nearest listed class
+                              [v.to_json() for v in getattr(exc, "violations", ())])
     except _INPUT_ERRORS as exc:
         return _error_verdict(INPUT_ERROR, exc)
 

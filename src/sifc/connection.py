@@ -35,10 +35,6 @@ from .errors import (AdjointError, CoarsenError, ComposeError, LatticeMismatch, 
                      NotClosure, NotIso, NotLagois, NotMonotone, NotSemiInverse, PartialMap)
 from .lattice import Lattice, Record, UnknownClass, _extrema, _members
 
-VIOLATION_CONDITIONS = ("Monotone-alpha", "Monotone-gamma",
-                        "LC1", "LC2", "LC3", "LC4")
-
-
 class Violation(Record):
     """One failed connection condition together with a replayable witness."""
     __slots__ = ("condition", "witness")

@@ -45,7 +45,7 @@ from typing import Iterable, Mapping, Sequence
 from .connection import Violation, _law_violations, _require_total
 from .errors import (AuthorityMismatch, CorollaryViolation, DlmError, LabelSyntaxError,
                      NotLagoisHierarchy, UnknownPrincipal)
-from .lattice import Record, _check_document, _order_rows
+from .lattice import Record, _check_document, _members, _order_rows
 
 TOP = "TOP"
 BOT = "BOT"
@@ -109,7 +109,7 @@ class PrincipalsHierarchy:
         return f"PrincipalsHierarchy({len(self.principals)} principals)"
 
 
-class Policy(Record, order=True):
+class Policy(Record):
     __slots__ = ("owner", "readers")  # str, frozenset[str]
 
     def __str__(self) -> str:
@@ -238,7 +238,7 @@ def hierarchy_violations(left: PrincipalsHierarchy, right: PrincipalsHierarchy,
 
     def side(h: PrincipalsHierarchy) -> tuple:
         names, bit, col = h.principals, h._bit, h._col
-        return names, [(p, q) for p in names for q in names if col[p] & bit[q]], col, bit
+        return names, [(p, q) for p in names for q in _members(col[p], names)], col, bit
 
     return _law_violations(side(left), side(right), alpha, gamma)
 

@@ -342,9 +342,9 @@ def adversary_pairs(conn: LagoisConnection) -> list[tuple[str, str]]:
     return [(l, conn.alpha(l)) for l in conn.budpoints_left]
 
 
-class NiTrialResult(Record, defaults=(None, None)):
-    """distinguishing is (side, variable) or None; initial and final, the
-    two runs' store pairs, default to None."""
+class NiTrialResult(Record):
+    """distinguishing is (side, variable) or None; initial and final are the
+    two runs' store pairs, or None when the trial keeps no stores."""
     __slots__ = ("passed", "pair", "seed", "distinguishing", "initial", "final")
 
 
@@ -435,6 +435,7 @@ def draw_store_pairs(prog: Program, conn: LagoisConnection,
                      pair: tuple[str, str], seed: int) -> tuple[StorePair, StorePair]:
     """Two initial store pairs that agree on every variable at or below the
     adversary pair and differ everywhere else."""
+    _require_count("seed", seed, None)
     return _trials(prog, [(_lows(prog, conn, pair), seed)], keep_stores=True)[0][1]
 
 
@@ -458,10 +459,11 @@ def ni_trial(prog: Program, conn: LagoisConnection, pair: tuple[str, str],
     Draws two low-agreeing stores, executes both, and passes iff the final
     stores still agree on every low variable.  Refuses ill-typed programs.
     A failure carries both runs' initial and final stores."""
+    _require_count("seed", seed, None)
     _require_well_typed(prog, conn)
     [(distinguishing, *stores)] = _trials(prog, [(_lows(prog, conn, pair), seed)], True)
     return NiTrialResult(distinguishing is None, pair, seed, distinguishing,
-                         *(stores if distinguishing or keep_stores else ()))
+                         *(stores if distinguishing or keep_stores else (None, None)))
 
 
 # -- well-typed program generation -------------------------------------------------
@@ -473,10 +475,11 @@ def gen_well_typed(decls: Sequence[VarDecl], conn: LagoisConnection,
     """Rejection-sample random phrases until the body reaches `length`, keeping each whose
     premise holds: a mask test on one `_rows` table, which checks every declared class.  Each
     choice takes one float r() of `random.Random(seed)`; a pick among n items, seq[int(r() * n)],
-    is uniform up to a bias of at most n * 2^-53.  Raises FlowError unless `length` >= 0 and
-    `stall_limit` >= 1 are ints, ValueError if `kinds` is empty or holds an unknown kind, both
-    before any draw, and GenerationStall after `stall_limit` consecutive rejections."""
+    is uniform up to a bias of at most n * 2^-53.  Raises FlowError unless `length` >= 0,
+    `seed` and `stall_limit` >= 1 are ints, ValueError if `kinds` is empty or holds an unknown
+    kind, both before any draw, and GenerationStall after `stall_limit` consecutive rejections."""
     _require_count("length", length)
+    _require_count("seed", seed, None)
     _require_count("stall_limit", stall_limit, 1)
     prog = Program(tuple(decls), ())
     rows = _rows(prog.env, conn, prog.env)
@@ -507,11 +510,12 @@ def gen_well_typed(decls: Sequence[VarDecl], conn: LagoisConnection,
     return prog
 
 
-def _require_count(name: str, count, least: int = 0) -> None:
-    """A count is an int, not a bool, of at least `least`; anything else is a FlowError."""
+def _require_count(name: str, count, least: int | None = 0) -> None:
+    """A count is an int, not a bool, of at least `least` if that is given (a seed has no
+    bound); anything else is a FlowError."""
     if not isinstance(count, int) or isinstance(count, bool):
         raise FlowError(f"{name} must be an integer, got {count!r}")
-    if count < least:
+    if least is not None and count < least:
         raise FlowError(f"{name} must be at least {least}, got {count}")
 
 
@@ -559,6 +563,7 @@ def run_ni_suite(decls: Sequence[VarDecl], conn: LagoisConnection,
     order."""
     for name, count in (("programs", programs), ("max_len", max_len), ("draws", draws)):
         _require_count(name, count)
+    _require_count("seed", seed, None)
     pairs, base, failures = adversary_pairs(conn), random.Random(seed), []
     for p_idx in range(programs):
         length = base.randrange(max_len + 1)

@@ -310,43 +310,37 @@ def _extrema(items: Sequence, below: Callable[[object, object], object]) -> list
 
 
 class Record:
-    """Base of sifc's records: slotted classes whose fields are their
-    `__slots__`, or their `__match_args__` where more slots follow.  Once per
-    class, this writes what `dataclasses` would where the class does not: an
-    `__init__` over the fields (`defaults` for the last ones), the repr
-    `Name(field=value, ...)`, `==` only within one class, the hash of the
-    field tuple and, with `order`, its ordering.  Assignment and deletion
-    raise AttributeError, unless `frozen` is false: then the record is
-    mutable and unhashable."""
+    """Base of sifc's records: immutable slotted classes whose fields are their
+    `__slots__`, or their `__match_args__` where more slots follow.  Once per class
+    this writes an `__init__` over the fields, unless the class has its own.  The
+    rest is written here, once, over the field tuple, as `dataclasses` would: the
+    repr `Name(field=value, ...)`, `==` only within one class, the hash, and copy
+    and pickle through `__init__`.  Assignment and deletion raise AttributeError."""
 
     __slots__ = ()
 
-    def __init_subclass__(cls, frozen: bool = True, order: bool = False, defaults: tuple = ()):
+    def __init_subclass__(cls):
         names = cls.__match_args__ = cls.__dict__.get("__match_args__", cls.__slots__)
-        mine = "(" + "".join(f"self.{n}, " for n in names) + ")"
-        theirs = mine.replace("self.", "other.")
-        shown = ", ".join(f"{n}={{self.{n}!r}}" for n in names)
-        code = {"__init__": f"def __init__(self, {', '.join(names)}):\n"
-                            + "".join(f" _set_{n}(self, {n})\n" for n in names),
-                "__repr__": "def __repr__(self):\n"
-                            f" return f'{{self.__class__.__qualname__}}({shown})'\n"}
-        ops = {"eq": "=="} | ({"lt": "<", "le": "<=", "gt": ">", "ge": ">="} if order else {})
-        for op, sym in ops.items():
-            code[f"__{op}__"] = (f"def __{op}__(self, other):\n return {mine} {sym} {theirs} "
-                                 "if other.__class__ is self.__class__ else NotImplemented\n")
-        if frozen:
-            code["__hash__"] = f"def __hash__(self):\n return hash({mine})\n"
-        else:
-            cls.__setattr__, cls.__delattr__ = object.__setattr__, object.__delattr__
-            cls.__hash__ = None
-        code = {name: text for name, text in code.items() if name not in cls.__dict__}
-        space = {f"_set_{n}": cls.__dict__[n].__set__ for n in names}  # the slots' own setters
-        exec("".join(code.values()), space)
-        for name in code:
-            space[name].__qualname__ = f"{cls.__qualname__}.{name}"
-            setattr(cls, name, space[name])
-        if defaults:
-            cls.__init__.__defaults__ = defaults
+        if "__init__" not in cls.__dict__:
+            space = {f"_set_{n}": cls.__dict__[n].__set__ for n in names}  # the slots' own setters
+            exec(f"def __init__(self, {', '.join(names)}):\n"
+                 + "".join(f" _set_{n}(self, {n})\n" for n in names), space)
+            space["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
+            cls.__init__ = space["__init__"]
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__match_args__))
+
+    def __eq__(self, other):
+        return (self._values() == other._values() if other.__class__ is self.__class__
+                else NotImplemented)
+
+    def __hash__(self) -> int:  # the tuple spelled out: no extra frame at the deepest field
+        return hash(tuple(map(self.__getattribute__, self.__match_args__)))
+
+    def __repr__(self) -> str:  # one %r per field: a frame per nesting level, no more
+        shown = ", ".join([f"{n}=%r" for n in self.__match_args__])
+        return f"{self.__class__.__qualname__}({shown})" % self._values()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -355,7 +349,7 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):  # copy and pickle rebuild a record through its __init__
-        return self.__class__, tuple(map(self.__getattribute__, self.__match_args__))
+        return self.__class__, self._values()
 
 
 def load_lattice(path: str) -> Lattice:

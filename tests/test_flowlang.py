@@ -447,6 +447,17 @@ def test_ni_exhaustive_small_value_domain(cu):
                 assert getattr(fa, side)[name] == getattr(fb, side)[name]
 
 
+def test_ni_trial_and_draw_store_pairs_take_only_an_int_seed(cu):
+    prog, pair = gen_well_typed(DECLS, cu, 4, 0), ("Faculty", "UnivFac")
+    for run in (lambda seed: ni_trial(prog, cu, pair, seed, keep_stores=True).initial,
+                lambda seed: draw_store_pairs(prog, cu, pair, seed)):
+        for bad in (1.5, True, "7", None):
+            with pytest.raises(FlowError) as exc:
+                run(bad)
+            assert str(exc.value) == f"seed must be an integer, got {bad!r}"
+        assert run(-1) == run(2 ** 64 - 1) and run(2 ** 64 + 3) == run(3)  # taken mod 2^64
+
+
 def test_ni_trial_refuses_ill_typed(cu):
     decls = DECLS + (VarDecl("ly0", "L", "import", "Student"),)
     prog = Program(decls, (Trl("ly0", "mx1"),))
@@ -644,7 +655,12 @@ def test_gen_length_zero_is_empty(cu):
     ((True, 0), "length must be an integer, got True"),
     ((3, 0, flowlang.PHRASE_KINDS, 0), "stall_limit must be at least 1, got 0"),
     ((3, 0, flowlang.PHRASE_KINDS, 1.0), "stall_limit must be an integer, got 1.0"),
-], ids=["negative-length", "float-length", "bool-length", "zero-stall", "float-stall"])
+    ((3, 1.5), "seed must be an integer, got 1.5"),
+    ((3, None), "seed must be an integer, got None"),
+    ((3, "7"), "seed must be an integer, got '7'"),
+    ((3, True), "seed must be an integer, got True"),
+], ids=["negative-length", "float-length", "bool-length", "zero-stall", "float-stall",
+        "float-seed", "none-seed", "str-seed", "bool-seed"])
 def test_gen_rejects_bad_counts(cu, args, message):
     with pytest.raises(FlowError) as exc:
         gen_well_typed(DECLS, cu, *args)
@@ -1029,6 +1045,12 @@ def test_run_ni_suite_rejects_negative_counts(cu, arg):
     counts[arg] = 0  # zero stays allowed
     report = run_ni_suite(DECLS, cu, seed=0, **counts)
     assert report.passed and report.trials == (0 if arg != "max_len" else 2 * 4)
+    for bad in (1.5, True, "7", None):  # a seed is an int too, of any size
+        with pytest.raises(FlowError) as exc:
+            run_ni_suite(DECLS, cu, seed=bad, **counts)
+        assert str(exc.value) == f"seed must be an integer, got {bad!r}"
+    for seed in (-1, 2 ** 64, -2 ** 70):
+        assert run_ni_suite(DECLS, cu, seed=seed, **counts).seed == seed
 
 
 def test_typing_rejects_phrases_that_are_non_interfering(cu):

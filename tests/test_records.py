@@ -1,13 +1,15 @@
 """sifc's records behave as the dataclasses they replaced.  Each record is
-compared with a `@dataclass` twin built from its own field tuple and flags,
-on seeded instances from the generators and the fixtures: repr, `==` and
-`!=` within and across classes, hash or the TypeError it raises, ordering,
-assignment and deletion, copies, and defaults."""
+compared with a frozen `@dataclass` twin built from its own field tuple, on
+seeded instances from the generators and the fixtures: repr, `==` and `!=`
+within and across classes, hash or the TypeError it raises, the TypeError of
+ordering, assignment and deletion, copies, and the verdict's fresh list."""
 
 import copy
 import dataclasses
+import operator
 import pickle
 import random
+import sys
 from itertools import product
 
 import pytest
@@ -21,23 +23,19 @@ from gen import random_connection, random_expr, random_lattice, random_monotone_
 RECORDS = [c for m in (connection, dlm, flowlang, cli) for c in vars(m).values()
            if isinstance(c, type) and issubclass(c, Record) and c.__module__ == m.__name__]
 
-# What each class statement says besides its fields, as dataclass options.
-OPTIONS = {dlm.Policy: {"order": True}, cli.Verdict: {"frozen": False}}
-SPECS = {flowlang.NiTrialResult: {"initial": dataclasses.field(default=None),
-                                  "final": dataclasses.field(default=None)},
-         cli.Verdict: {"lines": dataclasses.field(default_factory=list)},
+# What each class says besides its fields, as dataclass field specifications.
+SPECS = {cli.Verdict: {"lines": dataclasses.field(default_factory=list)},
          flowlang.Program: {"env": dataclasses.field(init=False, repr=False, compare=False)}}
 OWN_REPR = {connection.LagoisConnection}
 
 
 def twin(cls):
-    """A dataclass with the record's fields, in order, and its options."""
+    """A frozen dataclass with the record's fields, in order."""
     specs = SPECS.get(cls, {})
     names = dict.fromkeys([*cls.__match_args__, *specs])
     return dataclasses.make_dataclass(
         cls.__name__, [(n, object, specs[n]) if n in specs else (n, object) for n in names],
-        namespace={"__repr__": cls.__repr__} if cls in OWN_REPR else None,
-        **{"frozen": True, **OPTIONS.get(cls, {})})
+        namespace={"__repr__": cls.__repr__} if cls in OWN_REPR else None, frozen=True)
 
 
 def values(x) -> list:
@@ -125,19 +123,12 @@ def test_records_behave_as_their_dataclass_twins(seed):
             pickled = pickle.loads(pickle.dumps(x))  # a twin has no importable name
             assert type(pickled) is cls and (pickled == x) == (copy.deepcopy(x) == x)
             for name in cls.__match_args__:
-                before = getattr(x, name)
                 assert outcome(setattr, x, name, 0) == outcome(setattr, t, name, 0)
                 assert outcome(delattr, x, name) == outcome(delattr, t, name)
-                if cls is cli.Verdict:  # mutable: put the field back
-                    setattr(x, name, before)
-                    setattr(t, name, before)
         for (x, t), (y, u) in product(zip(xs, ts), repeat=2):
             assert (x == y, x != y) == (t == u, t != u)
-            if "order" in OPTIONS.get(cls, {}):
-                assert (x < y, x <= y, x > y, x >= y) == (t < u, t <= u, t > u, t >= u)
-        if "order" in OPTIONS.get(cls, {}):
-            assert (sorted(range(len(xs)), key=xs.__getitem__)
-                    == sorted(range(len(ts)), key=ts.__getitem__))
+            for op in (operator.lt, operator.le, operator.gt, operator.ge):
+                assert outcome(op, x, y) == outcome(op, t, u)
 
 
 def test_records_of_different_classes_are_never_equal():
@@ -152,9 +143,9 @@ def test_records_of_different_classes_are_never_equal():
 
 
 def test_defaults_and_fresh_lists():
-    result = flowlang.NiTrialResult(True, ("a", "b"), 1, None)
-    assert (result.initial, result.final) == (None, None)
-    assert repr(result) == repr(twin(flowlang.NiTrialResult)(True, ("a", "b"), 1, None))
+    fields = (True, ("a", "b"), 1, None)  # no defaults: both raise the same TypeError
+    assert (outcome(flowlang.NiTrialResult, *fields)
+            == outcome(twin(flowlang.NiTrialResult), *fields))
     first, second = cli.Verdict({}), cli.Verdict({})
     assert first.lines == [] and first.lines is not second.lines
     assert repr(first) == repr(twin(cli.Verdict)({}))
@@ -176,3 +167,25 @@ def test_custom_and_hidden_fields_stay_out_of_repr_and_equality():
     assert vars(pm)["_through"] is built and set(built) == {"lr", "rl"}
     assert repr(pm) == shown and pm == fresh
     assert outcome(hash, pm) == (TypeError, "unhashable type: 'dict'")
+
+
+def test_repr_and_hash_reach_as_deep_as_equality():
+    def chain(depth):
+        e = flowlang.Const(0)
+        for _ in range(depth):
+            e = flowlang.Add(e, flowlang.Var("x"))
+        return e
+
+    def handles(fn, depth) -> bool:
+        try:
+            fn(chain(depth), chain(depth))
+            return True
+        except RecursionError:
+            return False
+
+    low, high = 1, sys.getrecursionlimit()  # == handles low and not high
+    assert handles(operator.eq, low) and not handles(operator.eq, high)
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (mid, high) if handles(operator.eq, mid) else (low, mid)
+    assert handles(lambda a, _: repr(a), low) and handles(lambda a, _: hash(a), low)

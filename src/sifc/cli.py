@@ -437,7 +437,6 @@ def render(verdict: Verdict, fmt: str) -> str:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
     args = build_parser().parse_args(argv)
     trace = ""
     try:

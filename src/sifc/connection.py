@@ -14,8 +14,9 @@ learn.  The image classes gamma[M] and alpha[L] (the *budpoints*) are
 order-isomorphic and carry the whole inter-domain agreement; every other
 class is represented by the least budpoint above it.  The laws and every map
 check read the lattices' bit rows: x <= y is up[x] & bit[y], and LC3 and LC4
-compare up rows, equality by antisymmetry.  So the law checker takes a side as
-its rows, and serves two acts-for hierarchies (`sifc.dlm`) alike.
+compare up rows, equality by antisymmetry.  An acts-for hierarchy (`sifc.dlm`)
+keeps the same rows, so the law checker takes two hierarchies as it takes two
+lattices.
 
 Besides verification this module synthesises the right map from the left one
 when it exists, builds connections from closure-operator agreements, chains
@@ -29,7 +30,7 @@ from __future__ import annotations
 from contextlib import suppress
 from functools import cached_property
 from itertools import combinations
-from typing import Container, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 from .errors import (AdjointError, CoarsenError, ComposeError, LatticeMismatch, MapError,
                      NotClosure, NotIso, NotLagois, NotMonotone, NotSemiInverse, PartialMap)
@@ -51,7 +52,7 @@ class MonotoneMap:
     def __init__(self, source: Lattice, target: Lattice, table: Mapping[str, str],
                  where: str = "map"):
         _require_total(source, target, table, where)
-        if broken := next(_unordered(source.covers, table, target._up, target._bit), None):
+        if broken := next(_unordered(source.covers, table, target), None):
             raise NotMonotone(broken, where)
         self.source, self.target, self._table = source, target, dict(table)
 
@@ -131,44 +132,42 @@ def connection_violations(left: Lattice, right: Lattice,
     between the two class sets; those are input errors, not check outcomes.
     Runtime is linear in the lattice sizes plus the cover counts.
     """
+    return _law_violations(left, left.covers, right, right.covers, alpha, gamma)
+
+
+def _law_violations(left, lpairs: Iterable[tuple[str, str]], right,
+                    rpairs: Iterable[tuple[str, str]], alpha: Mapping[str, str],
+                    gamma: Mapping[str, str]) -> list[Violation]:
+    """Order preservation and LC1-LC4 between two orders, lattices or hierarchies, on
+    their closed bit rows, x <= y iff _up[x] & _bit[y], after `_require_total` of both
+    maps.  Preservation is checked on each side's pairs (lo, hi) with lo <= hi, and LC3
+    and LC4 compare up rows, equality on a lattice and mutual order on a pre-order."""
     _require_total(left, right, alpha, "alpha")
     _require_total(right, left, gamma, "gamma")
-    return _law_violations((left.classes, left.covers, left._up, left._bit),
-                           (right.classes, right.covers, right._up, right._bit), alpha, gamma)
-
-
-def _law_violations(left: tuple, right: tuple, alpha: Mapping[str, str],
-                    gamma: Mapping[str, str]) -> list[Violation]:
-    """Order preservation and LC1-LC4 for total maps between two sides, each
-    (names, pairs, up, bit) over closed bit rows, x <= y iff up[x] & bit[y]:
-    preservation is checked on the pairs (lo, hi) with lo <= hi, and LC3 and
-    LC4 compare up rows, equality on a lattice and mutual order on a pre-order."""
-    lnames, lpairs, lup, lbit = left
-    rnames, rpairs, rup, rbit = right
-    out = [Violation("Monotone-alpha", p) for p in _unordered(lpairs, alpha, rup, rbit)]
-    out += [Violation("Monotone-gamma", p) for p in _unordered(rpairs, gamma, lup, lbit)]
-    out += [Violation("LC1", (l,)) for l in lnames if not lup[l] & lbit[gamma[alpha[l]]]]
-    out += [Violation("LC2", (m,)) for m in rnames if not rup[m] & rbit[alpha[gamma[m]]]]
-    out += [Violation("LC3", (l,)) for l in lnames if rup[alpha[gamma[alpha[l]]]] != rup[alpha[l]]]
-    out += [Violation("LC4", (m,)) for m in rnames if lup[gamma[alpha[gamma[m]]]] != lup[gamma[m]]]
+    lup, lbit, rup, rbit = left._up, left._bit, right._up, right._bit
+    out = [Violation("Monotone-alpha", p) for p in _unordered(lpairs, alpha, right)]
+    out += [Violation("Monotone-gamma", p) for p in _unordered(rpairs, gamma, left)]
+    out += [Violation("LC1", (l,)) for l in lbit if not lup[l] & lbit[gamma[alpha[l]]]]
+    out += [Violation("LC2", (m,)) for m in rbit if not rup[m] & rbit[alpha[gamma[m]]]]
+    out += [Violation("LC3", (l,)) for l in lbit if rup[alpha[gamma[alpha[l]]]] != rup[alpha[l]]]
+    out += [Violation("LC4", (m,)) for m in rbit if lup[gamma[alpha[gamma[m]]]] != lup[gamma[m]]]
     return out
 
 
 def _unordered(pairs: Iterable[tuple[str, str]], table: Mapping[str, str],
-               up: Mapping[str, int], bit: Mapping[str, int]) -> Iterator[tuple[str, str]]:
-    """The pairs (lo, hi), lazily in order, with table[lo] <= table[hi] false on up and bit."""
+               target) -> Iterator[tuple[str, str]]:
+    """The pairs (lo, hi), lazily in order, with table[lo] <= table[hi] false in `target`."""
+    up, bit = target._up, target._bit
     return ((lo, hi) for lo, hi in pairs if not up[table[lo]] & bit[table[hi]])
 
 
-def _require_total(source: Container[str], target: Container[str],
-                   table: Mapping[str, str], where: str,
-                   names: Sequence[str] | None = None, unknown=UnknownClass) -> None:
-    """Require `table` to map exactly `names` (default: the classes of `source`) into
+def _require_total(source, target, table: Mapping[str, str], where: str) -> None:
+    """Require `table` to map exactly the names of `source`, in declaration order, into
     `target`: PartialMap lists the unmapped names in order; then one key per name and only
-    `target._bit` names as values pass, or else `unknown` names the first stray in order."""
+    `target._bit` names as values pass, or else `source._unknown` names the first stray."""
     if not isinstance(table, Mapping):
         raise MapError(f"{where} must be a mapping from names to names")
-    names = source.classes if names is None else names
+    names = source._bit
     if missing := tuple(c for c in names if c not in table):
         raise PartialMap(missing, where)
     with suppress(TypeError):  # an unhashable value is named below
@@ -176,9 +175,9 @@ def _require_total(source: Container[str], target: Container[str],
             return
     for key, value in table.items():
         if key not in source:
-            raise unknown(key, f"{where} domain")
+            raise source._unknown(key, f"{where} domain")
         if not isinstance(value, str) or value not in target:
-            raise unknown(value, f"{where} range")
+            raise source._unknown(value, f"{where} range")
 
 
 def _preimages(f: MonotoneMap) -> dict[str, tuple[str, ...]]:
@@ -318,11 +317,10 @@ def find_adjoint(alpha: MonotoneMap) -> MonotoneMap:
                                         f"(minimal ones: {_extrema(above, right.leq)})")
         gamma[m] = largest[inf]
 
-    for m1 in _members(image_mask, right.classes):
-        for m2 in _members(right._up[m1] & image_mask, right.classes):
-            if not left._up[largest[m1]] & left._bit[largest[m2]]:
-                raise AdjointError(3, (m1, m2),
-                                   "largest-preimage elements do not mirror the image order")
+    image_pairs = ((m1, m2) for m1 in _members(image_mask, right.classes)
+                   for m2 in _members(right._up[m1] & image_mask, right.classes))
+    if broken := next(_unordered(image_pairs, largest, left), None):
+        raise AdjointError(3, broken, "largest-preimage elements do not mirror the image order")
 
     return _proven_map(right, left, gamma)
 
@@ -365,7 +363,7 @@ def build_from_closures(left: Lattice, right: Lattice,
 
 def _require_closure(lat: Lattice, table: Mapping[str, str], name: str) -> None:
     _require_total(lat, lat, table, name)
-    if broken := next(_unordered(lat.covers, table, lat._up, lat._bit), None):
+    if broken := next(_unordered(lat.covers, table, lat), None):
         raise NotClosure(name, "monotone", broken[0])
     if x := next((x for x in lat.classes if not lat._up[x] & lat._bit[table[x]]), None):
         raise NotClosure(name, "increasing", x)

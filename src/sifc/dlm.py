@@ -7,31 +7,31 @@ reader set; a label is a conjunction of policies.  Relabeling L1 -> L2 is
 permitted when every policy of L1 is subsumed by some policy of L2 (Myers and
 Liskov, TOSEM 2000); labels are joined by set union.
 
-The order is decided on bit masks.  Each principal has a bit, the row of the
-principals it acts for (its closure row) and the column of the principals
-that act for it.  Policy j subsumes policy i iff row[j.owner] has i.owner's
-bit and E_j & ~U_i == 0, where E_j is the OR of the bits of j's effective
-readers (its readers and its owner) and U_i the OR of the columns of i's:
-every effective reader of j then acts for some effective reader of i.  The
-masks are built per call from the labels, in O(readers) dict reads per
+The order is decided on a lattice's bit rows, under p <= q iff q acts for p:
+each principal has a bit, a down row of the principals it acts for and an up
+row of those that act for it.  Policy j subsumes policy i iff down[j.owner]
+has i.owner's bit and E_j & ~U_i == 0, where E_j is the OR of the bits of j's
+effective readers (its readers and its owner) and U_i the OR of the up rows of
+i's: every effective reader of j then acts for some effective reader of i.
+The masks are built per call from the labels, in O(readers) dict reads per
 policy.  An unknown principal surfaces as a missing key, read in the order
 the principals were always checked: the first label before the second, each
 policy's owner before its readers.  A cross-domain decision reads its masks
-through the principal maps: a connection keeps each hierarchy's bit, row and
-column dicts keyed by the other side's principals through alpha or gamma,
+through the principal maps: a connection keeps each hierarchy's bit, down
+and up dicts keyed by the other side's principals through alpha or gamma,
 built once in O(principals), so lifting a policy costs the same dict reads
 as reading it at home and no lifted label is built.
 
-A connection between two hierarchies is checked on these masks by the law
-checker of `sifc.connection`: a principal's column is its up row, so p <= q
-reads "q acts for p", and equal columns mean mutual acts-for.  It lifts
-to labels pointwise: each policy's owner and readers are pushed through the
-principal maps.  Each lifted law holds for every label iff its principal law
-holds: subsumption compares owners and effective readers by acts-for and the
-lifted maps act on each of them alone, so a principal law carries to every
-label, and a failure at p (or p <= q) shows on the owner-only labels {p:}
-(and {q:}), as {p:} <= {q:} iff q acts for p.  Declassification transports
-across the connection for authority sets that mirror each other.
+A connection between two hierarchies is checked on these rows by the law
+checker of `sifc.connection`, which takes the two orders as it takes two
+lattices; equal up rows mean mutual acts-for.  It lifts to labels pointwise:
+each policy's owner and readers are pushed through the principal maps.  Each
+lifted law holds for every label iff its principal law holds: subsumption
+compares owners and effective readers by acts-for and the lifted maps act on
+each of them alone, so a principal law carries to every label, and a failure
+at p (or p <= q) shows on the owner-only labels {p:} (and {q:}), as
+{p:} <= {q:} iff q acts for p.  Declassification transports across the
+connection for authority sets that mirror each other.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from functools import cached_property
 from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
-from .connection import Violation, _law_violations, _require_total
+from .connection import Violation, _law_violations
 from .errors import (AuthorityMismatch, CorollaryViolation, DlmError, LabelSyntaxError,
                      NotLagoisHierarchy, UnknownPrincipal)
 from .lattice import Record, _check_document, _members, _order_rows
@@ -57,31 +57,33 @@ class PrincipalsHierarchy:
     """A finite set of principals under the acts-for pre-order, with TOP
     acting for everyone and everyone acting for BOT.
 
-    Principal i has bit 1 << i; `_row[p]` has the bit of every principal p
-    acts for and `_col[p]` the bit of every principal acting for p."""
+    It keeps a lattice's rows under the order p <= q iff q acts for p: principal
+    i has bit 1 << i, `_up[p]` has the bit of every principal acting for p and
+    `_down[p]` the bit of every principal p acts for."""
 
-    __slots__ = ("principals", "edges", "_bit", "_row", "_col")
+    __slots__ = ("principals", "edges", "_bit", "_up", "_down")
+    _unknown = UnknownPrincipal  # the error for a name outside the order
 
     def __init__(self, principals: Sequence[str], acts_for_edges: Iterable[tuple[str, str]]):
         if not isinstance(principals, (list, tuple)):  # a string would split into letters
             raise DlmError("principals must be a list of principal names")
         names = [*principals, *(p for p in (TOP, BOT) if p not in principals)]
-        rows, cols, edges = _order_rows(names, acts_for_edges, PRINCIPAL_RE, (
+        downs, ups, edges = _order_rows(names, acts_for_edges, PRINCIPAL_RE, (
             lambda: DlmError("acts_for must be pairs [principal, principal]"),
             lambda p: DlmError(f"invalid principal name {p!r}"),
             lambda p: DlmError(f"duplicate principal {p!r}"), UnknownPrincipal))
 
-        # Close the declared edges (p acts for q) only: a row gains BOT's row, and
-        # is everyone if it then holds TOP; a column gains TOP's, likewise with BOT.
-        for closed, via, absorbing in ((rows, BOT, TOP), (cols, TOP, BOT)):
+        # Close the declared edges (p acts for q) only: a down row gains BOT's, and
+        # is everyone if it then holds TOP; an up row gains TOP's, likewise with BOT.
+        for closed, via, absorbing in ((downs, BOT, TOP), (ups, TOP, BOT)):
             base, bit = closed[names.index(via)], 1 << names.index(absorbing)
             closed[:] = [(1 << len(names)) - 1 if (r | base) & bit else r | base for r in closed]
 
         self.principals = tuple(names)
         self.edges = tuple((p, q) for p, q in edges)
         self._bit = {p: 1 << i for i, p in enumerate(names)}
-        self._row = dict(zip(names, rows))
-        self._col = dict(zip(names, cols))
+        self._up = dict(zip(names, ups))
+        self._down = dict(zip(names, downs))
 
     def __contains__(self, name: str) -> bool:
         return name in self._bit
@@ -89,7 +91,7 @@ class PrincipalsHierarchy:
     def acts_for(self, p: str, q: str) -> bool:
         """True iff p may perform any action q may (p is at least as trusted)."""
         try:
-            return self._row[p] & self._bit[q] != 0
+            return self._down[p] & self._bit[q] != 0
         except KeyError as exc:
             raise UnknownPrincipal(exc.args[0]) from None
 
@@ -139,8 +141,8 @@ def policy(owner: str, *readers: str) -> Policy:
 def _masks(policies: Iterable[Policy], owners: Mapping[str, int],
            readers: Mapping[str, int]) -> list[tuple[int, int]]:
     """Per policy, the owner's mask and the OR of its effective readers'
-    masks: (bit, U) from h._bit and h._col for the lower side of the order,
-    (row, E) from h._row and h._bit for the upper side.  Each owner is read
+    masks: (bit, U) from h._bit and h._up for the lower side of the order,
+    (down, E) from h._down and h._bit for the upper side.  Each owner is read
     before its readers, so the first KeyError names the first unknown
     principal in that order."""
     out = []
@@ -154,12 +156,12 @@ def _masks(policies: Iterable[Policy], owners: Mapping[str, int],
 
 def _subsumed(below: list[tuple[int, int]], above: list[tuple[int, int]]) -> bool:
     """The one decision loop: every lower policy (bit, U) is subsumed by some
-    upper policy (row, E), i.e. row & bit != 0 and E & ~U == 0.  Both lists
+    upper policy (down, E), i.e. down & bit != 0 and E & ~U == 0.  Both lists
     come from `_masks`; an authority adds its owner-only policies to `above`
-    as (row, bit)."""
+    as (down, bit)."""
     for owner, cover in below:
-        for row, readers in above:
-            if row & owner and not readers & ~cover:
+        for down, readers in above:
+            if down & owner and not readers & ~cover:
                 break
         else:
             return False
@@ -174,8 +176,8 @@ def policy_leq(h: PrincipalsHierarchy, i: Policy, j: Policy) -> bool:
 
 def label_leq(h: PrincipalsHierarchy, l1: Label, l2: Label) -> bool:
     try:
-        return _subsumed(_masks(l1.policies, h._bit, h._col),
-                         _masks(l2.policies, h._row, h._bit))
+        return _subsumed(_masks(l1.policies, h._bit, h._up),
+                         _masks(l2.policies, h._down, h._bit))
     except KeyError as exc:
         raise UnknownPrincipal(exc.args[0]) from None
 
@@ -230,17 +232,12 @@ def format_label(label: Label) -> str:
 def hierarchy_violations(left: PrincipalsHierarchy, right: PrincipalsHierarchy,
                          alpha: Mapping[str, str],
                          gamma: Mapping[str, str]) -> list[Violation]:
-    """Connection laws over the acts-for pre-orders by the lattice checker: the
-    column is the up row, so p <= q reads "q acts for p".  Monotonicity is checked
-    on every related pair, and equal columns mean mutual acts-for."""
-    _require_total(left, right, alpha, "alpha", left.principals, UnknownPrincipal)
-    _require_total(right, left, gamma, "gamma", right.principals, UnknownPrincipal)
-
-    def side(h: PrincipalsHierarchy) -> tuple:
-        names, bit, col = h.principals, h._bit, h._col
-        return names, [(p, q) for p in names for q in _members(col[p], names)], col, bit
-
-    return _law_violations(side(left), side(right), alpha, gamma)
+    """Connection laws over the acts-for pre-orders by the lattice checker, p <= q
+    iff q acts for p.  Monotonicity is checked on every related pair, and equal up
+    rows mean mutual acts-for."""
+    lpairs, rpairs = ([(p, q) for p in h.principals for q in _members(h._up[p], h.principals)]
+                      for h in (left, right))
+    return _law_violations(left, lpairs, right, rpairs, alpha, gamma)
 
 
 class PrincipalMapPair(Record):
@@ -264,7 +261,7 @@ class PrincipalMapPair(Record):
 
     @cached_property
     def _through(self) -> dict[str, tuple[dict, dict, dict]]:
-        """Per direction, the far hierarchy's bit, row and column dicts keyed
+        """Per direction, the far hierarchy's bit, down row and up row dicts keyed
         by the near principals through the map ('lr': alpha into right), in
         O(principals).  A principal that the map leaves out or sends outside
         the far hierarchy has no key, so reading it raises KeyError."""
@@ -273,7 +270,7 @@ class PrincipalMapPair(Record):
                                       ("rl", self.gamma, self.left)):
             sent = [(p, q) for p, q in table.items() if q in far]
             out[direction] = tuple({p: masks[q] for p, q in sent}
-                                   for masks in (far._bit, far._row, far._col))
+                                   for masks in (far._bit, far._down, far._up))
         return out
 
 
@@ -336,7 +333,7 @@ def check_lifted_connection(pm: PrincipalMapPair, samples: int,
     echoed."""
     failures = tuple((_LIFTED[v.condition], " <= ".join(f"{{{p}:}}" for p in v.witness))
                      for v in hierarchy_violations(pm.left, pm.right, pm.alpha, pm.gamma))
-    pairs = [sum(row.bit_count() for row in h._row.values()) for h in (pm.left, pm.right)]
+    pairs = [sum(row.bit_count() for row in h._down.values()) for h in (pm.left, pm.right)]
     sizes = [len(h.principals) for h in (pm.left, pm.right)]
     checks = {"1a": pairs[0], "1b": pairs[1], "2a": sizes[0], "2b": sizes[1],
               "3a": sizes[0], "3b": sizes[1]}
@@ -357,9 +354,9 @@ def declassify_check(h: PrincipalsHierarchy, authority: Iterable[str],
         raise DlmError("authority must be principal names, not a string")
     authority = list(authority)
     try:
-        return _subsumed(_masks(l1.policies, h._bit, h._col),
-                         _masks(l2.policies, h._row, h._bit)
-                         + [(h._row[p], h._bit[p]) for p in authority])
+        return _subsumed(_masks(l1.policies, h._bit, h._up),
+                         _masks(l2.policies, h._down, h._bit)
+                         + [(h._down[p], h._bit[p]) for p in authority])
     except KeyError as exc:
         # Name the principal a full scan has always named: the authority,
         # then l1, then l2 joined with the authority's owner-only label.
@@ -417,16 +414,16 @@ def cross_declassify_check(pm: PrincipalMapPair,
         near_h, far_h, a_near, a_far, back = pm.right, pm.left, a_right, a_left, "lr"
     else:
         raise ValueError(f"direction must be 'lr' or 'rl', got {direction!r}")
-    push_bit, _, push_col = pm._through[direction]
-    _, pull_row, pull_bit = pm._through[back]
+    push_bit, _, push_up = pm._through[direction]
+    _, pull_down, pull_up = pm._through[back]  # E of up rows: U is up-closed, so alike
 
     try:
-        near = _subsumed(_masks(l1.policies, near_h._bit, near_h._col),
-                         _masks(l2.policies, pull_row, pull_bit)
-                         + [(near_h._row[p], near_h._bit[p]) for p in a_near])
-        far = _subsumed(_masks(l1.policies, push_bit, push_col),
-                        _masks(l2.policies, far_h._row, far_h._bit)
-                        + [(far_h._row[p], far_h._bit[p]) for p in a_far])
+        near = _subsumed(_masks(l1.policies, near_h._bit, near_h._up),
+                         _masks(l2.policies, pull_down, pull_up)
+                         + [(near_h._down[p], near_h._bit[p]) for p in a_near])
+        far = _subsumed(_masks(l1.policies, push_bit, push_up),
+                        _masks(l2.policies, far_h._down, far_h._bit)
+                        + [(far_h._down[p], far_h._bit[p]) for p in a_far])
     except KeyError:
         # Name the unknown principal as the lifted labels always have: l2
         # pulled back, the near check, l1 pushed forward, the far check.  If

@@ -177,6 +177,8 @@ class Program(Record):
     def __init__(self, decls: tuple[VarDecl, ...], body: tuple[Phrase, ...]):
         env: dict[str, VarDecl] = {}
         for d in decls:
+            if not isinstance(d, VarDecl):
+                raise FlowError(f"unknown declaration {d!r}")
             if d.domain not in DOMAINS:
                 raise FlowError(f"bad domain {d.domain!r} for {d.name!r}")
             if d.kind not in KINDS:
@@ -350,7 +352,11 @@ class NiTrialResult(Record):
 
 def _lows(prog: Program, conn: LagoisConnection, pair: tuple[str, str]) -> bytes:
     """Per declaration, in order: 255 if it is at or below the adversary pair
-    (low), else 0 (high): one bit test in its side's level's down row."""
+    (low), else 0 (high): one bit test in its side's level's down row.  A pair
+    that is not a list or tuple of two class names is a FlowError."""
+    if not (isinstance(pair, (tuple, list)) and len(pair) == 2
+            and isinstance(pair[0], str) and isinstance(pair[1], str)):
+        raise FlowError(f"adversary pair must be two class names, got {pair!r}")
     lats = conn.left, conn.right
     try:
         at = [(lat._bit, lat._down[level]) for lat, level in zip(lats, pair)]
@@ -483,7 +489,7 @@ def gen_well_typed(decls: Sequence[VarDecl], conn: LagoisConnection,
     _require_count("stall_limit", stall_limit, 1)
     prog = Program(tuple(decls), ())
     rows = _rows(prog.env, conn, prog.env)
-    pools = {(d, k): [v.name for v in decls if v.domain == d and v.kind == k]
+    pools = {(d, k): [v.name for v in prog.decls if v.domain == d and v.kind == k]
              for d in DOMAINS for k in KINDS}
     for (domain, kind), pool in pools.items():
         if not pool:
@@ -564,7 +570,7 @@ def run_ni_suite(decls: Sequence[VarDecl], conn: LagoisConnection,
     for name, count in (("programs", programs), ("max_len", max_len), ("draws", draws)):
         _require_count(name, count)
     _require_count("seed", seed, None)
-    pairs, base, failures = adversary_pairs(conn), random.Random(seed), []
+    decls, pairs, base, failures = tuple(decls), adversary_pairs(conn), random.Random(seed), []
     for p_idx in range(programs):
         length = base.randrange(max_len + 1)
         prog = gen_well_typed(decls, conn, length, base.getrandbits(48))

@@ -46,6 +46,7 @@ class Lattice:
 
     __slots__ = ("name", "classes", "covers", "top", "bottom",
                  "_bit", "_up", "_down", "_by_up", "_by_down")
+    _unknown = UnknownClass  # the error for a name outside the order
 
     def __init__(self, name: str, classes: tuple[str, ...], covers: tuple[tuple[str, str], ...],
                  up_rows: Sequence[int], down_rows: Sequence[int]):
@@ -128,16 +129,13 @@ class Lattice:
         return frozenset((a, b) for a, u in self._up.items() for b in _members(u, self.classes))
 
     def __eq__(self, other) -> bool:
-        # Structural: same class set and same order.  The display name and the
-        # particular cover presentation do not matter.  Declared in one order,
-        # two lattices give each class the same bit, so their rows compare.
+        # Structural: same order pairs, whose reflexive ones name every class.
+        # The display name and the particular cover presentation do not matter.
         if other is self:
             return True
         if not isinstance(other, Lattice):
             return NotImplemented
-        if self.classes == other.classes:
-            return self._up == other._up
-        return self._bit.keys() == other._bit.keys() and self.order_pairs() == other.order_pairs()
+        return self.order_pairs() == other.order_pairs()
 
     def __hash__(self) -> int:
         return hash(frozenset(self._bit))

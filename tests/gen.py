@@ -3,9 +3,19 @@ and (unchecked) transfer-language programs."""
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from sifc.lattice import Lattice, LatticeError, build_lattice
+
+
+def monotone_maps(source: Lattice, target: Lattice):
+    """Every order-preserving table from source to target."""
+    pairs = [(a, b) for a in source.classes for b in source.upset(a)]
+    for images in itertools.product(target.classes, repeat=len(source)):
+        table = dict(zip(source.classes, images))
+        if all(target.leq(table[a], table[b]) for a, b in pairs):
+            yield table
 
 
 def random_lattice(rng: random.Random, max_classes: int = 6,

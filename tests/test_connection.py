@@ -22,7 +22,7 @@ from sifc.flowlang import adversary_pairs
 from sifc.lattice import Lattice, NotALattice, UnknownClass, build_lattice
 
 import fixtures as fx
-from gen import (find_order_iso, random_closure, random_connection,
+from gen import (find_order_iso, monotone_maps, random_closure, random_connection,
                  random_lattice, random_lattice_exact, random_monotone_map)
 from oracles import (BrutePoset, brute_adjoints_exhaustive,
                      brute_adjoints_monotone, brute_lagois_violations,
@@ -447,46 +447,6 @@ def test_tightness_fails_when_round_trip_is_not_the_least_budpoint_above():
     poset = BrutePoset(chain.classes, chain.covers)
     assert not brute_tightness_passed(poset, poset, alpha, gamma,
                                       conn.budpoints_left, conn.budpoints_right)
-
-
-def _monotone_maps(source, target):
-    """Every order-preserving table from source to target."""
-    pairs = [(a, b) for a in source.classes for b in source.upset(a)]
-    for images in itertools.product(target.classes, repeat=len(source)):
-        table = dict(zip(source.classes, images))
-        if all(target.leq(table[a], table[b]) for a, b in pairs):
-            yield table
-
-
-@pytest.fixture(scope="module")
-def small_lattices():
-    """The chains of 1-4 classes and the diamond."""
-    lattices = [build_lattice(f"chain{n}", [f"c{i}" for i in range(n)],
-                              [(f"c{i}", f"c{i + 1}") for i in range(n - 1)]) for n in range(1, 5)]
-    lattices.append(build_lattice("diamond", ["bot", "x", "y", "top"],
-                                  [("bot", "x"), ("bot", "y"), ("x", "top"), ("y", "top")]))
-    return lattices
-
-
-@pytest.fixture(scope="module")
-def small_pairs(small_lattices):
-    """Bounded-exhaustive instances: every monotone (left, right, alpha, gamma)
-    between the small lattices."""
-    pairs = [(left, right, alpha, gamma)
-             for left, right in itertools.product(small_lattices, repeat=2)
-             for alpha, gamma in itertools.product(_monotone_maps(left, right),
-                                                   list(_monotone_maps(right, left)))]
-    assert len(pairs) == 6653
-    return pairs
-
-
-@pytest.fixture(scope="module")
-def small_connections(small_pairs):
-    """The connections among the small pairs, as check_connection builds them."""
-    connections = [check_connection(*pair) for pair in small_pairs
-                   if not connection_violations(*pair)]
-    assert len(connections) == 145
-    return connections
 
 
 def test_tightness_agrees_with_brute_force_on_every_small_monotone_pair(small_pairs):
@@ -1211,7 +1171,7 @@ def test_find_adjoint_on_every_small_monotone_alpha(small_lattices, small_connec
     posets = {lat: _poset(lat) for lat in small_lattices}
     outcomes = Counter()
     for left, right in itertools.product(small_lattices, repeat=2):
-        for alpha in _monotone_maps(left, right):
+        for alpha in monotone_maps(left, right):
             amap = MonotoneMap(left, right, alpha)
             expected = _planted_adjoint_error(posets[left], posets[right], alpha)
             if expected is None:
@@ -1251,7 +1211,7 @@ def test_coarsen_on_every_small_map_that_merges_whole_kernel_blocks(small_connec
     outcomes = Counter()
     for conn in small_connections:
         blocks = _brute_blocks(conn.left.classes, conn.alpha.mapping())
-        for alpha2 in _monotone_maps(conn.left, conn.right):
+        for alpha2 in monotone_maps(conn.left, conn.right):
             if any(alpha2[c] != alpha2[block[0]] for block in blocks for c in block):
                 continue
             amap = MonotoneMap(conn.left, conn.right, alpha2)

@@ -73,9 +73,9 @@ def test_an_acts_for_cycle_gives_columns_that_are_the_converse_of_the_rows():
     # one sweep that closes the columns must give the cycle one shared column.
     h = PrincipalsHierarchy(["a", "b", "c", "d", "e"],
                             [("a", "b"), ("b", "c"), ("c", "a"), ("d", "a"), ("c", "e")])
-    rows = [h._row[p] for p in h.principals]
-    assert [h._col[p] for p in h.principals] == converse_rows(rows)
-    assert h._col["a"] == h._col["b"] == h._col["c"] != h._col["e"]
+    rows = [h._down[p] for p in h.principals]
+    assert [h._up[p] for p in h.principals] == converse_rows(rows)
+    assert h._up["a"] == h._up["b"] == h._up["c"] != h._up["e"]
     assert all(h.acts_for(p, q) for p in "abcd" for q in "abce")
     assert not any(h.acts_for(p, "d") for p in "abce")
 
@@ -379,8 +379,8 @@ def test_hierarchy_rows_match_warshall_on_random_cyclic_hierarchies(seed):
     for _ in range(60):
         h = _random_cyclic_hierarchy(rng, max_names=rng.choice((6, 24, 60)))
         rows, cols = _warshall_rows(h)
-        assert [h._row[p] for p in h.principals] == rows
-        assert [h._col[p] for p in h.principals] == cols
+        assert [h._down[p] for p in h.principals] == rows
+        assert [h._up[p] for p in h.principals] == cols
 
 
 def _assert_rows_match_brute_closure(names, edges):
@@ -389,9 +389,9 @@ def _assert_rows_match_brute_closure(names, edges):
     h = PrincipalsHierarchy(names, edges)
     acts = BruteLabels(names, edges).acts
     bit = {p: 1 << i for i, p in enumerate(h.principals)}
-    assert [h._row[p] for p in h.principals] == \
+    assert [h._down[p] for p in h.principals] == \
         [sum(bit[q] for q in acts[p]) for p in h.principals], edges
-    assert [h._col[p] for p in h.principals] == \
+    assert [h._up[p] for p in h.principals] == \
         [sum(bit[q] for q in h.principals if p in acts[q]) for p in h.principals], edges
 
 

@@ -21,7 +21,7 @@ from sifc.lattice import UnknownClass
 
 import fixtures as fx
 from gen import random_phrase, random_program
-from oracles import (BrutePoset, affine_finals, interpret, ni_leak,
+from oracles import (BrutePoset, affine_finals, brute_typecheck, interpret, ni_leak,
                      reference_ni_suite, reference_trial, splitmix64)
 
 
@@ -71,6 +71,20 @@ def test_non_phrases_are_rejected(cu):
     with pytest.raises(FlowError) as exc:
         typecheck_phrase(Program(DECLS, ()).env, cu, ("rd", "L", "lz1", "ly1"))
     assert str(exc.value) == "unknown phrase ('rd', 'L', 'lz1', 'ly1')"
+
+
+def test_declarations_are_read_once_and_must_be_declarations(cu):
+    # A one-shot iterable of declarations gives the program and the report
+    # the tuple gives; anything else in its place is an input error.
+    assert gen_well_typed(iter(DECLS), cu, 6, 3) == gen_well_typed(DECLS, cu, 6, 3)
+    assert run_ni_suite(iter(DECLS), cu, 3, 6, 5) == run_ni_suite(DECLS, cu, 3, 6, 5)
+    for bad in (("lz0", "L", "internal", "Student"), "lz0", None):
+        decls = (*DECLS[:3], bad, *DECLS[3:])
+        for build in (lambda: Program(decls, ()), lambda: gen_well_typed(decls, cu, 2, 0),
+                      lambda: run_ni_suite(decls, cu, 1, 2, 0)):
+            with pytest.raises(FlowError) as exc:
+                build()
+            assert str(exc.value) == f"unknown declaration {bad!r}"
 
 
 def test_gen_well_typed_rejects_an_unknown_phrase_kind(cu):
@@ -456,6 +470,21 @@ def test_ni_trial_and_draw_store_pairs_take_only_an_int_seed(cu):
                 run(bad)
             assert str(exc.value) == f"seed must be an integer, got {bad!r}"
         assert run(-1) == run(2 ** 64 - 1) and run(2 ** 64 + 3) == run(3)  # taken mod 2^64
+
+
+def test_an_adversary_pair_is_two_class_names_read_as_given(cu, monkeypatch):
+    # A pair of another length or shape is rejected before any draw, never
+    # cut short, split into letters or hashed.
+    prog = gen_well_typed(DECLS, cu, 4, 0)
+    monkeypatch.setattr(flowlang, "_trials", None)  # a draw would raise TypeError
+    for bad in (("Faculty",), ("Faculty", "UnivFac", "x"), "ab", ("Faculty", ["x"])):
+        for run in (lambda: ni_trial(prog, cu, bad, 0), lambda: draw_store_pairs(prog, cu, bad, 0),
+                    lambda: low_variables(prog, cu, bad)):
+            with pytest.raises(FlowError) as exc:
+                run()
+            assert str(exc.value) == f"adversary pair must be two class names, got {bad!r}"
+    assert low_variables(prog, cu, ["Faculty", "UnivFac"]) == \
+        low_variables(prog, cu, ("Faculty", "UnivFac"))
 
 
 def test_ni_trial_refuses_ill_typed(cu):
@@ -896,6 +925,28 @@ def test_well_typed_programs_are_non_interfering_exactly(cu):
         prog = gen_well_typed(DECLS, cu, length, base.getrandbits(48))
         for pair in pairs:
             assert ni_leak(prog, lposet, rposet, pair) is None, (prog, pair)
+
+
+def test_every_small_connection_types_exactly_and_leaks_nothing(small_connections):
+    # The paper's soundness on every connection between the small lattices:
+    # one variable of each (side, kind, class), 20 seeded well-typed programs
+    # of 1-8 phrases each, typed as the rules are written and leaking at no
+    # adversary pair.
+    rng, programs, leak_checks = random.Random(31), 0, 0
+    for conn in small_connections:
+        decls = tuple(VarDecl(f"{side.lower()}{kind[:2]}{i}", side, kind, cls)
+                      for side, lat in (("L", conn.left), ("M", conn.right))
+                      for kind in flowlang.KINDS for i, cls in enumerate(lat.classes))
+        brute, pairs = (*posets(conn), conn.alpha.mapping(), conn.gamma.mapping()), \
+            adversary_pairs(conn)
+        for _ in range(20):
+            prog = gen_well_typed(decls, conn, rng.randint(1, 8), rng.getrandbits(48))
+            typed = typecheck(prog, conn)
+            assert (typed.left, typed.right) == brute_typecheck(prog, *brute), prog.body
+            for pair in pairs:
+                assert ni_leak(prog, *brute[:2], pair) is None, (prog.body, pair)
+            programs, leak_checks = programs + 1, leak_checks + len(pairs)
+    assert (len(small_connections), programs, leak_checks) == (145, 2900, 6140)
 
 
 def test_exact_oracle_finds_the_forged_leaks():

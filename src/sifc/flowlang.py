@@ -12,8 +12,8 @@ copies flow:
     tlr y x                right import := left export
     trl y x                left import := right export
 
-The four copies are declared once, in the table `_MOVES` that `_read`, the
-generator and the parser read.  `_read` alone knows a phrase's shape, and its
+The five phrase kinds are declared once, in the table `_PHRASES` that `_read`,
+the generator and the parser read.  `_read` alone reads a phrase, and its
 reading feeds the checker, the typer and the compiler.  Typing decides each
 premise by one mask test on the lattices' bit rows (`_rows`); the
 non-interference harness then runs well-typed programs from pairs of stores
@@ -100,42 +100,40 @@ class Tlr(Record):
 
 Phrase = Txn | Rd | Wr | Trl | Tlr
 
-# The copy phrases: word -> (class, target, source), each end a (domain, kind) whose
-# domain None is the phrase's own.  Every constructor takes ([domain,] target, source).
-_MOVES = {"rd": (Rd, (None, "internal"), (None, "import")),
-          "wr": (Wr, (None, "export"), (None, "internal")),
-          "trl": (Trl, ("L", "import"), ("M", "export")),
-          "tlr": (Tlr, ("M", "import"), ("L", "export"))}
-PHRASE_KINDS = ("txn", *_MOVES)
+# The phrase kinds, each once: word -> (class, target, sources), each end a (side, kind)
+# whose side (0 L, 1 M) None is the phrase's own domain, passed first to its class.
+_PHRASES = {"txn": (Txn, (None, "internal"), (None, "internal")),
+            "rd": (Rd, (None, "internal"), (None, "import")),
+            "wr": (Wr, (None, "export"), (None, "internal")),
+            "trl": (Trl, (0, "import"), (1, "export")),
+            "tlr": (Tlr, (1, "import"), (0, "export"))}
+PHRASE_KINDS = tuple(_PHRASES)
 
-# A phrase's reading: its word, the side (0 L, 1 M) and kind of its target and
-# of its source, and its updates in order, each (target, source), whose source
-# is a variable name or a transaction's (const, names), const plus those
-# variables mod 2^16.  `_SHAPES` gives a phrase class's word, the side (None:
-# the phrase's own) and kind of each end, and a copy's getter of its ends.
+# A phrase's reading: its word, the side and kind of its target and of its
+# sources, and its updates in order, each (target, source), whose source is a
+# variable name or a transaction's (const, names), const plus those variables
+# mod 2^16.  `_WORDS` gives a phrase class's word and a copy's getter of its ends.
 Source = str | tuple[int, tuple[str, ...]]
 Reading = tuple[str, int, str, int, str, tuple[tuple[str, Source], ...]]
-_SHAPES = {Txn: ("txn", None, "internal", None, "internal", None)} | {
-    cls: (word, _SIDE.get(tdom), tkind, _SIDE.get(sdom), skind,
-          attrgetter(*cls.__match_args__[-2:]))
-    for word, (cls, (tdom, tkind), (sdom, skind)) in _MOVES.items()}
+_WORDS = {cls: (word, None if cls is Txn else attrgetter(*cls.__match_args__[-2:]))
+          for word, (cls, _, _) in _PHRASES.items()}
 
 
 def _read(p: Phrase, at: str = "") -> Reading:
     """The reading of `p`: a transaction's right-hand side is its `_linear`,
     or a copy if it is one variable alone (stored values are reduced).  A
-    FlowError prefixed `at` if `p` is no phrase or its domain is not L or M."""
-    shape = _SHAPES.get(p.__class__)
-    if shape is None:
+    FlowError prefixed `at` if `p` is no phrase, its domain is not L or M or a sum is bad."""
+    word, ends = _WORDS.get(p.__class__, (None, None))
+    if word is None:
         raise FlowError(f"{at}unknown phrase {p!r}")
-    word, tside, tkind, sside, skind, ends = shape
+    _, (tside, tkind), (sside, skind) = _PHRASES[word]
     if tside is None:
         if p.domain not in DOMAINS:
             raise FlowError(f"{at}bad domain {p.domain!r}")
         tside = sside = _SIDE[p.domain]
     updates = (ends(p),) if ends else tuple([
         (target, names[0] if const == 0 and len(names) == 1 else (const, names))
-        for target, e in p.assigns for const, names in (_linear(e),)])
+        for target, e in p.assigns for const, names in (_linear(e, at),)])
     return word, tside, tkind, sside, skind, updates
 
 
@@ -152,19 +150,21 @@ class StorePair(Record):
     __slots__ = ("left", "right")  # each a dict[str, int]
 
 
-def _linear(e: Expr) -> tuple[int, tuple[str, ...]]:
-    """Flatten a sum into its constant and its variables; addition mod 2^16
-    is associative, so evaluating the flat sum gives the nested one.  The
-    walk keeps its own stack, so no sum is too deep for it."""
+def _linear(e: Expr, at: str) -> tuple[int, tuple[str, ...]]:
+    """Flatten a sum into its constant and its variables; addition mod 2^16 is associative, so
+    evaluating the flat sum gives the nested one.  The walk keeps its own stack, so no sum is
+    too deep for it.  A node not an int Const, str Var or Add is a FlowError prefixed `at`."""
     const, names, todo = 0, [], [e]
     while todo:
         e = todo.pop()
-        if isinstance(e, Const):
+        if isinstance(e, Const) and e.value.__class__ is int:
             const += e.value
-        elif isinstance(e, Var):
+        elif isinstance(e, Var) and e.name.__class__ is str:
             names.append(e.name)
-        else:
+        elif isinstance(e, Add):
             todo += (e.rhs, e.lhs)
+        else:
+            raise FlowError(f"{at}bad expression {e!r}")
     return const % VALUE_MODULUS, tuple(names)
 
 
@@ -176,9 +176,11 @@ class Program(Record):
 
     def __init__(self, decls: tuple[VarDecl, ...], body: tuple[Phrase, ...]):
         env: dict[str, VarDecl] = {}
-        for d in decls:
+        for d in _tuple("decls", decls):
             if not isinstance(d, VarDecl):
                 raise FlowError(f"unknown declaration {d!r}")
+            if d.name.__class__ is not str or d.cls.__class__ is not str:
+                raise FlowError(f"name and class must be strings in {d!r}")
             if d.domain not in DOMAINS:
                 raise FlowError(f"bad domain {d.domain!r} for {d.name!r}")
             if d.kind not in KINDS:
@@ -186,7 +188,7 @@ class Program(Record):
             if d.name in env:
                 raise DuplicateVariable(f"variable {d.name!r} declared twice")
             env[d.name] = d
-        readings = tuple(_check_phrase(env, p, idx) for idx, p in enumerate(body))
+        readings = tuple(_check_phrase(env, p, idx) for idx, p in enumerate(_tuple("body", body)))
         for name, value in zip(self.__slots__, (decls, body, env, readings)):
             object.__setattr__(self, name, value)
 
@@ -196,11 +198,14 @@ def _check_phrase(env: Mapping[str, VarDecl], p: Phrase, idx: int | None) -> Rea
     update's target and then its sources, with the domain and kind its place
     needs; else a FlowError naming phrase `idx`, if given."""
     at = "" if idx is None else f"phrase {idx}: "
-    reading = _, tside, tkind, sside, skind, updates = _read(p, at)
+    if p.__class__ is Txn and p.domain in DOMAINS and not (isinstance(p.assigns, (tuple, list))
+            and all(isinstance(a, (tuple, list)) and len(a) == 2 for a in p.assigns)):
+        raise FlowError(f"{at}bad assignments {p.assigns!r}")
+    reading = word, tside, tkind, sside, skind, updates = _read(p, at)
     for target, source in updates:
-        needs = [(target, tside, tkind), *((v, sside, skind) for v in _names(source))]
-        for name, side, kind in needs:
-            d = env.get(name)
+        reads = _names(source) if word == "txn" else (source,)  # a copy's source is one name
+        for name, side, kind in [(target, tside, tkind), *((v, sside, skind) for v in reads)]:
+            d = env.get(name) if isinstance(name, str) else None
             if d is None:
                 raise UndeclaredVariable(f"{at}variable {name!r} is not declared")
             if d.domain != DOMAINS[side] or d.kind != kind:
@@ -304,9 +309,9 @@ def typecheck_phrase(env: Mapping[str, VarDecl], conn: LagoisConnection,
                      p: Phrase, index: int | None = None) -> PhraseType:
     """Type one phrase, or raise FlowTypeError if its premise fails.
 
-    A transaction's premise is that the join of what it reads flows to the
-    meet of what it writes; a copy's, read off `_MOVES` and named by its word,
-    that the source's class, through gamma (into L) or alpha (into M) if it
+    Its ends are read off `_PHRASES`.  A transaction's premise is that the join
+    of what it reads flows to the meet of what it writes; a copy's, named by its
+    word, that the source's class, through gamma (into L) or alpha (into M) if it
     crosses, flows to the target's.  The type is what the phrase reports in
     each domain: a transaction the join of what it reads (the bottom if
     nothing), a copy each moved variable's class on its side, the target's
@@ -487,13 +492,13 @@ def gen_well_typed(decls: Sequence[VarDecl], conn: LagoisConnection,
     _require_count("length", length)
     _require_count("seed", seed, None)
     _require_count("stall_limit", stall_limit, 1)
-    prog = Program(tuple(decls), ())
+    prog = Program(_tuple("decls", decls), ())
     rows = _rows(prog.env, conn, prog.env)
-    pools = {(d, k): [v.name for v in prog.decls if v.domain == d and v.kind == k]
-             for d in DOMAINS for k in KINDS}
-    for (domain, kind), pool in pools.items():
+    pools = {(side, k): [v.name for v in prog.decls if v.domain == d and v.kind == k]
+             for side, d in enumerate(DOMAINS) for k in KINDS}
+    for (side, kind), pool in pools.items():
         if not pool:
-            raise FlowError(f"need at least one {kind} variable in domain {domain}")
+            raise FlowError(f"need at least one {kind} variable in domain {DOMAINS[side]}")
 
     r, kinds = random.Random(seed).random, tuple(kinds)
     if not kinds:
@@ -525,6 +530,12 @@ def _require_count(name: str, count, least: int | None = 0) -> None:
         raise FlowError(f"{name} must be at least {least}, got {count}")
 
 
+def _tuple(name: str, items) -> tuple:
+    if not hasattr(items, "__iter__"):
+        raise FlowError(f"{name} must be iterable, got {items!r}")
+    return tuple(items)
+
+
 def _random_expr(r, names: list[str], depth: int) -> Expr:
     roll = r()
     if depth > 0 and roll < 0.3:
@@ -535,18 +546,16 @@ def _random_expr(r, names: list[str], depth: int) -> Expr:
 
 
 def _random_phrase(r, kind: str, pools) -> Phrase:
-    if kind == "txn":
-        domain = DOMAINS[int(r() * 2)]
-        internal = pools[(domain, "internal")]
-        assigns = tuple(
-            (internal[int(r() * len(internal))], _random_expr(r, internal, 2))
-            for _ in range(1 + (r() < 0.5)))
-        return Txn(domain, assigns)
-    cls, (tdom, tkind), (sdom, skind) = _MOVES[kind]
-    own = () if tdom else (DOMAINS[int(r() * 2)],)
-    tdom, sdom = (tdom, sdom) if tdom else own * 2
-    targets, sources = pools[tdom, tkind], pools[sdom, skind]
-    return cls(*own, targets[int(r() * len(targets))], sources[int(r() * len(sources))])
+    cls, (tside, tkind), (sside, skind) = _PHRASES[kind]
+    if own := tside is None:  # drawn, and passed first to the class
+        tside = sside = int(r() * 2)
+    targets, sources = pools[tside, tkind], pools[sside, skind]
+    if cls is Txn:
+        assigns = tuple((targets[int(r() * len(targets))], _random_expr(r, sources, 2))
+                        for _ in range(1 + (r() < 0.5)))
+        return Txn(DOMAINS[tside], assigns)
+    target, source = targets[int(r() * len(targets))], sources[int(r() * len(sources))]
+    return cls(DOMAINS[tside], target, source) if own else cls(target, source)
 
 
 # -- suite driver ------------------------------------------------------------------
@@ -570,7 +579,8 @@ def run_ni_suite(decls: Sequence[VarDecl], conn: LagoisConnection,
     for name, count in (("programs", programs), ("max_len", max_len), ("draws", draws)):
         _require_count(name, count)
     _require_count("seed", seed, None)
-    decls, pairs, base, failures = tuple(decls), adversary_pairs(conn), random.Random(seed), []
+    decls, pairs = _tuple("decls", decls), adversary_pairs(conn)
+    base, failures = random.Random(seed), []
     for p_idx in range(programs):
         length = base.randrange(max_len + 1)
         prog = gen_well_typed(decls, conn, length, base.getrandbits(48))
@@ -637,9 +647,9 @@ def _parse_line(line: str, decls: list[VarDecl], body: list[Phrase]) -> None:
         if not assigns:
             raise ParseError("empty transaction")
         body.append(Txn(domain, tuple(assigns)))
-    elif head in _MOVES:
-        cls, (tdom, _), _ = _MOVES[head]
-        if len(rest) != (3 if tdom is None else 2):
+    elif head in _PHRASES and head != "txn":  # a transaction's head is `t`
+        cls = _PHRASES[head][0]
+        if len(rest) != len(cls.__match_args__):
             raise ParseError(f"cannot parse {line!r}")
         body.append(cls(*rest))
     else:

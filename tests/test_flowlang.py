@@ -87,6 +87,63 @@ def test_declarations_are_read_once_and_must_be_declarations(cu):
             assert str(exc.value) == f"unknown declaration {bad!r}"
 
 
+def test_declarations_and_bodies_must_be_iterable(cu, monkeypatch):
+    # Checked before any draw: with `random.Random` gone, a draw would fail.
+    monkeypatch.setattr(flowlang.random, "Random", None)
+    for bad in (None, 3):
+        for build, what in ((lambda: Program(bad, ()), "decls"),
+                            (lambda: Program(DECLS, bad), "body"),
+                            (lambda: gen_well_typed(bad, cu, 2, 0), "decls"),
+                            (lambda: run_ni_suite(bad, cu, 0, 2, 0), "decls"),
+                            (lambda: run_ni_suite(bad, cu, 3, 2, 0), "decls")):
+            with pytest.raises(FlowError) as exc:
+                build()
+            assert type(exc.value) is FlowError
+            assert str(exc.value) == f"{what} must be iterable, got {bad!r}"
+
+
+def test_a_malformed_phrase_or_declaration_is_an_input_error(cu):
+    # Each shape is an input error, through Program (numbered after one good
+    # phrase) and typecheck_phrase (numbered or not); none is reinterpreted.
+    env, good = Program(DECLS, ()).env, Wr("L", "lx1", "lz1")
+    bad_assigns = "bad assignments "
+    for p, error, message in (
+            (Txn("L", None), FlowError, bad_assigns + "None"),
+            (Txn("L", "ab"), FlowError, bad_assigns + "'ab'"),
+            (Txn("L", (("a", "b", "c"),)), FlowError, bad_assigns + "(('a', 'b', 'c'),)"),
+            (Txn("L", ("ab",)), FlowError, bad_assigns + "('ab',)"),
+            (Txn("L", (("lz1", 3),)), FlowError, "bad expression 3"),
+            (Txn("L", (("lz1", "lz2"),)), FlowError, "bad expression 'lz2'"),
+            (Txn("L", (("lz1", Add(Var("lz2"), None)),)), FlowError, "bad expression None"),
+            (Txn("L", (("lz1", Const("x")),)), FlowError, "bad expression Const(value='x')"),
+            (Txn("L", (("lz1", Const(1.5)),)), FlowError, "bad expression Const(value=1.5)"),
+            (Txn("L", (("lz1", Const(True)),)), FlowError, "bad expression Const(value=True)"),
+            (Txn("L", (("lz1", Var(3)),)), FlowError, "bad expression Var(name=3)"),
+            (Txn("L", (("lz1", Var(("a", ("lz2",)))),)), FlowError,
+             "bad expression Var(name=('a', ('lz2',)))"),
+            (Txn("L", ((["x"], Const(1)),)), UndeclaredVariable, "variable ['x'] is not declared"),
+            (Rd("L", ["x"], "ly1"), UndeclaredVariable, "variable ['x'] is not declared"),
+            (Rd("L", "lz1", ["x"]), UndeclaredVariable, "variable ['x'] is not declared"),
+            (Rd("L", "lz1", 3), UndeclaredVariable, "variable 3 is not declared"),
+            (Rd("L", "lz1", ("a", ("ly1",))), UndeclaredVariable,
+             "variable ('a', ('ly1',)) is not declared"),
+            (Trl("ly1", 5), UndeclaredVariable, "variable 5 is not declared"),
+            # already input errors, with their messages kept
+            (Rd("L", 3, "ly1"), UndeclaredVariable, "variable 3 is not declared"),
+            (Txn("X", None), FlowError, "bad domain 'X'")):
+        for call, at in ((lambda: Program(DECLS, (good, p)), "phrase 1: "),
+                         (lambda: typecheck_phrase(env, cu, p, 4), "phrase 4: "),
+                         (lambda: typecheck_phrase(env, cu, p), "")):
+            with pytest.raises(FlowError) as exc:
+                call()
+            assert (type(exc.value), str(exc.value)) == (error, at + message), p
+    for d in (VarDecl(3, "L", "internal", "Student"), VarDecl("a", "L", "internal", ["x"]),
+              VarDecl(("a",), "L", "internal", "Student")):
+        with pytest.raises(FlowError) as exc:
+            Program((*DECLS, d), ())
+        assert str(exc.value) == f"name and class must be strings in {d!r}"
+
+
 def test_gen_well_typed_rejects_an_unknown_phrase_kind(cu):
     with pytest.raises(ValueError) as exc:
         gen_well_typed(DECLS, cu, 3, seed=0, kinds=("txm",))

@@ -34,7 +34,7 @@ from typing import Iterable, Iterator, Mapping
 
 from .errors import (AdjointError, CoarsenError, ComposeError, LatticeMismatch, MapError,
                      NotClosure, NotIso, NotLagois, NotMonotone, NotSemiInverse, PartialMap)
-from .lattice import Lattice, Record, UnknownClass, _extrema, _members
+from .lattice import Lattice, Record, UnknownClass, _closure_rows, _extrema, _members
 
 class Violation(Record):
     """One failed connection condition together with a replayable witness."""
@@ -286,43 +286,52 @@ def find_adjoint(alpha: MonotoneMap) -> MonotoneMap:
     """Synthesise the unique right map making (L, alpha, gamma, M) a verified
     connection, or raise AdjointError naming the first failed condition.
 
-    The three conditions, checked in dependency order:
-      1. every nonempty preimage of alpha has a largest member;
-      2. for every m, the image classes above m have a smallest member;
-      3. the largest-preimage elements, ordered as in L, mirror the image
-         order exactly (an order isomorphism onto alpha[L]).
+    The three conditions, checked in dependency order on the bit rows:
+      1. every nonempty preimage of alpha has a largest member, the one in the AND of its up rows;
+      2. for every m, the image classes above m have a smallest member, the one below their
+         meet, whose down row one sweep of M's covers ANDs up by up row (an int), tops first;
+      3. the largest-preimage elements, ordered as in L, mirror the image order
+         exactly (an isomorphism onto alpha[L]); given 1 and 2, iff on M's covers.
     The map is then gamma(m) = largest preimage of (least image class above m).
     It is monotone by 2 and 3, and not re-checked: alpha(gamma(m)) is least
     above m (LC2, LC4), gamma(alpha(l)) the largest preimage of alpha(l) (LC1, LC3).
     """
     left, right = alpha.source, alpha.target
-    preimage = _preimages(alpha)
-    image_mask = sum(map(right._bit.__getitem__, preimage))
+    rup, rbit, blocks = right._up, right._bit, _blocks(alpha)
+    image_mask = sum(map(rbit.__getitem__, blocks))
 
-    largest: dict[str, str] = {}
-    for m in _members(image_mask, right.classes):
-        members = preimage[m]
-        largest[m] = left.join_all(members)
-        if largest[m] not in members:
-            raise AdjointError(1, (m,), f"preimage {list(members)} has no largest member")
+    if m := next((m for m in _members(image_mask, right.classes) if not blocks[m][1]), None):
+        raise AdjointError(1, (m,), f"preimage {list(_members(blocks[m][0], left.classes))} "
+                                    "has no largest member")
+    largest = {m: left.classes[top.bit_length() - 1] for m, (_, top) in blocks.items()}
 
-    gamma: dict[str, str] = {}
-    for m in right.classes:
-        above = list(_members(right._up[m] & image_mask, right.classes))
-        if not above:
+    meet_row = {m: right._down[m] if rbit[m] & image_mask else -1 for m in right.classes}
+    for lo, hi in sorted(right.covers, key=lambda p: rup[p[0]]):  # a superset row is larger
+        meet_row[lo] &= meet_row[hi]
+    least = {m: rup[m] & image_mask & meet_row[m] for m in right.classes}
+    if m := next((m for m in right.classes if not least[m]), None):
+        if not (above := list(_members(rup[m] & image_mask, right.classes))):
             raise AdjointError(2, (m,), "no image class above it")
-        inf = right.meet_all(above)
-        if inf not in above:
-            raise AdjointError(2, (m,), f"image classes above it have no smallest member "
-                                        f"(minimal ones: {_extrema(above, right.leq)})")
-        gamma[m] = largest[inf]
+        raise AdjointError(2, (m,), f"image classes above it have no smallest member "
+                                    f"(minimal ones: {_extrema(above, right.leq)})")
+    gamma = {m: largest[right.classes[b.bit_length() - 1]] for m, b in least.items()}
 
-    image_pairs = ((m1, m2) for m1 in _members(image_mask, right.classes)
-                   for m2 in _members(right._up[m1] & image_mask, right.classes))
-    if broken := next(_unordered(image_pairs, largest, left), None):
-        raise AdjointError(3, broken, "largest-preimage elements do not mirror the image order")
+    if any(_unordered(right.covers, gamma, left)):
+        image_pairs = ((m1, m2) for m1 in _members(image_mask, right.classes)
+                       for m2 in _members(rup[m1] & image_mask, right.classes))
+        raise AdjointError(3, next(_unordered(image_pairs, largest, left)),
+                           "largest-preimage elements do not mirror the image order")
 
     return _proven_map(right, left, gamma)
+
+
+def _blocks(f: MonotoneMap) -> dict[str, tuple[int, int]]:
+    """Each image of f, by first member, to its block's bits and its largest member's bit, or 0."""
+    up, table, blocks = f.source._up, f._table, {}
+    for c, b in f.source._bit.items():
+        bits, common = blocks.get(m := table[c], (0, -1))
+        blocks[m] = bits | b, common & up[c]
+    return {m: (bits, bits & common) for m, (bits, common) in blocks.items()}
 
 
 # -- ab-initio construction -------------------------------------------------
@@ -392,12 +401,10 @@ def compose(ab: LagoisConnection, bc: LagoisConnection) -> Composition:
 
     a1, g1, a2, g2 = ab.alpha._table, ab.gamma._table, bc.alpha._table, bc.gamma._table
     image_a, image_g = set(ab.budpoints_right), set(bc.budpoints_left)
-    for x in ab.budpoints_right:
-        if g2[a2[x]] not in image_a:
-            raise ComposeError("left", x)
-    for y in bc.budpoints_left:
-        if a1[g1[y]] not in image_g:
-            raise ComposeError("right", y)
+    if x := next((x for x in ab.budpoints_right if g2[a2[x]] not in image_a), None):
+        raise ComposeError("left", x)
+    if y := next((y for y in bc.budpoints_left if a1[g1[y]] not in image_g), None):
+        raise ComposeError("right", y)
 
     admitted = ("image-subset" if image_g <= image_a or image_a <= image_g
                 else "containment-conditions")
@@ -440,19 +447,23 @@ def decompose(conn: LagoisConnection) -> Decomposition:
     insertion pairs a round trip, a closure operator by LC1 and LC4 (LC2 and
     LC3), with the inclusion of its image: a connection, not re-verified.
     The iso legs are alpha and gamma on the budpoints, mutually inverse there
-    by LC4 (gamma(alpha(gamma(m))) = gamma(m)) and LC3, so not re-checked."""
-    lstar = sublattice(conn.left, conn.budpoints_left, f"{conn.left.name}*")
-    mstar = sublattice(conn.right, conn.budpoints_right, f"{conn.right.name}*")
-
+    by LC4 (gamma(alpha(gamma(m))) = gamma(m)) and LC3, so not re-checked.
+    Each budpoint lattice is closed from an edge (b, rt(c)) per cover (b, c) from a
+    budpoint b: if b < b', a covers path from b starts (b, c), so b < rt(c) <= b'."""
     a, g = conn.alpha._table, conn.gamma._table
-    r1 = {l: g[a[l]] for l in conn.left.classes}
+    r1, r2 = {l: g[a[l]] for l in conn.left.classes}, {m: a[g[m]] for m in conn.right.classes}
+    stars = []
+    for lat, buds, rt in ((conn.left, conn.budpoints_left, r1),
+                          (conn.right, conn.budpoints_right, r2)):
+        pos = {b: k for k, b in enumerate(buds)}
+        covers = tuple(dict.fromkeys((b, rt[c]) for b, c in lat.covers if b in pos))
+        stars.append(Lattice(f"{lat.name}*", buds, covers,
+                             *_closure_rows(len(buds), [(pos[b], pos[c]) for b, c in covers])))
+    lstar, mstar = stars
     insertion_left = _assemble(conn.left, lstar, r1, {b: b for b in lstar.classes})
-
     i1 = _proven_map(lstar, mstar, {b: a[b] for b in lstar.classes})
     i2 = _proven_map(mstar, lstar, {b: g[b] for b in mstar.classes})
-    r2 = {m: a[g[m]] for m in conn.right.classes}
     insertion_right = _assemble(mstar, conn.right, {b: b for b in mstar.classes}, r2)
-
     return Decomposition(insertion_left, (i1, i2), insertion_right)
 
 
@@ -462,29 +473,27 @@ def coarsen(conn: LagoisConnection, alpha2: MonotoneMap) -> LagoisConnection:
     """Replace alpha with a coarser map and rebuild the right map as
     gamma . alpha' . gamma.
 
-    alpha' must merge whole kernel blocks of alpha, each merged block must
-    have a largest member, and alpha' must send the block where alpha sent
-    that largest member.  These imply the laws, not re-verified: a merged
-    block's largest member r is the largest of its alpha-block, so
+    alpha' must merge whole kernel blocks of alpha, each merged block must have
+    a largest member, one bit test (`_blocks`), and alpha' must send the block
+    where alpha sent that largest member.  These imply the laws, not re-verified:
+    a merged block's largest member r is the largest of its alpha-block, so
     gamma(alpha(r)) = r and gamma'(alpha'(l)) = r >= l; LC2-LC4 follow.
     """
     if alpha2.source != conn.left or alpha2.target != conn.right:
         raise LatticeMismatch("replacement map must connect the same lattices")
 
     new, old, g = alpha2._table, conn.alpha._table, conn.gamma._table
-    for block in conn.kernel_left:
-        a = block[0]
-        b = next((c for c in block if new[c] != new[a]), None)
-        if b is not None:
+    for a, *rest in conn.kernel_left:
+        if b := next((c for c in rest if new[c] != new[a]), None):
             raise CoarsenError("not-refinement", (a, b),
                                f"{a!r} and {b!r} shared an image before but not after")
 
-    left = conn.left
-    for block in _preimages(alpha2).values():
-        rep = left.join_all(block)
-        if rep not in block:
+    for bits, top in _blocks(alpha2).values():
+        if not top:
+            block = tuple(_members(bits, conn.left.classes))
             raise CoarsenError("no-largest-element", block,
                                f"merged class {list(block)} has no largest member")
+        rep = conn.left.classes[top.bit_length() - 1]
         if new[rep] != old[rep]:
             raise CoarsenError("representative-mismatch", (rep,),
                                f"largest member {rep!r} must keep its old image "

@@ -169,14 +169,14 @@ def _linear(e: Expr, at: str) -> tuple[int, tuple[str, ...]]:
 
 
 class Program(Record):
-    """env maps each declared name to its declaration and readings holds each
-    phrase's `_read`; neither is a field."""
+    """decls and body are the tuples read; env maps each name to its declaration and
+    readings holds each phrase's `_read`, neither a field."""
     __slots__ = ("decls", "body", "env", "readings")
     __match_args__ = ("decls", "body")
 
     def __init__(self, decls: tuple[VarDecl, ...], body: tuple[Phrase, ...]):
         env: dict[str, VarDecl] = {}
-        for d in _tuple("decls", decls):
+        for d in (decls := _tuple("decls", decls)):
             if not isinstance(d, VarDecl):
                 raise FlowError(f"unknown declaration {d!r}")
             if d.name.__class__ is not str or d.cls.__class__ is not str:
@@ -188,7 +188,8 @@ class Program(Record):
             if d.name in env:
                 raise DuplicateVariable(f"variable {d.name!r} declared twice")
             env[d.name] = d
-        readings = tuple(_check_phrase(env, p, idx) for idx, p in enumerate(_tuple("body", body)))
+        body = _tuple("body", body)
+        readings = tuple(_check_phrase(env, p, idx) for idx, p in enumerate(body))
         for name, value in zip(self.__slots__, (decls, body, env, readings)):
             object.__setattr__(self, name, value)
 
@@ -492,7 +493,7 @@ def gen_well_typed(decls: Sequence[VarDecl], conn: LagoisConnection,
     _require_count("length", length)
     _require_count("seed", seed, None)
     _require_count("stall_limit", stall_limit, 1)
-    prog = Program(_tuple("decls", decls), ())
+    prog = Program(decls, ())
     rows = _rows(prog.env, conn, prog.env)
     pools = {(side, k): [v.name for v in prog.decls if v.domain == d and v.kind == k]
              for side, d in enumerate(DOMAINS) for k in KINDS}

@@ -78,10 +78,34 @@ MUTANTS = [
      "if target._bit.keys() >= set(table.values()):",
      [f"{TC}::test_a_map_check_names_its_first_offender_in_table_order"],
      "the quick accept of a total map skips its size check"),
-    (CONN, "above = list(_members(right._up[m] & image_mask, right.classes))",
-     "above = list(_members(right._down[m] & image_mask, right.classes))",
-     [f"{TC}::test_find_adjoint_identity"],
+    (CONN, "least = {m: rup[m] & image_mask & meet_row[m]",
+     "least = {m: right._down[m] & image_mask & meet_row[m]",
+     [f"{TC}::test_find_adjoint_reproduces_fixture_gamma"],
      "find_adjoint reads the down row where it needs the up row"),
+    (CONN, "if not blocks[m][1]), None):",
+     "if not blocks[m][0]), None):",
+     [f"{TC}::test_find_adjoint_diamond_to_chain_fails_condition_one"],
+     "condition 1 tests the block's bits, not its largest member's bit"),
+    (CONN, "meet_row = {m: right._down[m] if rbit[m] & image_mask else -1",
+     "meet_row = {m: right._down[m] if rbit[m] else -1",
+     [f"{TC}::test_find_adjoint_reproduces_fixture_gamma"],
+     "condition 2 ANDs in the down row of a class that is not an image class"),
+    (CONN, "key=lambda p: rup[p[0]])",
+     "key=lambda p: -rup[p[0]])",
+     [f"{TC}::test_find_adjoint_on_every_small_monotone_alpha"],
+     "condition 2's sweep runs bottoms first, before the rows it ANDs are done"),
+    (CONN, "if any(_unordered(right.covers, gamma, left)):",
+     "if any(_unordered(right.covers[:1], gamma, left)):",
+     [f"{TC}::test_find_adjoint_on_every_small_monotone_alpha"],
+     "condition 3 tests only the first cover of M"),
+    (CONN, "(b, rt[c]) for b, c in lat.covers if b in pos",
+     "(b, c) for b, c in lat.covers if b in pos",
+     [f"{TC}::test_decompose_fixture"],
+     "a budpoint lattice's edge ends at the cover's upper end, not at its round trip"),
+    (CONN, "        if not top:\n",
+     "        if not bits:\n",
+     [f"{TC}::test_coarsen_no_largest_element"],
+     "coarsen tests the merged block's bits, not its largest member's bit"),
     (CONN, "image_a, image_g = set(ab.budpoints_right), set(bc.budpoints_left)",
      "image_a, image_g = set(ab.budpoints_left), set(bc.budpoints_left)",
      [f"{TC}::test_compose_chain_fixture"],

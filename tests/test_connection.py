@@ -58,22 +58,25 @@ def test_connections_are_hashable():
 
 
 def test_budpoints_and_kernels_are_read_off_the_maps_when_first_asked_for(monkeypatch):
-    grouped, imaged = [], []
-    real, image = connection_module._preimages, MonotoneMap.image
+    grouped, imaged, masked = [], [], []
+    real, blocks = connection_module._preimages, connection_module._blocks
+    image = MonotoneMap.image
     monkeypatch.setattr(connection_module, "_preimages", lambda f: grouped.append(f) or real(f))
     monkeypatch.setattr(MonotoneMap, "image", lambda f: imaged.append(f) or image(f))
-    # One op of the construction benchmark groups three maps: find_adjoint's
-    # alpha, coarsen's replacement map and the kernel that coarsen reads.  It
-    # reads three images: both budpoint sets of the connection, kept for
-    # check_tightness, and the left budpoints of its transposed view.
+    monkeypatch.setattr(connection_module, "_blocks", lambda f: masked.append(f) or blocks(f))
+    # One op of the construction benchmark groups one map by name, the kernel
+    # that coarsen reads, and two on the bit rows: find_adjoint's alpha and
+    # coarsen's replacement map.  It reads three images: both budpoint sets of
+    # the connection, kept for check_tightness, and the left budpoints of its
+    # transposed view.
     conn = check_connection(fx.college(), fx.university(), fx.CU_ALPHA, fx.CU_GAMMA)
+    coarse = MonotoneMap(conn.left, conn.right, fx.CU_ALPHA_COARSE)
     find_adjoint(conn.alpha)
     parts = decompose(conn)
     made = [compose(conn, conn.transpose()).connection, parts.insertion_left,
-            parts.insertion_right,
-            coarsen(conn, MonotoneMap(conn.left, conn.right, fx.CU_ALPHA_COARSE))]
+            parts.insertion_right, coarsen(conn, coarse)]
     assert check_tightness(conn).passed
-    assert len(grouped) == 3
+    assert grouped == [conn.alpha] and masked == [conn.alpha, coarse]
     assert imaged == [conn.gamma, conn.alpha, conn.alpha]
     # A constructed connection groups nothing until one of its kernels is read,
     # and then only that map, once; equality and hash ignore what was read.
@@ -94,14 +97,16 @@ def test_budpoints_and_kernels_are_read_off_the_maps_when_first_asked_for(monkey
 
 def test_one_op_closes_each_lattice_once_and_calls_no_map(monkeypatch):
     # One op of the construction benchmark: each lattice it builds is closed
-    # by one `_closure_rows` call, and the constructors read the map tables
-    # rather than calling the maps.  They and the closure builder decide every
-    # order test on the bit rows, never by name through `Lattice.leq`.
+    # by one `_closure_rows` call, the two it reads and decompose's two budpoint
+    # lattices, and the constructors read the map tables rather than calling
+    # the maps.  They and the closure builder decide every order test on the
+    # bit rows, never by name through `Lattice.leq`.
     docs = fx.college().to_dict(), fx.university().to_dict()
     closed, built, called, compared = [], [], [], []
     closure_rows, build = lattice_module._closure_rows, lattice_module.build_lattice
-    monkeypatch.setattr(lattice_module, "_closure_rows",
-                        lambda n, edges: closed.append(n) or closure_rows(n, edges))
+    for module in (lattice_module, connection_module):
+        monkeypatch.setattr(module, "_closure_rows",
+                            lambda n, edges: closed.append(n) or closure_rows(n, edges))
     monkeypatch.setattr(lattice_module, "build_lattice",
                         lambda *args: built.append(args[0]) or build(*args))
     monkeypatch.setattr(MonotoneMap, "__call__", lambda f, c: called.append(c))
@@ -114,7 +119,8 @@ def test_one_op_closes_each_lattice_once_and_calls_no_map(monkeypatch):
     coarse = coarsen(conn, MonotoneMap(left, right, fx.CU_ALPHA_COARSE))
     assert check_tightness(conn).passed and check_tightness(coarse).passed
     semi = semi_inverse_connection(conn.alpha, conn.gamma)
-    assert (closed, built) == ([len(left), len(right)], [left.name, right.name])
+    assert (closed, built) == ([len(left), len(right), len(fx.CU_BUDPOINTS_LEFT),
+                                len(fx.CU_BUDPOINTS_RIGHT)], [left.name, right.name])
     doc = json.loads((fx.ROOT / "fixtures" / "dorm-college-closures.json").read_text())
     dorm, college = (lattice_module.load_lattice(str(fx.ROOT / "fixtures" / doc[side]))
                      for side in ("left", "right"))
@@ -988,11 +994,35 @@ def _planted_adjoint_error(lp, rp, alpha):
     return None
 
 
+DIAMOND = build_lattice("d", ["b", "x", "y", "t"],
+                        [("b", "x"), ("b", "y"), ("x", "t"), ("y", "t")])
+
+
+def _diamond_without_meet(rng, right):
+    """A monotone map of DIAMOND into right that sends x and y to an incomparable pair
+    whose meet is not the bottom, b to the bottom and t to the top, or None if right
+    has no such pair.  The image classes above that meet have no smallest member,
+    and every block is one class, so only condition 2 fails, past its emptiness test."""
+    pairs = [(x, y) for x, y in itertools.combinations(right.classes, 2)
+             if not right.leq(x, y) and not right.leq(y, x) and right.meet(x, y) != right.bottom]
+    if pairs:
+        x, y = rng.choice(pairs)
+        return {"b": right.bottom, "x": x, "y": y, "t": right.top}
+    return None
+
+
 def test_find_adjoint_output_passes_the_full_check():
+    # Random monotone maps almost never reach condition 2's "no smallest member",
+    # so the last draws plant it; each failure kind must occur.
     rng = random.Random(1301)
     outcomes = Counter()
-    for k in range(300):
-        if k % 4 == 0:
+    for k in range(360):
+        if k >= 300:
+            right = random_lattice_exact(rng, rng.randint(5, 9))
+            left, alpha = DIAMOND, _diamond_without_meet(rng, right)
+            if alpha is None:
+                continue
+        elif k % 4 == 0:
             conn = _closure_connection(rng, *_random_lattices(rng, 2))
             left, right, alpha = conn.left, conn.right, conn.alpha.mapping()
         else:
@@ -1002,13 +1032,16 @@ def test_find_adjoint_output_passes_the_full_check():
         expected = _planted_adjoint_error(_poset(left), _poset(right), alpha)
         if expected is not None:
             _assert_raises_as(expected, lambda: find_adjoint(amap))
-            outcomes[expected.condition] += 1
+            kind = str(expected.condition)
+            if expected.condition == 2:
+                kind += "-no-least" if "smallest" in str(expected) else "-empty"
+            outcomes[kind] += 1
             continue
         gamma = find_adjoint(amap)
         assert gamma == MonotoneMap(right, left, gamma.mapping())
         assert connection_violations(left, right, alpha, gamma.mapping()) == []
         outcomes["ok"] += 1
-    assert set(outcomes) == {"ok", 1, 2, 3}, outcomes
+    assert set(outcomes) == {"ok", "1", "2-empty", "2-no-least", "3"}, outcomes
 
 
 def _planted_closure_error(lat, table, name):
@@ -1106,14 +1139,26 @@ def test_compose_output_passes_the_full_check():
 
 
 def test_decompose_insertions_pass_the_full_check():
+    # Each budpoint lattice is the one `sublattice` builds on the budpoints (classes,
+    # order, top, bottom and every query); only its covers differ, the round-trip edges.
     rng = random.Random(1304)
     for _ in range(60):
-        dec = decompose(_closure_connection(rng, *_random_lattices(rng, 2, hi=8)))
+        conn = _closure_connection(rng, *_random_lattices(rng, 2, hi=8))
+        dec = decompose(conn)
         _assert_proven(dec.insertion_left)
         _assert_proven(dec.insertion_right)
         i1, i2 = dec.iso
         assert i1 == MonotoneMap(i1.source, i1.target, i1.mapping())
         assert i2 == MonotoneMap(i2.source, i2.target, i2.mapping())
+        for got, lat, buds in ((dec.insertion_left.right, conn.left, conn.budpoints_left),
+                               (dec.insertion_right.left, conn.right, conn.budpoints_right)):
+            want = sublattice(lat, buds, f"{lat.name}*")
+            assert (got.name, got.classes, got.top, got.bottom) == \
+                (want.name, want.classes, want.top, want.bottom)
+            assert got.order_pairs() == want.order_pairs()
+            for a, b in itertools.product(got.classes, repeat=2):
+                assert (got.leq(a, b), got.join(a, b), got.meet(a, b)) == \
+                    (want.leq(a, b), want.join(a, b), want.meet(a, b))
 
 
 def _planted_coarsen_error(conn, alpha2):

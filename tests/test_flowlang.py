@@ -87,6 +87,21 @@ def test_declarations_are_read_once_and_must_be_declarations(cu):
             assert str(exc.value) == f"unknown declaration {bad!r}"
 
 
+def test_a_program_keeps_the_tuples_it_read(cu):
+    # Any iterables of declarations and phrases give the program the tuples give:
+    # equal, hashable alike, with the same low variables and the same trial.
+    body = (Tlr("my1", "lx1"),)
+    want = Program(DECLS, body)
+    for decls, phrases in ((iter(DECLS), body), (list(DECLS), list(body)),
+                           (DECLS, iter(body))):
+        prog = Program(decls, phrases)
+        assert (prog.decls, prog.body) == (DECLS, body)
+        assert prog == want and hash(prog) == hash(want)
+        for pair in adversary_pairs(cu):
+            assert low_variables(prog, cu, pair) == low_variables(want, cu, pair)
+            assert ni_trial(prog, cu, pair, 3) == ni_trial(want, cu, pair, 3)
+
+
 def test_declarations_and_bodies_must_be_iterable(cu, monkeypatch):
     # Checked before any draw: with `random.Random` gone, a draw would fail.
     monkeypatch.setattr(flowlang.random, "Random", None)

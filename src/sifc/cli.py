@@ -306,7 +306,7 @@ _COMMANDS = {
     "check-lattice": ("validate a lattice file", _cmd_check_lattice, ("file",)),
     "check-connection": ("verify a map pair", _cmd_check_connection, (
         "file", ("--tightness", {"action": "store_true",
-                                "help": "also check budpoint meet/join tightness"}))),
+                                "help": "also check round trips give least budpoints above"}))),
     "find-adjoint": ("synthesise gamma from alpha", _cmd_find_adjoint, ("file",)),
     "build-from-closures": ("build a connection from closure operators and an iso",
                             _cmd_build_from_closures, ("file",)),

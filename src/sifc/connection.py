@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from contextlib import suppress
 from functools import cached_property
-from itertools import combinations
 from typing import Iterable, Iterator, Mapping
 
 from .errors import (AdjointError, CoarsenError, ComposeError, LatticeMismatch, MapError,
@@ -237,47 +236,24 @@ class TightnessReport(Record):
 
 
 def check_tightness(conn: LagoisConnection) -> TightnessReport:
-    """Check that each budpoint set is closed under meets and that each round
-    trip lands on the least budpoint above its argument.
+    """Check that each round trip lands on the least budpoint above its argument.
 
-    Both hold on a verified connection: the round trip is a closure operator
-    (monotone, increasing by LC1, idempotent by LC3) whose closed elements
-    are the budpoints, and such a set is closed under meets, with the
-    closure of c the meet of the closed elements above c.
-
-    The check is exact without enumerating budpoint subsets S.  It tests (a)
-    for each class c, the round trip of c is the meet of the budpoints above
-    c, and (b) the top and the meet of each pair of budpoints are budpoints,
-    so meet(S) is one for every S by induction.  Given both, the meet of the
-    budpoints above join(S) is a budpoint above it, hence the least one, and
-    it is the round trip of join(S) by (a).  Both run on the bit rows: (a)
-    holds at c when its round trip is a budpoint above c and below every
-    budpoint above c, and only a class that fails this mask test has the meet
-    computed; (b) looks each pair's AND of down rows up among the budpoints'.
-
-    The budpoints are always the maps' images, so (a) at every class implies
-    (b): each round trip is a budpoint, and (a) at the top and at each
-    meet(x, y) of two budpoints makes it equal to its argument there.  So a
-    line of (b) only ever accompanies a failure of (a), on a record built
-    over maps that break the laws.  `subsets_checked` counts the subsets
-    whose meet was checked: on each side the empty one and each pair.
+    It does on a verified connection: the round trip is a closure operator
+    (monotone, increasing by LC1, idempotent by LC3) whose closed elements are
+    the budpoints, and the closure of c is the meet of those above c.  As the
+    budpoints are the maps' images, the round trip r of c is one, so one mask
+    test per class decides it: c <= r, and r is below every budpoint above c.
+    That fixes the top and each meet of two budpoints, so the budpoints are
+    meet-closed with no subset enumerated.  `subsets_checked` counts classes.
     """
-    failures: list[str] = []
-    checked = 0
-    alpha, gamma = conn.alpha._table, conn.gamma._table
+    failures, alpha, gamma = [], conn.alpha._table, conn.gamma._table
     for side, lat, a, g, buds in (("left", conn.left, alpha, gamma, conn.budpoints_left),
                                   ("right", conn.right, gamma, alpha, conn.budpoints_right)):
-        up, down, budmask = lat._up, lat._down, sum(map(lat._bit.__getitem__, buds))  # distinct
-        for c in lat.classes:
-            r, above = g[a[c]], up[c] & budmask
-            if (not above & lat._bit[r] or above & ~up[r]) and r != lat.meet_all(
-                    _members(above, lat.classes)):
-                failures.append(f"{side}:{c}: round trip is not the meet of dominating budpoints")
-        closed, subsets = set(map(down.__getitem__, buds)), [(), *combinations(buds, 2)]
-        checked += len(subsets)
-        failures += [f"{side}:{s}: meet escapes the budpoint set" for s in subsets
-                     if (down[s[0]] & down[s[1]] if s else down[lat.top]) not in closed]
-    return TightnessReport(not failures, tuple(failures), checked)
+        up, bit, budmask = lat._up, lat._bit, sum(map(lat._bit.__getitem__, buds))  # distinct
+        failures += [f"{side}:{c}: round trip is not the meet of dominating budpoints"
+                     for c in lat.classes
+                     if not up[c] & bit[r := g[a[c]]] or up[c] & budmask & ~up[r]]
+    return TightnessReport(not failures, tuple(failures), len(alpha) + len(gamma))  # classes
 
 
 # -- adjoint synthesis -----------------------------------------------------

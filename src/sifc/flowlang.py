@@ -581,6 +581,8 @@ def run_ni_suite(decls: Sequence[VarDecl], conn: LagoisConnection,
         _require_count(name, count)
     _require_count("seed", seed, None)
     decls, pairs = _tuple("decls", decls), adversary_pairs(conn)
+    if not programs:  # check the declarations as the first program would
+        gen_well_typed(decls, conn, 0, seed)
     base, failures = random.Random(seed), []
     for p_idx in range(programs):
         length = base.randrange(max_len + 1)

@@ -1,4 +1,4 @@
-"""Time each connection layer alone at several sizes, with its growth per doubling.
+"""Time each connection, typing, trial and label layer alone at several sizes, with its growth.
 
     PYTHONPATH=src python tests/layers.py [--json PATH]
 
@@ -15,6 +15,14 @@ REPEAT rounds over all cells; a record made for a call is made outside its
 timer.  Prints one row per size, then one row per
 doubling with each layer's growth t(n) / t(n/2); with --json it also writes
 {"sizes", "ms", "growth"}, each layer's cells in size order.
+
+Two more tables follow, timed the same way.  `typecheck` and `ni_trial`
+(at the first adversary pair) run on one `gen_well_typed` program of each
+length in PROGRAM_SIZES over the fixture connection, with the declarations
+of `fixtures/pipeline.sif`; `label_leq` compares a label of k policies, one
+per owner of the 50-principal `fixtures.wide_principal_map_pair`, with
+itself, for k in LABEL_SIZES.  With --json they are written under
+"programs" and "labels".
 
 `bench/gen.py` is loaded read-only by its path, under the name `bench_gen`,
 so that this script and `tests/gen.py` do not clash.  The name does not
@@ -34,13 +42,18 @@ from pathlib import Path
 
 from sifc.connection import (LagoisConnection, MonotoneMap, check_connection, check_tightness,
                              coarsen, compose, decompose, find_adjoint)
+from sifc.dlm import Label, Policy, label_leq
+from sifc.flowlang import adversary_pairs, gen_well_typed, ni_trial, parse_program, typecheck
 from sifc.lattice import Lattice
+
+import fixtures as fx  # tests/fixtures.py, next to this script
 
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = importlib.util.spec_from_file_location("bench_gen", ROOT / "bench" / "gen.py")
 gen = sys.modules[SPEC.name] = importlib.util.module_from_spec(SPEC)  # dataclasses look it up
 SPEC.loader.exec_module(gen)
 SIZES, REPEAT, SEED = (32, 64, 128, 256, 512, 1024), 25, 7
+PROGRAM_SIZES, LABEL_SIZES = (8, 16, 32, 64, 128, 256), (1, 2, 4, 8, 16, 32)
 
 
 def layers(ag) -> dict:
@@ -61,6 +74,21 @@ def layers(ag) -> dict:
     }
 
 
+def program_layers(n: int) -> dict:
+    conn = fx.college_university()
+    decls = parse_program((ROOT / "fixtures" / "pipeline.sif").read_text()).decls
+    prog, pair = gen_well_typed(decls, conn, n, SEED), adversary_pairs(conn)[0]
+    return {"typecheck": (lambda: prog, lambda p: typecheck(p, conn)),
+            "ni_trial": (lambda: prog, lambda p: ni_trial(p, conn, pair, SEED))}
+
+
+def label_layers(k: int) -> dict:
+    h = fx.wide_principal_map_pair().left
+    owners = [p for p in h.principals if p not in ("TOP", "BOT")][:k]
+    label = Label(frozenset(Policy(o, frozenset(owners[:3])) for o in owners))
+    return {"label_leq": (lambda: label, lambda l: label_leq(h, l, l))}
+
+
 def call_ms(make, call) -> float:
     arg = make()
     gc.disable()
@@ -72,18 +100,18 @@ def call_ms(make, call) -> float:
         gc.enable()
 
 
-def sweep() -> dict:
+def sweep(sizes=SIZES, make_layers=None) -> dict:
     rng = random.Random(SEED)
-    cells = {(n, name): pair for n in SIZES
-             for name, pair in layers(gen.random_agreement(rng, n)).items()}
+    make_layers = make_layers or (lambda n: layers(gen.random_agreement(rng, n)))
+    cells = {(n, name): pair for n in sizes for name, pair in make_layers(n).items()}
     best = dict.fromkeys(cells, float("inf"))
     for _ in range(REPEAT):  # each round times every cell, so a slow spell of the host hits all
         for key, (make, call) in cells.items():
             best[key] = min(best[key], call_ms(make, call))
     names = list(dict.fromkeys(name for _, name in cells))
-    ms = {name: [round(best[n, name], 3) for n in SIZES] for name in names}
+    ms = {name: [round(best[n, name], 3) for n in sizes] for name in names}
     growth = {name: [round(b / a, 2) for a, b in zip(row, row[1:])] for name, row in ms.items()}
-    return {"sizes": list(SIZES), "ms": ms, "growth": growth}
+    return {"sizes": list(sizes), "ms": ms, "growth": growth}
 
 
 def table(result: dict) -> str:
@@ -101,7 +129,9 @@ def main(argv=None) -> int:
     parser.add_argument("--json", help="also write the table as JSON to this path")
     args = parser.parse_args(argv)
     result = sweep()
-    print(table(result))
+    result["programs"] = sweep(PROGRAM_SIZES, program_layers)
+    result["labels"] = sweep(LABEL_SIZES, label_layers)
+    print("\n\n".join(map(table, (result, result["programs"], result["labels"]))))
     if args.json:
         Path(args.json).write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
     return 0

@@ -110,6 +110,30 @@ MUTANTS = [
      "image_a, image_g = set(ab.budpoints_left), set(bc.budpoints_left)",
      [f"{TC}::test_compose_chain_fixture"],
      "compose reads the first connection's left budpoints"),
+    (CONN, "if not up[c] & bit[r := g[a[c]]] or up[c] & budmask & ~up[r]]",
+     "if up[c] & budmask & ~up[r := g[a[c]]]]",
+     [f"{TC}::test_tightness_agrees_with_brute_force_on_every_small_monotone_pair"],
+     "tightness drops the test that the round trip is above its argument"),
+    (CONN, "if not up[c] & bit[r := g[a[c]]] or up[c] & budmask & ~up[r]]",
+     "if not up[c] & bit[r := g[a[c]]]]",
+     [f"{TC}::test_tightness_fails_when_round_trip_is_not_the_least_budpoint_above"],
+     "tightness drops the test that the round trip is below every budpoint above"),
+    (CONN, "budmask = lat._up, lat._bit, sum(map(lat._bit.__getitem__, buds))",
+     "budmask = lat._up, lat._bit, sum(lat._bit.values())",
+     [f"{TC}::test_tightness_agrees_with_brute_force_on_every_small_monotone_pair"],
+     "tightness takes every class for a budpoint"),
+    (CONN, "up[c] & budmask & ~up[r]]",
+     "up[c] & budmask & ~lat._down[r]]",
+     [f"{TC}::test_tightness_agrees_with_brute_force_on_every_small_monotone_pair"],
+     "tightness reads the round trip's down row where it needs its up row"),
+    (CONN, "if bool(left._up[a] & left._bit[b]) != bool(right._up[h[a]] & right._bit[h[b]]):",
+     "if right._up[h[a]] & right._bit[h[b]] and not left._up[a] & left._bit[b]:",
+     [f"{TC}::test_build_from_closures_and_identity_outputs_pass_the_full_check"],
+     "build_from_closures tests that h reflects order but not that it preserves it"),
+    (CONN, "        if a[g[a[l]]] != a[l]:\n",
+     "        if a[g[a[l]]] != a[l] and False:\n",
+     [f"{TC}::test_semi_inverse_rejects_non_semi_inverse"],
+     "semi_inverse_connection never raises NotSemiInverse"),
     (LAT, "for members in reversed(finished):",
      "for members in finished:",
      [f"{TL}::test_closure_rows_match_warshall_on_random_relations"],

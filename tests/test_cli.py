@@ -93,8 +93,8 @@ def test_strings_in_list_positions_are_input_errors(tmp_path, command, doc):
 def test_check_connection_tightness_flag():
     v = cli_dispatch(["check-connection", path("college-univ.json"), "--tightness"])
     assert v.exit_code == 0
-    # four budpoints a side: the empty subset and six pairs each
-    assert v.details["tightness"] == {"passed": True, "subsets_checked": 14,
+    # one dominating-budpoint set per class: seven left and six right
+    assert v.details["tightness"] == {"passed": True, "subsets_checked": 13,
                                       "failures": []}
 
 
@@ -255,6 +255,18 @@ def test_ni_suite_cli_small():
     assert v.details["seed"] == 3
     assert v.details["failures"] == []
     assert v.details["trials"] == 5 * len(v.details["pairs"]) * 3
+
+
+def test_ni_suite_with_no_trials_still_checks_the_declarations(tmp_path):
+    # --trials 0 rejects an unknown declared class as --trials 1 does.
+    bad = tmp_path / "bad.sif"
+    bad.write_text(Path(path("pipeline.sif")).read_text().replace(
+        "var L lz1 : Student internal", "var L a : Nope internal\nvar L lz1 : Student internal"))
+    for trials in ("1", "0"):
+        v = cli_dispatch(["ni-suite", str(bad), "--connection", path("college-univ.json"),
+                          "--trials", trials])
+        assert v.exit_code == 2
+        assert v.details["message"] == "unknown class 'Nope' in declaration of 'a'"
 
 
 def test_seed_env_override(monkeypatch):

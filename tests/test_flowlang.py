@@ -87,6 +87,28 @@ def test_declarations_are_read_once_and_must_be_declarations(cu):
             assert str(exc.value) == f"unknown declaration {bad!r}"
 
 
+def test_an_empty_suite_checks_the_declarations_the_first_program_would(cu, monkeypatch):
+    # With no program to generate, a suite still rejects each declaration set
+    # that its first program rejects, with the same error, before any draw.
+    cases = ((*DECLS[:3], ("lz0", "L", "internal", "Student"), *DECLS[3:]),
+             (VarDecl("a", "L", "internal", "Nope"), *DECLS),
+             tuple(d for d in DECLS if d.kind != "export"))
+    first = []
+    for decls in cases:
+        with pytest.raises((FlowError, UnknownClass)) as exc:
+            run_ni_suite(decls, cu, 1, 2, 0)
+        first.append((type(exc.value), str(exc.value)))
+    assert [message for _, message in first] == [
+        "unknown declaration ('lz0', 'L', 'internal', 'Student')",
+        "unknown class 'Nope' in declaration of 'a'",
+        "need at least one export variable in domain L"]
+    monkeypatch.setattr(flowlang.random, "Random", None)  # a draw would fail
+    for decls, want in zip(cases, first):
+        with pytest.raises((FlowError, UnknownClass)) as exc:
+            run_ni_suite(decls, cu, 0, 2, 0)
+        assert (type(exc.value), str(exc.value)) == want
+
+
 def test_a_program_keeps_the_tuples_it_read(cu):
     # Any iterables of declarations and phrases give the program the tuples give:
     # equal, hashable alike, with the same low variables and the same trial.

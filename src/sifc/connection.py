@@ -33,7 +33,7 @@ from typing import Iterable, Iterator, Mapping
 
 from .errors import (AdjointError, CoarsenError, ComposeError, LatticeMismatch, MapError,
                      NotClosure, NotIso, NotLagois, NotMonotone, NotSemiInverse, PartialMap)
-from .lattice import Lattice, Record, UnknownClass, _closure_rows, _extrema, _members
+from .lattice import Lattice, Record, UnknownClass, _closure_rows, _extrema, _members, _miss
 
 class Violation(Record):
     """One failed connection condition together with a replayable witness."""
@@ -58,15 +58,15 @@ class MonotoneMap:
     def __call__(self, c: str) -> str:
         try:
             return self._table[c]
-        except KeyError:
-            raise UnknownClass(c, "map domain") from None
+        except (KeyError, TypeError):
+            _miss(self.source, (c,), "map domain")
 
     def mapping(self) -> dict[str, str]:
         """The underlying table, keyed in source declaration order."""
         return {c: self._table[c] for c in self.source.classes}
 
     def image(self) -> tuple[str, ...]:
-        return self.target.sorted_by_index(set(self._table.values()))
+        return tuple(sorted(set(self._table.values()), key=self.target._bit.__getitem__))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MonotoneMap):
@@ -173,9 +173,9 @@ def _require_total(source, target, table: Mapping[str, str], where: str) -> None
         if len(table) == len(names) and target._bit.keys() >= set(table.values()):
             return
     for key, value in table.items():
-        if key not in source:
+        if key not in source._bit:
             raise source._unknown(key, f"{where} domain")
-        if not isinstance(value, str) or value not in target:
+        if not isinstance(value, str) or value not in target._bit:
             raise source._unknown(value, f"{where} range")
 
 
@@ -288,8 +288,8 @@ def find_adjoint(alpha: MonotoneMap) -> MonotoneMap:
     if m := next((m for m in right.classes if not least[m]), None):
         if not (above := list(_members(rup[m] & image_mask, right.classes))):
             raise AdjointError(2, (m,), "no image class above it")
-        raise AdjointError(2, (m,), f"image classes above it have no smallest member "
-                                    f"(minimal ones: {_extrema(above, right.leq)})")
+        raise AdjointError(2, (m,), "image classes above it have no smallest member (minimal "
+                                    f"ones: {_extrema(above, lambda v, u: rup[v] & rbit[u])})")
     gamma = {m: largest[right.classes[b.bit_length() - 1]] for m, b in least.items()}
 
     if any(_unordered(right.covers, gamma, left)):
@@ -317,12 +317,12 @@ def build_from_closures(left: Lattice, right: Lattice,
                         h: Mapping[str, str]) -> LagoisConnection:
     """Build a connection from closure operators c on L and i on M whose
     images are order-isomorphic via h: the maps are h.c and inverse(h).i.
-    Idempotent c and i fix their images and h is an order isomorphism, so the
-    round trips are c and i themselves, which gives LC1-LC4 unchecked."""
+    Idempotent c and i fix their images, so each image is its fixed classes, and h
+    is an order isomorphism, so the round trips are c and i: LC1-LC4 hold unchecked."""
     _require_closure(left, c, "c")
     _require_closure(right, i, "i")
-    image_c = left.sorted_by_index(set(c[x] for x in left.classes))
-    image_i = right.sorted_by_index(set(i[x] for x in right.classes))
+    image_c = tuple(x for x in left.classes if c[x] == x)
+    image_i = tuple(x for x in right.classes if i[x] == x)
     if not isinstance(h, Mapping):
         raise MapError("h must be a mapping from names to names")
     for key, value in h.items():
@@ -410,7 +410,9 @@ class Decomposition(Record):
 def sublattice(lat: Lattice, subset: Iterable[str], name: str) -> Lattice:
     """lat restricted to subset, each row the subset's bits of its parent row, so
     still closed and antisymmetric; every strict order pair is a cover."""
-    subset = lat.sorted_by_index(set(subset))
+    if not lat._bit.keys() >= (members := set(subset)):
+        raise UnknownClass(next(c for c in members if c not in lat._bit), lat.name)
+    subset = tuple(c for c in lat.classes if c in members)
     pos = [(lat._bit[b], 1 << k) for k, b in enumerate(subset)]  # (parent bit, own bit)
     up_rows, down_rows = ([sum(new for old, new in pos if rows[c] & old) for c in subset]
                           for rows in (lat._up, lat._down))

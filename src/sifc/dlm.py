@@ -45,7 +45,7 @@ from typing import Iterable, Mapping, Sequence
 from .connection import Violation, _law_violations
 from .errors import (AuthorityMismatch, CorollaryViolation, DlmError, LabelSyntaxError,
                      NotLagoisHierarchy, UnknownPrincipal)
-from .lattice import Record, _check_document, _members, _order_rows
+from .lattice import Record, _check_document, _members, _miss, _order_rows
 
 TOP = "TOP"
 BOT = "BOT"
@@ -86,14 +86,14 @@ class PrincipalsHierarchy:
         self._down = dict(zip(names, downs))
 
     def __contains__(self, name: str) -> bool:
-        return name in self._bit
+        return isinstance(name, str) and name in self._bit
 
     def acts_for(self, p: str, q: str) -> bool:
         """True iff p may perform any action q may (p is at least as trusted)."""
         try:
             return self._down[p] & self._bit[q] != 0
-        except KeyError as exc:
-            raise UnknownPrincipal(exc.args[0]) from None
+        except (KeyError, TypeError):
+            _miss(self, (p, q))
 
     def equiv(self, p: str, q: str) -> bool:
         return self.acts_for(p, q) and self.acts_for(q, p)
@@ -178,8 +178,8 @@ def label_leq(h: PrincipalsHierarchy, l1: Label, l2: Label) -> bool:
     try:
         return _subsumed(_masks(l1.policies, h._bit, h._up),
                          _masks(l2.policies, h._down, h._bit))
-    except KeyError as exc:
-        raise UnknownPrincipal(exc.args[0]) from None
+    except KeyError:  # the first unknown principal in the order `_masks` reads them
+        _miss(h, chain(*((p.owner, *p.readers) for p in chain(l1.policies, l2.policies))))
 
 
 def label_equiv(h: PrincipalsHierarchy, l1: Label, l2: Label) -> bool:
@@ -268,7 +268,7 @@ class PrincipalMapPair(Record):
         out = {}
         for direction, table, far in (("lr", self.alpha, self.right),
                                       ("rl", self.gamma, self.left)):
-            sent = [(p, q) for p, q in table.items() if q in far]
+            sent = [(p, q) for p, q in table.items() if q in far._bit]
             out[direction] = tuple({p: masks[q] for p, q in sent}
                                    for masks in (far._bit, far._down, far._up))
         return out
@@ -352,17 +352,17 @@ def declassify_check(h: PrincipalsHierarchy, authority: Iterable[str],
     True iff l1 flows to l2 joined with the authority's owner-only label."""
     if isinstance(authority, str):  # a string would split into letters
         raise DlmError("authority must be principal names, not a string")
-    authority = list(authority)
     try:
+        authority = list(authority)
         return _subsumed(_masks(l1.policies, h._bit, h._up),
                          _masks(l2.policies, h._down, h._bit)
                          + [(h._down[p], h._bit[p]) for p in authority])
-    except KeyError as exc:
-        # Name the principal a full scan has always named: the authority,
-        # then l1, then l2 joined with the authority's owner-only label.
-        joined = label_join(l2, authority_label(authority)).policies
-        scan = chain(authority, *((p.owner, *p.readers) for p in chain(l1.policies, joined)))
-        raise UnknownPrincipal(next((n for n in scan if n not in h), exc.args[0])) from None
+    except (KeyError, TypeError):
+        if not isinstance(authority, list):  # list() raised: not iterable
+            raise DlmError(f"authority must be principal names, not {authority!r}") from None
+        # Named as a full scan always has: the authority, l1, then l2 joined with the authority.
+        joined = l2.policies | authority_label(p for p in authority if isinstance(p, str)).policies
+        _miss(h, chain(authority, *((p.owner, *p.readers) for p in chain(l1.policies, joined))))
 
 
 class CrossDeclassifyResult(Record):
@@ -391,14 +391,14 @@ def cross_declassify_check(pm: PrincipalMapPair,
     """
     if isinstance(authority_left, str) or isinstance(authority_right, str):
         raise DlmError("authority must be principal names, not a string")
-    a_left, a_right = sorted(set(authority_left)), sorted(set(authority_right))
-    for p in a_left:
-        if p not in pm.left:
-            raise UnknownPrincipal(p)
-    for q in a_right:
-        if q not in pm.right:
-            raise UnknownPrincipal(q)
     try:
+        a_left, a_right = sorted(set(authority_left)), sorted(set(authority_right))
+        for p in a_left:
+            if p not in pm.left._bit:
+                raise UnknownPrincipal(p)
+        for q in a_right:
+            if q not in pm.right._bit:
+                raise UnknownPrincipal(q)
         if {pm.alpha[p] for p in a_left} != set(a_right):
             raise AuthorityMismatch("alpha image of the left authority must equal "
                                     "the right authority")
@@ -407,6 +407,10 @@ def cross_declassify_check(pm: PrincipalMapPair,
                                     "the left authority")
     except KeyError as exc:  # a hand-built pair whose map leaves the principal out
         raise UnknownPrincipal(exc.args[0]) from None
+    except TypeError:  # a malformed authority, named as declassify_check names it, or a bug
+        for h, authority in ((pm.left, authority_left), (pm.right, authority_right)):
+            declassify_check(h, authority, Label.empty(), Label.empty())
+        raise
 
     if direction == "lr":
         near_h, far_h, a_near, a_far, back = pm.left, pm.right, a_left, a_right, "rl"

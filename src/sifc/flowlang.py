@@ -347,7 +347,7 @@ def adversary_pairs(conn: LagoisConnection) -> list[tuple[str, str]]:
     """All observation levels (l, m) that mirror each other across the
     connection: gamma(m) = l and alpha(l) = m.  These are exactly the
     budpoint pairs."""
-    return [(l, conn.alpha(l)) for l in conn.budpoints_left]
+    return [(l, conn.alpha._table[l]) for l in conn.budpoints_left]
 
 
 class NiTrialResult(Record):

@@ -69,7 +69,7 @@ class Lattice:
     # -- queries ----------------------------------------------------------
 
     def __contains__(self, name: str) -> bool:
-        return name in self._bit
+        return isinstance(name, str) and name in self._bit
 
     def __len__(self) -> int:
         return len(self.classes)
@@ -77,27 +77,27 @@ class Lattice:
     def index(self, name: str) -> int:
         try:
             return self._bit[name].bit_length() - 1
-        except KeyError:
-            raise UnknownClass(name, self.name) from None
+        except (KeyError, TypeError):
+            _miss(self, (name,), self.name)
 
     def leq(self, a: str, b: str) -> bool:
         """True iff a is permitted to flow to b (a is below-or-equal b)."""
         try:
             return self._up[a] & self._bit[b] != 0
-        except KeyError as exc:
-            raise UnknownClass(exc.args[0], self.name) from None
+        except (KeyError, TypeError):
+            _miss(self, (a, b), self.name)
 
     def join(self, a: str, b: str) -> str:
         try:
             return self._by_up[self._up[a] & self._up[b]]
-        except KeyError as exc:
-            raise UnknownClass(exc.args[0], self.name) from None
+        except (KeyError, TypeError):
+            _miss(self, (a, b), self.name)
 
     def meet(self, a: str, b: str) -> str:
         try:
             return self._by_down[self._down[a] & self._down[b]]
-        except KeyError as exc:
-            raise UnknownClass(exc.args[0], self.name) from None
+        except (KeyError, TypeError):
+            _miss(self, (a, b), self.name)
 
     def join_all(self, items: Iterable[str]) -> str:
         return reduce(self.join, items, self.bottom)
@@ -116,8 +116,8 @@ class Lattice:
     def _set(self, rows: Mapping[str, int], a: str) -> frozenset[str]:
         try:
             return frozenset(_members(rows[a], self.classes))
-        except KeyError:
-            raise UnknownClass(a, self.name) from None
+        except (KeyError, TypeError):
+            _miss(self, (a,), self.name)
 
     def sorted_by_index(self, names: Iterable[str]) -> tuple[str, ...]:
         """Deterministic ordering: by position in the class declaration list."""
@@ -305,6 +305,14 @@ def _extrema(items: Sequence, below: Callable[[object, object], object]) -> list
     """The minimal elements of items, in input order, where below(v, u) says
     v <= u; passing the converse order yields the maximal elements."""
     return [u for u in items if not any(v != u and below(v, u) for v in items)]
+
+
+def _miss(order, names: Iterable, where: str = "") -> NoReturn:
+    """Called where a read by name failed: raise `order._unknown` for the first of `names` the
+    order lacks, hashable or not; if it has them all, the miss is a bug in sifc: re-raise it."""
+    if missing := [n for n in names if not isinstance(n, str) or n not in order._bit]:
+        raise order._unknown(missing[0], where) from None
+    raise
 
 
 class Record:

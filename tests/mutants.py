@@ -142,6 +142,34 @@ MUTANTS = [
      "if isinstance(other, Record)",
      ["tests/test_records.py::test_records_of_different_classes_are_never_equal"],
      "records of different classes compare by their fields"),
+    (CONN, "key=self.target._bit.__getitem__))",
+     "key=self.source._bit.__getitem__))",
+     [f"{TC}::test_fixture_connection_verifies"],
+     "a map's image is sorted by the source's bits, the wrong order"),
+    (CONN, "lambda v, u: rup[v] & rbit[u]",
+     "lambda v, u: rup[u] & rbit[v]",
+     [f"{TC}::test_find_adjoint_condition_two_names_minimal_candidates_in_declaration_order"],
+     "condition 2's message names the maximal image classes above, not the minimal ones"),
+    (CONN, "image_c = tuple(x for x in left.classes if c[x] == x)",
+     "image_c = tuple(x for x in left.classes if c[x] != x)",
+     [f"{TC}::test_build_from_closures_dorm_college"],
+     "build_from_closures takes the classes that c moves for its image"),
+    (LAT, "raise order._unknown(missing[0], where) from None",
+     "raise order._unknown(missing[-1], where) from None",
+     [f"{TC}::test_every_query_by_name_names_an_unknown_argument"],
+     "the miss helper names the last unknown argument, not the first"),
+    (LAT, "    raise\n\n\nclass Record:",
+     "    raise order._unknown(None, where) from None\n\n\nclass Record:",
+     [f"{TC}::test_a_miss_on_names_that_the_order_holds_is_a_bug_and_propagates"],
+     "the miss helper blames an argument when the order holds them all"),
+    (LAT, "return isinstance(name, str) and name in self._bit",
+     "return name in self._bit",
+     [f"{TC}::test_every_query_by_name_names_an_unknown_argument"],
+     "a membership test raises TypeError for an unhashable name"),
+    (DLM, "_miss(h, chain(authority, *(",
+     "_miss(h, chain([p for p in authority if isinstance(p, str)], *(",
+     ["tests/test_dlm.py::test_a_malformed_authority_is_named_by_every_declassification"],
+     "the authority explanation skips elements that are not strings"),
     (DLM, "if down & owner and not readers & ~cover:",
      "if down & owner and not cover & ~readers:",
      ["tests/test_dlm.py::test_label_leq_examples"],

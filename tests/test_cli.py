@@ -696,6 +696,41 @@ def test_internal_errors_propagate_and_exit_3(monkeypatch, capsys):
     assert "KeyError: 'bug'" in captured.err
 
 
+def _exits_3_with_a_traceback(capsys, argv: list[str]) -> None:
+    code, captured = main(argv), capsys.readouterr()
+    assert code == 3, captured.out
+    assert json.loads(captured.out)["error"] == "KeyError"
+    assert "Traceback" in captured.err
+
+
+def test_a_wrong_lattice_row_read_in_sifc_is_an_internal_error(monkeypatch, capsys):
+    # A planted bug: every map's target is its own source, so a connection's
+    # budpoints are read off the wrong lattice's rows.  That is a bare KeyError
+    # (exit 3), not an UnknownClass blamed on the input (exit 2).
+    from sifc import connection
+    proven_map = connection._proven_map
+    monkeypatch.setattr(connection, "_proven_map",
+                        lambda source, target, table: proven_map(source, source, table))
+    for argv in (["check-connection", path("college-univ.json")],
+                 ["compose", path("dorm-college-chain.json"), path("college-univ.json")]):
+        _exits_3_with_a_traceback(capsys, argv)
+
+
+def test_a_wrong_hierarchy_row_read_in_sifc_is_an_internal_error(monkeypatch, capsys):
+    # A planted bug: label masks are read off the other hierarchy's rows, where
+    # the label's principals are missing; each is there in the hierarchy given.
+    from sifc import dlm
+    other = dlm.PrincipalsHierarchy.from_dict(json.loads((FIXTURES / "right-hierarchy.json")
+                                                         .read_text()))
+    masks = dlm._masks
+    monkeypatch.setattr(dlm, "_masks", lambda policies, owners, readers: masks(
+        policies, *(other._bit if rows is owners else other._up for rows in (owners, readers))))
+    hierarchy = path("left-hierarchy.json")
+    for argv in (["dlm", "label-leq", hierarchy, "{stu: fac}", "{fac:}"],
+                 ["dlm", "declassify", hierarchy, "{fac: stu}", "{}", "--authority", "fac"]):
+        _exits_3_with_a_traceback(capsys, argv)
+
+
 def test_ill_typed_generated_program_is_an_internal_error(monkeypatch, capsys):
     # run_ni_suite re-checks the programs its own generator built, so an
     # IllTyped there is a bug in sifc, neither a FAIL nor the input's fault

@@ -4,13 +4,14 @@ connections between two lattices."""
 import itertools
 import json
 import random
+import re
 from collections import Counter
 
 import pytest
 
 import sifc.connection as connection_module
 import sifc.lattice as lattice_module
-from sifc.connection import (AdjointError, CoarsenError, ComposeError,
+from sifc.connection import (AdjointError, CoarsenError, ComposeError, Decomposition,
                              LagoisConnection, LatticeMismatch, MapError, MonotoneMap,
                              NotClosure, NotIso, NotLagois, NotMonotone, NotSemiInverse,
                              PartialMap,
@@ -18,8 +19,12 @@ from sifc.connection import (AdjointError, CoarsenError, ComposeError,
                              compose, connection_violations, decompose,
                              budpoint_representative, find_adjoint, _proven_map,
                              identity_connection, semi_inverse_connection, sublattice)
-from sifc.flowlang import adversary_pairs
-from sifc.lattice import Lattice, NotALattice, UnknownClass, build_lattice
+from sifc.dlm import (Label, Policy, PrincipalMapPair, PrincipalsHierarchy, UnknownPrincipal,
+                      check_lifted_connection, cross_declassify_check, declassify_check,
+                      label_leq, lift_label)
+from sifc.flowlang import (adversary_pairs, exec_program, lint_transfer_classes, ni_trial,
+                           parse_program, run_ni_suite, store_pair_from_dict, typecheck)
+from sifc.lattice import Lattice, NotALattice, Record, UnknownClass, build_lattice
 
 import fixtures as fx
 from gen import (find_order_iso, monotone_maps, random_closure, random_connection,
@@ -27,6 +32,7 @@ from gen import (find_order_iso, monotone_maps, random_closure, random_connectio
 from oracles import (BrutePoset, brute_adjoints_exhaustive,
                      brute_adjoints_monotone, brute_lagois_violations,
                      brute_tightness_failures, brute_tightness_passed, reference_sublattice)
+from test_readme import COMMANDS, EXPECTED_RUNS, readme_run
 
 
 @pytest.fixture(scope="module")
@@ -133,6 +139,167 @@ def test_one_op_closes_each_lattice_once_and_calls_no_map(monkeypatch):
     assert all(parts.recomposed_alpha(l) == conn.alpha(l) for l in left.classes)
 
 
+# Every query by name, a layer for callers only: sifc reads its orders by row.
+BY_NAME = ((Lattice, ("index", "leq", "join", "meet", "join_all", "meet_all", "upset", "downset",
+                      "sorted_by_index", "__contains__")),
+           (MonotoneMap, ("__call__",)),
+           (PrincipalsHierarchy, ("acts_for", "equiv", "__contains__")),
+           (LagoisConnection, ("round_trip_left", "round_trip_right")),
+           (Decomposition, ("recomposed_alpha", "recomposed_gamma")),
+           (connection_module, ("budpoint_representative",)))
+
+
+def _forbid_by_name(monkeypatch):
+    for owner, names in BY_NAME:
+        for name in names:
+            def forbidden(*args, name=name):
+                raise AssertionError(f"sifc called {name} by name")
+            monkeypatch.setattr(owner, name, forbidden)
+
+
+def _data(out):
+    """A result as plain data: lattices and maps by content, records field by field."""
+    if isinstance(out, Lattice):
+        return out.name, out.classes, out.covers, out.order_pairs()
+    if isinstance(out, MonotoneMap):
+        return out.mapping(), out.image()
+    if isinstance(out, Record):
+        return type(out).__name__, tuple(_data(getattr(out, f)) for f in out.__match_args__)
+    if isinstance(out, (tuple, list)):
+        return tuple(map(_data, out))
+    return out
+
+
+def _fresh(arg):
+    """A connection or a principal map pair rebuilt with nothing derived read yet."""
+    if isinstance(arg, (LagoisConnection, PrincipalMapPair)):
+        return type(arg)(*(getattr(arg, field) for field in arg.__match_args__))
+    return arg
+
+
+def _outcome(call):
+    """f(*args) of the call (f, *args), over fresh connections, as data."""
+    f, *args = call
+    try:
+        return "ok", _data(f(*map(_fresh, args)))
+    except Exception as exc:  # each verdict and input error, by class and message
+        return "error", type(exc).__name__, str(exc)
+
+
+def _adjoint(left, right, alpha):
+    return find_adjoint(MonotoneMap(left, right, alpha))
+
+
+def _library_calls(small_lattices, small_pairs, small_connections) -> list:
+    """Calls (f, *args) of every constructor, to each success and fail verdict, of the
+    typer, the NI harness, the executor and the three label decisions."""
+    docs = [json.loads((fx.ROOT / "fixtures" / f).read_text()) for f in ("college.json",
+                                                                          "dorm.json")]
+    docs += [{"name": "cycle", "classes": ["a", "b"], "covers": [["a", "b"], ["b", "a"]]},
+             {"name": "no-top", "classes": ["b", "x", "y"], "covers": [["b", "x"], ["b", "y"]]},
+             {"name": "stray", "classes": ["a"], "covers": [["a", "z"]]}]
+    calls = [(Lattice.from_dict, doc) for doc in docs]
+    calls += [(check_connection, *pair) for pair in small_pairs[::5]]
+    calls += [(_adjoint, *pair[:3]) for pair in small_pairs[::23]]
+    calls += [(semi_inverse_connection, MonotoneMap(l, r, a), MonotoneMap(r, l, g))
+              for l, r, a, g in small_pairs[::37]]
+    right = build_lattice("m", ["b", "z", "y", "x", "t"],
+                          [("b", "z"), ("z", "y"), ("z", "x"), ("y", "t"), ("x", "t")])
+    left = build_lattice("l", ["l0", "l1", "l2", "l3"],
+                         [("l0", "l1"), ("l0", "l2"), ("l1", "l3"), ("l2", "l3")])
+    calls.append((_adjoint, left, right, {"l0": "b", "l1": "y", "l2": "x", "l3": "t"}))
+    for conn in small_connections:
+        a, g = conn.alpha.mapping(), conn.gamma.mapping()
+        trips = {l: g[a[l]] for l in a}, {m: a[g[m]] for m in g}
+        calls += [(f, conn) for f in (decompose, check_tightness, adversary_pairs)]
+        iso = {l: a[l] for l in conn.budpoints_left}
+        calls += [(identity_connection, conn.left),
+                  (build_from_closures, conn.left, conn.right, *trips, iso)]
+        calls += [(coarsen, conn, MonotoneMap(conn.left, conn.right, alpha2))
+                  for alpha2 in monotone_maps(conn.left, conn.right)]
+    calls += [(compose, ab, bc) for ab, bc in itertools.product(small_connections, repeat=2)
+              if ab.right is bc.left][::3]
+    rng = random.Random(1302)
+    for _ in range(200):
+        left, right = random_lattice(rng, max_classes=5), random_lattice(rng, max_classes=5)
+        c, i = _random_operator(rng, left), _random_operator(rng, right)
+        image_c = [x for x in left.classes if x in c.values()]
+        image_i = [x for x in right.classes if x in i.values()]
+        h = dict(zip(image_c, rng.sample(image_i, min(len(image_c), len(image_i)))))
+        calls.append((build_from_closures, left, right, c, i, h))
+    cu = fx.college_university()
+    calls += [(MonotoneMap, cu.left, cu.right, table) for table in (
+        fx.CU_ALPHA, None, {"bot1": "bot2"}, dict(fx.CU_ALPHA, Student="top2"),
+        dict(fx.CU_ALPHA, top1="top9"), dict(fx.CU_ALPHA, top9="top2"))]
+    calls += [(compose, cu, cu), (coarsen, cu, cu.gamma),
+              (semi_inverse_connection, cu.alpha, cu.alpha),
+              (check_tightness, fx.forged_two_point())]
+    calls += [(sublattice, lat, subset, "sub") for lat in small_lattices
+              for k in range(1, len(lat) + 1) for subset in itertools.combinations(lat.classes, k)]
+    calls.append((sublattice, cu.left, ["top1", "nope"], "sub"))
+
+    text = (fx.ROOT / "fixtures" / "pipeline.sif").read_text()
+    prog = parse_program(text)
+    store = json.loads((fx.ROOT / "fixtures" / "pipeline-store.json").read_text())
+    init = store_pair_from_dict(store)
+    calls += [(typecheck, prog, cu), (exec_program, prog, init),
+              (run_ni_suite, fx.ni_decls(), cu, 4, 6, 7), (lint_transfer_classes, prog, cu)]
+    calls += [(ni_trial, prog, cu, pair, seed) for pair in adversary_pairs(cu) for seed in (1, 2)]
+    calls += [(typecheck, parse_program(text + extra), cu) for extra in (
+        "var M my0 : bot2 import\ntlr my0 lx1\n", "var L lq : Nope internal\n")]
+
+    pm = fx.principal_map_pair()
+    calls += [(PrincipalMapPair.check, pm.left, pm.right, pm.alpha, gamma)
+              for gamma in (pm.gamma, dict(pm.gamma, vice="BOT"))]
+    calls.append((check_lifted_connection, pm, 0, 0))
+    empty = Label.empty()
+    for authority in (None, 3, [["fac"]], ["fac", 3], [3], ["fac"], ["zz"]):
+        calls += [(declassify_check, pm.left, authority, empty, empty),
+                  (cross_declassify_check, pm, authority, [], empty, empty),
+                  (cross_declassify_check, pm, ["fac"], authority, empty, empty, "rl")]
+    rng = random.Random(35)
+    for h in (pm.left, pm.right):
+        names = [*h.principals, "zz"]
+        for _ in range(60):
+            l1, l2 = (Label(frozenset(Policy(rng.choice(names), frozenset(rng.sample(names, 2)))
+                                      for _ in range(rng.randint(0, 2)))) for _ in "12")
+            authority = rng.sample(names, rng.randint(0, 2))
+            calls += [(label_leq, h, l1, l2), (declassify_check, h, authority, l1, l2),
+                      (lift_label, pm, "lr" if h is pm.left else "rl", l1)]
+            near = [p for p in authority if p in ("fac", "uni_fac")]  # budpoints: mirrored
+            far = [{"fac": "uni_fac", "uni_fac": "fac"}[p] for p in near]
+            calls.append((cross_declassify_check, pm, *((near, far) if h is pm.left else
+                                                        (far, near)), l1, l2,
+                          "lr" if h is pm.left else "rl"))
+    return calls
+
+
+def test_no_sifc_code_reads_an_order_by_name(monkeypatch, small_lattices, small_pairs,
+                                             small_connections):
+    # Each call gives the same outcome, result or error, with every query by name
+    # made to raise, and so do the README commands run in-process through `main`.
+    calls = _library_calls(small_lattices, small_pairs, small_connections)
+    expected = [_outcome(call) for call in calls]
+    runs = json.loads(EXPECTED_RUNS.read_text(encoding="utf-8"))
+    _forbid_by_name(monkeypatch)
+    assert [_outcome(call) for call in calls] == expected
+    monkeypatch.chdir(fx.ROOT)
+    monkeypatch.delenv("SIFC_SEED", raising=False)
+    for argv in (["--format", "json", *argv] for argv in COMMANDS):
+        assert readme_run(argv) == runs[" ".join(argv)]
+    # Every fail verdict and input error of the constructors and decisions is among them.
+    errors = [" ".join(o[1:]) for o in expected if o[0] == "error"]
+    for needle in ("CycleError", "NotALattice", "UnknownClass", "PartialMap", "NotMonotone",
+                   "MapError", "LatticeMismatch", "NotLagois ", "condition (1)", "no image class",
+                   "no smallest member (minimal ones: ['y', 'x'])", "condition (3)",
+                   "(no-largest-element)", "(not-refinement)", "(representative-mismatch)",
+                   "left connection's alpha", "right connection's gamma", "monotone fails",
+                   "increasing fails", "idempotent fails", "defined exactly", "one-to-one",
+                   "preserve and reflect", "NotSemiInverse", "FlowTypeError",
+                   "NotLagoisHierarchy", "AuthorityMismatch", "DlmError", "UnknownPrincipal"):
+        assert any(needle in error for error in errors), needle
+
+
 def test_kernels_partition_classes(cu):
     flat = [c for block in cu.kernel_left for c in block]
     assert sorted(flat) == sorted(cu.left.classes)
@@ -163,6 +330,53 @@ def test_edited_gamma_reports_single_lc2_violation():
     gamma = dict(fx.CU_GAMMA, ViceChancellor="CollegePrincipal")
     violations = connection_violations(fx.college(), fx.university(), fx.CU_ALPHA, gamma)
     assert [(v.condition, v.witness) for v in violations] == [("LC2", ("ViceChancellor",))]
+
+
+@pytest.mark.parametrize("bad", ["nope", None, 3, ["x"], {}],
+                         ids=["missing", "none", "int", "list", "dict"])
+def test_every_query_by_name_names_an_unknown_argument(cu, bad):
+    # Hashable or not, in either place, and first if both are unknown: the error
+    # names it, and no query reports a TypeError.  Membership answers False.
+    lat, parts, h = cu.left, decompose(cu), fx.principal_map_pair().left
+    queries = [(lat.index, bad), (lat.upset, bad), (lat.downset, bad), (lat.meet_all, [bad]),
+               (lat.join_all, ["top1", bad]), (lat.sorted_by_index, ["top1", bad])]
+    queries += [(query, *args) for query in (lat.leq, lat.join, lat.meet)
+                for args in ((bad, "top1"), ("top1", bad), (bad, "other"))]
+    maps = [(cu.alpha, bad), (cu.gamma, bad), (cu.round_trip_left, bad), (cu.round_trip_right, bad),
+            (budpoint_representative, cu, "left", bad), (parts.recomposed_alpha, bad),
+            (parts.recomposed_gamma, bad)]
+    principals = [(query, *args) for query in (h.acts_for, h.equiv)
+                  for args in ((bad, "fac"), ("fac", bad), (bad, "other"))]
+    for calls, error, message in ((queries, UnknownClass, f"unknown class {bad!r} in College"),
+                                  (maps, UnknownClass, f"unknown class {bad!r} in map domain"),
+                                  (principals, UnknownPrincipal, f"unknown principal {bad!r}")):
+        for query, *args in calls:
+            with pytest.raises(error) as exc:
+                query(*args)
+            assert (exc.value.name, str(exc.value)) == (bad, message)
+    assert bad not in lat and bad not in h
+
+
+def test_a_miss_on_names_that_the_order_holds_is_a_bug_and_propagates():
+    # Only a bug in sifc misses a row of a name the order has: the KeyError or
+    # TypeError propagates as it is, and is not blamed on the argument.
+    lat = fx.college()
+    lat._by_up = lat._by_down = {}
+    for query in (lat.join, lat.meet):
+        with pytest.raises(KeyError) as exc:
+            query("Student", "Faculty")
+        assert type(exc.value) is KeyError
+    pm = fx.principal_map_pair()
+    h = PrincipalsHierarchy(pm.left.principals, pm.left.edges)
+    h._up = {}
+    l1, l2 = Label.of(Policy("stu", frozenset())), Label.empty()
+    for call in (lambda: label_leq(h, l1, l2), lambda: declassify_check(h, ["fac"], l1, l2)):
+        with pytest.raises(KeyError) as exc:
+            call()
+        assert not isinstance(exc.value, UnknownPrincipal)
+    pm = PrincipalMapPair(pm.left, pm.right, None, pm.gamma)  # no alpha to read
+    with pytest.raises(TypeError):
+        cross_declassify_check(pm, ["fac"], ["uni_fac"], l2, l2)
 
 
 def test_partial_map_rejected():
@@ -212,7 +426,6 @@ def test_a_map_check_names_its_first_offender_in_table_order(via):
     # A total table with only target names as values is accepted at once; any
     # other is read in table order, so a stray key and a value out of range
     # name whichever comes first, and a stray key alone is caught by the count.
-    from sifc.dlm import PrincipalMapPair, UnknownPrincipal
     pm = fx.principal_map_pair()
     where, table, valid, call, error, noun = {
         "connection_violations": ("alpha", fx.CU_ALPHA, "top2", lambda t: connection_violations(

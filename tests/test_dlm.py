@@ -364,6 +364,27 @@ def test_principal_maps_that_are_not_maps_of_names_are_rejected(side):
         assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("authority,error,message", [
+    (lambda p: None, DlmError, "authority must be principal names, not None"),
+    (lambda p: 3, DlmError, "authority must be principal names, not 3"),
+    (lambda p: [[p]], UnknownPrincipal, "unknown principal [{p!r}]"),
+    (lambda p: [p, 3], UnknownPrincipal, "unknown principal 3"),
+    (lambda p: [3], UnknownPrincipal, "unknown principal 3")],
+    ids=["none", "int", "list-element", "mixed", "int-element"])
+def test_a_malformed_authority_is_named_by_every_declassification(authority, error, message):
+    # Not iterable: a DlmError that shows it; an element that is not a string:
+    # an UnknownPrincipal that names it, on either side of a cross decision.
+    pm, empty = principal_map_pair(), Label.empty()
+    for h, p, call in ((pm.left, "fac", lambda a: declassify_check(pm.left, a, empty, empty)),
+                       (pm.right, "uni_fac", lambda a: declassify_check(pm.right, a, empty, empty)),
+                       (pm.left, "fac", lambda a: cross_declassify_check(pm, a, [], empty, empty)),
+                       (pm.right, "uni_fac",
+                        lambda a: cross_declassify_check(pm, ["fac"], a, empty, empty, "rl"))):
+        with pytest.raises(error) as exc:
+            call(authority(p))
+        assert type(exc.value) is error and str(exc.value) == message.format(p=p)
+
+
 def _warshall_rows(h):
     """The acts-for rows and columns of h by Warshall over the raw edges plus
     the implicit TOP and BOT pairs."""
